@@ -112,12 +112,6 @@ class AdjacencyGraph:
     def to_graph(self) -> Graph:
         return Graph(len(self.vertices), self.edges)
 
-    def vertex_index(self, db: Database) -> int:
-        try:
-            return self.vertices.index(tuple(db))
-        except ValueError:
-            raise InputError(f"database {db!r} is not a vertex") from None
-
 
 def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> frozenset:
     # Unconstrained sets only: adjacency is exactly one differing position

@@ -13,7 +13,7 @@ connected case reads ``n * d * eps * log2(e)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .adjacency import induce_adjacency_graph
@@ -116,20 +116,6 @@ class BoundReport:
         return render_kv(self.to_items())
 
 
-def bound_report_for_graph(graph: Graph, epsilon: float) -> BoundReport:
-    comps = components_and_diameters(graph)
-    upper = component_bound_bits(comps.diameters, epsilon)
-    return BoundReport(
-        epsilon=epsilon,
-        input_count=graph.vertex_count,
-        component_count=comps.count,
-        max_diameter=max(comps.diameters),
-        min_entropy_lower_bits=math.log2(graph.vertex_count) - upper,
-        leakage_upper_bits=upper,
-        diameters=comps.diameters,
-    )
-
-
 def unconstrained_audit(policy: BlowfishPolicy, epsilon: float) -> BoundReport:
     """Closed-form bound for unconstrained policies, without inducing the graph.
 
@@ -167,9 +153,13 @@ def audit(
     epsilon: float,
     channel: ChannelMatrix | None = None,
     cap: int = DEFAULT_DATABASE_CAP,
-    method: str = "auto",
 ) -> BoundReport:
-    """Induce the adjacency graph and evaluate the bounds at ``epsilon``.
+    """Evaluate the bounds for ``policy`` at ``epsilon``.
+
+    Unconstrained policies use the closed form of :func:`unconstrained_audit`;
+    constrained ones use the component diameters of the induced adjacency
+    graph. The graph (capped at ``cap`` databases) is induced only for a
+    constrained policy or to measure a channel.
 
     With a channel, additionally measure its minimal epsilon and uniform
     leakage, re-evaluate the bounds at the measured level, and verify that
@@ -177,8 +167,23 @@ def audit(
     A channel that is private for no finite epsilon is reported with
     unbounded margins rather than rejected.
     """
-    graph = induce_adjacency_graph(policy, cap=cap, method=method).to_graph()
-    report = bound_report_for_graph(graph, epsilon)
+    graph = None
+    if channel is not None or not policy.unconstrained:
+        graph = induce_adjacency_graph(policy, cap=cap).to_graph()
+    if policy.unconstrained:
+        report = unconstrained_audit(policy, epsilon)
+    else:
+        comps = components_and_diameters(graph)
+        upper = component_bound_bits(comps.diameters, epsilon)
+        report = BoundReport(
+            epsilon=epsilon,
+            input_count=graph.vertex_count,
+            component_count=comps.count,
+            max_diameter=max(comps.diameters),
+            min_entropy_lower_bits=math.log2(graph.vertex_count) - upper,
+            leakage_upper_bits=upper,
+            diameters=comps.diameters,
+        )
     if channel is None:
         return report
 
@@ -191,24 +196,19 @@ def audit(
     measured: LeakageReport = leakage(channel)
     if math.isinf(measured_eps):
         upper_at = math.inf
-        lower_at = -math.inf
+    elif policy.unconstrained:
+        upper_at = unconstrained_audit(policy, measured_eps).leakage_upper_bits
     else:
         upper_at = component_bound_bits(report.diameters, measured_eps)
-        lower_at = math.log2(graph.vertex_count) - upper_at
+    lower_at = math.log2(graph.vertex_count) - upper_at
     leak_margin = upper_at - measured.leakage_bits
     entropy_margin = measured.conditional_min_entropy_bits - lower_at
     holds = (
         measured.leakage_bits <= upper_at + DOMINANCE_TOLERANCE
         and measured.conditional_min_entropy_bits >= lower_at - DOMINANCE_TOLERANCE
     )
-    return BoundReport(
-        epsilon=report.epsilon,
-        input_count=report.input_count,
-        component_count=report.component_count,
-        max_diameter=report.max_diameter,
-        min_entropy_lower_bits=report.min_entropy_lower_bits,
-        leakage_upper_bits=report.leakage_upper_bits,
-        diameters=report.diameters,
+    return replace(
+        report,
         measured_epsilon=measured_eps,
         measured_leakage_bits=measured.leakage_bits,
         measured_cond_min_entropy_bits=measured.conditional_min_entropy_bits,

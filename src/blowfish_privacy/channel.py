@@ -13,7 +13,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,13 +209,9 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
 # CSV serialisation
 
 
-def channel_to_csv(channel: ChannelMatrix, output_labels: Sequence[str] | None = None) -> str:
+def channel_to_csv(channel: ChannelMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if output_labels is not None:
-        if len(output_labels) != channel.cols:
-            raise InputError("one output label per column is required")
-        writer.writerow(output_labels)
     for row in channel.probs:
         writer.writerow([repr(float(x)) for x in row])
     return buf.getvalue()

@@ -40,8 +40,6 @@ FIGURE_COLUMNS = (
     "q",
     "max_diameter",
     "bound_bits",
-    "leakage_bits",
-    "margin_bits",
 )
 
 
@@ -55,6 +53,10 @@ def _write_output(path: str | None, content: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(content)
+        # mkstemp creates the file as 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -189,9 +191,7 @@ def _cmd_policy_validate(args) -> int:
 
 def _cmd_adjacency_induce(args) -> int:
     built = _load_policy(args.policy)
-    graph = adjacency_mod.induce_adjacency_graph(
-        built, cap=_max_databases(args), method=args.method
-    )
+    graph = adjacency_mod.induce_adjacency_graph(built, cap=_max_databases(args))
     _write_output(args.out, adjacency_mod.adjacency_to_json(graph))
     return 0
 
@@ -303,7 +303,7 @@ def _cmd_figure_bound_sweep(args) -> int:
     for theta in thetas:
         for n in range(1, args.n_max + 1):
             built = policy_mod.distance_threshold_policy(values, theta, n)
-            report = bounds_mod.unconstrained_audit(built, args.epsilon)
+            report = bounds_mod.audit(built, args.epsilon)
             rows.append(
                 (
                     n,
@@ -312,8 +312,6 @@ def _cmd_figure_bound_sweep(args) -> int:
                     report.component_count,
                     report.max_diameter,
                     report.leakage_upper_bits,
-                    None,
-                    None,
                 )
             )
     _write_output(args.out, render_csv(FIGURE_COLUMNS, rows))
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     adjacency_sub = adjacency_parser.add_subparsers(dest="subcommand", required=True)
     induce = adjacency_sub.add_parser("induce", parents=[common])
     induce.add_argument("policy", help="policy JSON path")
-    induce.add_argument("--method", default="auto", choices=["auto", "fast", "definition"])
     induce.add_argument("--out", help="graph JSON output path")
     induce.set_defaults(handler=_cmd_adjacency_induce)
 

@@ -63,9 +63,6 @@ class Graph:
             adj[b].add(a)
         return tuple(frozenset(s) for s in adj)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges if a < b else (b, a) in self.edges
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -222,25 +219,26 @@ class PermutationGroup:
         degree: int,
         elements: Iterable[Sequence[int]],
         generators: Iterable[Sequence[int]] = (),
-        verify_closure: bool = True,
     ) -> "PermutationGroup":
         """Build a group from an explicit element set, checking the group laws.
 
         Closure under composition implies closure under inverse for finite
-        permutation sets, so only composition closure is checked. The check
-        is quadratic in the element count; disable it for large inputs that
-        are already known to be groups.
+        permutation sets, so only composition closure is checked; the check
+        is quadratic in the element count. Given ``generators`` must
+        generate exactly the element set, since orbits are read from them.
         """
         elems = sorted({tuple(p) for p in elements})
         group = cls(degree, tuple(elems), tuple(tuple(p) for p in generators))
-        if verify_closure:
-            members = group.element_set
-            for a in elems:
-                for b in elems:
-                    if compose(a, b) not in members:
-                        raise InputError(
-                            f"element set is not closed: {a!r} o {b!r} missing"
-                        )
+        members = group.element_set
+        for a in elems:
+            for b in elems:
+                if compose(a, b) not in members:
+                    raise InputError(f"element set is not closed: {a!r} o {b!r} missing")
+        if group.generators and (
+            not members.issuperset(group.generators)
+            or _closure(group.generators, degree, len(elems)) != members
+        ):
+            raise InputError("generators do not generate the element set")
         return group
 
 
@@ -267,6 +265,21 @@ def _closure(
     return elements
 
 
+def _checked_generators(
+    generators: Iterable[Sequence[int]], degree: int | None
+) -> tuple[list[Permutation], int]:
+    """Generators as tuples plus their common degree, validated."""
+    gens = [tuple(g) for g in generators]
+    if gens:
+        degree = len(gens[0])
+    elif degree is None:
+        raise InputError("degree is required to generate a group without generators")
+    for g in gens:
+        if not is_valid_permutation(g, degree):
+            raise InputError(f"{g!r} is not a permutation of degree {degree}")
+    return gens, degree
+
+
 def generate_group(
     generators: Iterable[Sequence[int]],
     cap: int = DEFAULT_GROUP_CAP,
@@ -278,14 +291,7 @@ def generate_group(
     group). Raises :class:`CapExceededError` if the closure would exceed
     ``cap`` elements.
     """
-    gens = [tuple(g) for g in generators]
-    if gens:
-        degree = len(gens[0])
-    elif degree is None:
-        raise InputError("degree is required to generate a group without generators")
-    for g in gens:
-        if not is_valid_permutation(g, degree):
-            raise InputError(f"{g!r} is not a permutation of degree {degree}")
+    gens, degree = _checked_generators(generators, degree)
     elements = _closure(gens, degree, cap)
     ident = identity_permutation(degree)
     kept = tuple(g for g in dict.fromkeys(gens) if g != ident)
@@ -304,24 +310,15 @@ def generate_group_greedy(
     skipped; the result is always a genuine subgroup. Deterministic for a
     fixed generator order.
     """
-    gens = [tuple(g) for g in generators]
-    if gens:
-        degree = len(gens[0])
-    elif degree is None:
-        raise InputError("degree is required without generators")
+    gens, degree = _checked_generators(generators, degree)
     accepted: list[Permutation] = []
     for g in gens:
-        if not is_valid_permutation(g, degree):
-            raise InputError(f"{g!r} is not a permutation of degree {degree}")
         try:
             _closure(accepted + [g], degree, cap)
         except CapExceededError:
             continue
         accepted.append(g)
-    elements = _closure(accepted, degree, cap)
-    ident = identity_permutation(degree)
-    kept = tuple(g for g in dict.fromkeys(accepted) if g != ident)
-    return PermutationGroup(degree, tuple(sorted(elements)), kept)
+    return generate_group(accepted, cap, degree)
 
 
 def _reduce_generators(elements: Sequence[Permutation], degree: int) -> tuple[Permutation, ...]:
@@ -420,29 +417,15 @@ class OrbitPartition:
 
 
 def orbits(group: PermutationGroup) -> OrbitPartition:
-    """Orbit partition of ``0 .. degree - 1`` under ``group``."""
-    degree = group.degree
-    orbit_index = [-1] * degree
-    orbit_lists: list[tuple[int, ...]] = []
-    for v in range(degree):
-        if orbit_index[v] != -1:
-            continue
-        members = sorted({p[v] for p in group.elements})
-        oid = len(orbit_lists)
-        for m in members:
-            orbit_index[m] = oid
-        orbit_lists.append(tuple(members))
-    return OrbitPartition(tuple(orbit_index), tuple(orbit_lists))
+    """Orbit partition of ``0 .. degree - 1`` under ``group``.
 
-
-def orbits_from_generators(
-    generators: Iterable[Sequence[int]], degree: int
-) -> OrbitPartition:
-    """Orbit partition by reachability closure over ``generators`` alone."""
-    gens = [tuple(g) for g in generators]
-    orbit_index = [-1] * degree
+    Computed by reachability over the group's generators, or over its
+    elements when it keeps no generators.
+    """
+    gens = group.generators or group.elements
+    orbit_index = [-1] * group.degree
     orbit_lists: list[tuple[int, ...]] = []
-    for v in range(degree):
+    for v in range(group.degree):
         if orbit_index[v] != -1:
             continue
         oid = len(orbit_lists)

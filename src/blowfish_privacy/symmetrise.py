@@ -59,7 +59,6 @@ def group_average(
     group: PermutationGroup,
     strategy: str = "full",
     cross_check: bool = False,
-    tolerance: float = EQUALITY_TOLERANCE,
     verify_graph: Graph | None = None,
 ) -> ChannelMatrix:
     """Average ``channel`` over a permutation group.
@@ -71,7 +70,7 @@ def group_average(
     (extended precision accumulator), while ``"orbit"`` averages each entry
     over the orbit of its index pair, which is equivalent because every pair
     in an orbit is hit by equally many group elements. ``cross_check``
-    computes both and requires agreement within ``tolerance``.
+    computes both and requires agreement within ``EQUALITY_TOLERANCE``.
 
     The group must consist of automorphisms of the relevant adjacency graph
     (that is what makes the privacy level non-increasing); this is the
@@ -113,9 +112,9 @@ def group_average(
         results["orbit"] = out
     if cross_check:
         gap = float(np.max(np.abs(results["full"] - results["orbit"])))
-        if gap > tolerance:
+        if gap > EQUALITY_TOLERANCE:
             raise BlowfishError(
-                f"group-average strategies disagree by {gap} (> {tolerance})"
+                f"group-average strategies disagree by {gap} (> {EQUALITY_TOLERANCE})"
             )
     return ChannelMatrix(results[strategy])
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from blowfish_privacy import Graph, custom_policy
+from blowfish_privacy import Graph, OrbitPartition, custom_policy
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +67,20 @@ def oracle_automorphisms(graph: Graph):
         if mapped == graph.edges:
             result.add(perm)
     return result
+
+
+def oracle_orbits(group):
+    """Orbit partition by enumerating every group element's image of each point."""
+    orbit_index = [-1] * group.degree
+    orbit_lists = []
+    for v in range(group.degree):
+        if orbit_index[v] != -1:
+            continue
+        members = sorted({p[v] for p in group.elements})
+        for m in members:
+            orbit_index[m] = len(orbit_lists)
+        orbit_lists.append(tuple(members))
+    return OrbitPartition(tuple(orbit_index), tuple(orbit_lists))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
+    AdjacencyGraph,
     adjacency_from_json,
     adjacency_to_json,
 )
@@ -219,3 +220,14 @@ def test_graph_document_round_trip(path_policy):
     again = adjacency_from_json(text)
     assert again.vertices == ag.vertices
     assert again.edges == ag.edges
+
+
+@given(graphs(max_vertices=6), st.data())
+def test_graph_document_round_trip_property(graph, data):
+    label_lists = st.lists(st.text(max_size=3), min_size=1, max_size=2)
+    vertices = tuple(tuple(data.draw(label_lists)) for _ in range(graph.vertex_count))
+    ag = AdjacencyGraph(vertices, graph.edges)
+    text = adjacency_to_json(ag)
+    again = adjacency_from_json(text)
+    assert again == ag
+    assert adjacency_to_json(again) == text

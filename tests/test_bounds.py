@@ -10,6 +10,7 @@ from blowfish_privacy import (
     InputError,
     audit,
     complete_policy,
+    custom_policy,
     cycle_policy,
     distance_threshold_policy,
     graph_randomized_response,
@@ -19,7 +20,7 @@ from blowfish_privacy import (
     min_entropy_lower_bound,
     unconstrained_audit,
 )
-from blowfish_privacy.bounds import bound_report_for_graph, component_bound_bits
+from blowfish_privacy.bounds import component_bound_bits
 from blowfish_privacy.graphcore import components_and_diameters
 
 from helpers import small_policies
@@ -73,10 +74,11 @@ def test_leakage_upper_bound_cycle_secrets():
     closed = unconstrained_audit(pol, 0.3)
     assert closed.max_diameter == 6
     assert closed.leakage_upper_bits == pytest.approx(6 * 0.3 * LOG2E, abs=1e-12)
-    induced = audit(pol, 0.3)
-    assert induced.component_count == 1
-    assert induced.max_diameter == 6
-    assert induced.leakage_upper_bits == pytest.approx(closed.leakage_upper_bits, abs=1e-9)
+    graph = induce_adjacency_graph(pol).to_graph()
+    comps = components_and_diameters(graph)
+    assert comps.count == 1
+    assert max(comps.diameters) == 6
+    assert leakage_upper_bound(graph, 0.3) == pytest.approx(closed.leakage_upper_bits, abs=1e-9)
 
 
 def test_consistency_identity(path16_graph):
@@ -165,13 +167,14 @@ def test_single_record_complete_policy_is_dp_case():
 @settings(max_examples=40)
 @given(small_policies(max_tuples=3, max_n=2, allow_constrained=False))
 def test_closed_form_matches_induced_bounds(pol):
-    closed = unconstrained_audit(pol, 0.8)
-    induced = audit(pol, 0.8)
-    assert closed.input_count == induced.input_count
-    assert closed.component_count == induced.component_count
-    assert closed.max_diameter == induced.max_diameter
+    closed = audit(pol, 0.8)
+    graph = induce_adjacency_graph(pol).to_graph()
+    comps = components_and_diameters(graph)
+    assert closed.input_count == graph.vertex_count
+    assert closed.component_count == comps.count
+    assert closed.max_diameter == max(comps.diameters)
     assert closed.leakage_upper_bits == pytest.approx(
-        induced.leakage_upper_bits, abs=1e-9
+        component_bound_bits(comps.diameters, 0.8), abs=1e-9
     )
 
 
@@ -183,7 +186,15 @@ def test_unconstrained_audit_rejects_constrained():
 
 def test_bound_report_for_graph_diameters():
     graph = Graph.from_edges(5, [(0, 1), (1, 2)])
-    report = bound_report_for_graph(graph, 0.2)
+    # A constrained single-record policy whose induced graph is ``graph``.
+    pol = custom_policy(
+        [str(v) for v in range(5)],
+        [("0", "1"), ("1", "2")],
+        n=1,
+        permissible=[(str(v),) for v in range(5)],
+    )
+    assert induce_adjacency_graph(pol).to_graph() == graph
+    report = audit(pol, 0.2)
     comps = components_and_diameters(graph)
     assert report.diameters == comps.diameters
     assert report.component_count == 3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from blowfish_privacy import (
     ChannelMatrix,
@@ -216,12 +217,38 @@ def test_channel_csv_round_trip():
     assert np.array_equal(again.probs, chan.probs)
 
 
-def test_channel_csv_header_round_trip():
-    chan = ChannelMatrix(np.eye(2))
-    text = channel_to_csv(chan, output_labels=["a", "b"])
-    assert text.splitlines()[0] == "a,b"
+@st.composite
+def channels(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    weights = np.asarray(
+        draw(
+            st.lists(
+                st.lists(
+                    st.floats(0.0, 1.0, allow_subnormal=False), min_size=cols, max_size=cols
+                ),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    return ChannelMatrix(weights / weights.sum(axis=1, keepdims=True))
+
+
+@given(channels())
+def test_channel_csv_round_trip_property(chan):
+    text = channel_to_csv(chan)
     again = channel_from_csv(text)
     assert np.array_equal(again.probs, chan.probs)
+    assert channel_to_csv(again) == text
+
+
+def test_channel_csv_header_round_trip():
+    text = "a,b\n1.0,0.0\n0.0,1.0\n"
+    again = channel_from_csv(text)
+    assert np.array_equal(again.probs, np.eye(2))
+    assert channel_to_csv(again) == "1.0,0.0\n0.0,1.0\n"
 
 
 def test_channel_csv_rejects_ragged_rows():

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -118,6 +120,39 @@ def test_bound_compute_report(tmp_path, capsys):
     assert float(report["leakage_upper_bits"]) == pytest.approx(0.6 * LOG2E, abs=1e-9)
 
 
+def test_bound_compute_unconstrained_uses_closed_form(tmp_path, capsys):
+    # 4^20 databases: far past the cap, yet no database is materialised.
+    policy = build_path_policy(tmp_path, n=20)
+    assert run("bound", "compute", str(policy), "--epsilon", "0.1") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["input_count"] == str(4**20)
+    assert report["component_count"] == "1"
+    assert report["max_diameter"] == "60"
+    assert float(report["leakage_upper_bits"]) == pytest.approx(60 * 0.1 * LOG2E, abs=1e-9)
+
+
+def test_bound_compute_channel_over_cap_exits_three(tmp_path):
+    policy = build_path_policy(tmp_path, n=20)
+    channel = tmp_path / "k.csv"
+    channel.write_text("1.0,0.0\n0.0,1.0\n")
+    code = run(
+        "bound", "compute", str(policy), "--epsilon", "0.1",
+        "--channel", str(channel), "--out", str(tmp_path / "never.txt"),
+    )
+    assert code == 3
+    assert not (tmp_path / "never.txt").exists()
+
+
+def test_output_files_follow_umask(tmp_path):
+    for umask, mode in [(0o022, 0o644), (0o027, 0o640)]:
+        previous = os.umask(umask)
+        try:
+            path = build_path_policy(tmp_path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
 def test_figure_slopes_via_round_trip(tmp_path, capsys):
     # bound for theta in {1,2,3} at n=2 comes out as n * diam * eps * log2(e)
     eps = 0.1
@@ -220,7 +255,7 @@ def test_figure_bound_sweep_csv(tmp_path):
     out = tmp_path / "figure.csv"
     assert run("figure", "bound-sweep", "--epsilon", "0.1", "--out", str(out)) == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "n,theta_or_kind,epsilon,q,max_diameter,bound_bits,leakage_bits,margin_bits"
+    assert lines[0] == "n,theta_or_kind,epsilon,q,max_diameter,bound_bits"
     assert len(lines) == 1 + 3 * 8
     row = lines[1].split(",")
     assert row[0] == "1" and row[1] == "1.0"

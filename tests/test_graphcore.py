@@ -28,11 +28,10 @@ from blowfish_privacy.graphcore import (
     generate_group_greedy,
     identity_permutation,
     is_automorphism,
-    orbits_from_generators,
     pair_orbits,
 )
 
-from helpers import graphs, oracle_automorphisms
+from helpers import graphs, oracle_automorphisms, oracle_orbits
 
 
 def path_graph(n):
@@ -129,6 +128,15 @@ def test_from_elements_rejects_non_closed():
         PermutationGroup.from_elements(3, [(0, 1, 2), (1, 2, 0)])
 
 
+def test_from_elements_rejects_generators_of_another_group():
+    elements = [(0, 1, 2), (2, 1, 0)]
+    for generators in ([(1, 0, 2)], [(0, 1, 2)]):
+        with pytest.raises(InputError):
+            PermutationGroup.from_elements(3, elements, generators)
+    group = PermutationGroup.from_elements(3, elements, [(2, 1, 0)])
+    assert orbits(group) == oracle_orbits(group)
+
+
 def test_automorphism_group_path_three():
     group = automorphism_group(path_graph(3))
     assert group.element_set == {(0, 1, 2), (2, 1, 0)}
@@ -212,8 +220,7 @@ def test_coset_and_size_laws(graph):
 @given(graphs(max_vertices=6))
 def test_orbits_match_generator_reachability(graph):
     group = automorphism_group(graph)
-    gens = group.generators or group.elements
-    assert orbits(group) == orbits_from_generators(gens, graph.vertex_count)
+    assert orbits(group) == oracle_orbits(group)
 
 
 @st.composite
@@ -229,7 +236,7 @@ def permutation_sets(draw):
 def test_generated_group_orbits_match_raw_generators(data):
     degree, perms = data
     group = generate_group(perms, degree=degree)
-    assert orbits(group) == orbits_from_generators(perms, degree)
+    assert orbits(group) == oracle_orbits(group)
 
 
 def test_pair_orbits_path_three():

@@ -18,6 +18,8 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.policy import permissible_size
 
+from helpers import small_policies
+
 
 def edge_set(policy):
     return set(policy.secret_graph.edges)
@@ -97,6 +99,33 @@ def test_enumerate_cap_error_names_size():
 
 def test_roundtrip_identity():
     pol = distance_threshold_policy([1, 2, 3, 4], 1, n=2)
+    text = policy_to_json(pol)
+    again = policy_from_json(text)
+    assert again == pol
+    assert policy_to_json(again) == text
+
+
+@st.composite
+def policies_with_values(draw):
+    pol = draw(small_policies(max_tuples=4, max_n=2))
+    size = len(pol.universe)
+    values = draw(
+        st.none()
+        | st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size
+        )
+    )
+    return custom_policy(
+        pol.universe.labels,
+        pol.secret_graph.edges,
+        n=pol.n,
+        permissible=pol.permissible,
+        values=values,
+    )
+
+
+@given(policies_with_values())
+def test_roundtrip_property(pol):
     text = policy_to_json(pol)
     again = policy_from_json(text)
     assert again == pol
