@@ -30,7 +30,7 @@ _LN2 = math.log(2.0)
 
 def component_bound_bits(diameters: Sequence[int], epsilon: float) -> float:
     """``log2(sum_t exp(epsilon * d_t))`` evaluated stably."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise InputError(f"epsilon must be non-negative, got {epsilon}")
     if not diameters:
         raise InputError("at least one component is required")
@@ -127,13 +127,7 @@ def unconstrained_audit(policy: BlowfishPolicy, epsilon: float) -> BoundReport:
     """
     if not policy.unconstrained:
         raise InputError("closed-form bounds require an unconstrained permissible set")
-    universe = policy.universe
-    label_index = {lab: i for i, lab in enumerate(universe.labels)}
-    secret = Graph.from_edges(
-        len(universe),
-        [(label_index[a], label_index[b]) for a, b in policy.secret_graph.edges],
-    )
-    comps = components_and_diameters(secret)
+    comps = components_and_diameters(policy.secret_graph.index_graph)
     per_record = component_bound_bits(comps.diameters, epsilon)
     upper = policy.n * per_record
     ell = permissible_size(policy)

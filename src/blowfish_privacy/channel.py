@@ -90,6 +90,8 @@ class Prior:
         arr = np.array(self.probabilities, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("prior must be a non-empty vector")
+        if not np.all(np.isfinite(arr)):
+            raise InputError("prior has non-finite entries")
         if np.any(arr < -RANGE_TOLERANCE):
             raise InputError("prior has negative entries")
         total = math.fsum(float(x) for x in arr)

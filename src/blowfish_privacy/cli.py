@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -86,9 +87,23 @@ def _max_databases(args) -> int:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise InputError(f"{what} must be a comma-separated list of numbers: {text!r}") from None
+        values = [math.nan]  # reported below, with the non-finite entries
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{what} must be a comma-separated list of finite numbers: {text!r}")
+    return values
+
+
+def _float_arg(text: str) -> float:
+    """argparse type of --epsilon and --theta: a float other than NaN (inf is valid)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
 
 
 def _parse_ints(text: str, what: str) -> list[int]:
@@ -270,6 +285,7 @@ def _cmd_symmetrise_run(args) -> int:
         group = graphcore.automorphism_group(
             graph, vertex_cap=args.vertex_cap, element_cap=args.max_group
         )
+    order = group.order  # enumerates the group: a --max-group overflow exits 3 here
 
     grouped, _ = symmetrise_mod.diagonal_maximise(chan, graph)
     averaged = symmetrise_mod.group_average(
@@ -281,7 +297,7 @@ def _cmd_symmetrise_run(args) -> int:
         _write_output(args.out_grouped, channel_mod.channel_to_csv(grouped))
     if args.out_averaged:
         _write_output(args.out_averaged, channel_mod.channel_to_csv(averaged))
-    items = [("group_order", group.order)] + report.to_items()
+    items = [("group_order", order)] + report.to_items()
     _write_output(args.out, render_kv(items))
     return 0 if report.all_passed else 1
 
@@ -335,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-group",
         type=int,
         default=graphcore.DEFAULT_GROUP_CAP,
-        help="cap on enumerated group elements",
+        help="cap on enumerated group elements; groups are kept as generators and "
+        "enumerated only for the reported group_order and --strategy full",
     )
 
     parser = argparse.ArgumentParser(
@@ -354,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["distance-threshold", "cycle", "complete", "custom"],
     )
     build.add_argument("--values", help="comma-separated numeric tuple values")
-    build.add_argument("--theta", type=float, help="distance threshold")
+    build.add_argument("--theta", type=_float_arg, help="distance threshold")
     build.add_argument("--m", type=int, help="universe size for cycle/complete")
     build.add_argument("--tuples", help="comma-separated labels for custom policies")
     build.add_argument("--edges", help="secret edges as 'a:b,c:d' for custom policies")
@@ -382,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound_sub = bound_parser.add_subparsers(dest="subcommand", required=True)
     compute = bound_sub.add_parser("compute", parents=[common])
     compute.add_argument("policy", help="policy JSON path")
-    compute.add_argument("--epsilon", type=float, required=True)
+    compute.add_argument("--epsilon", type=_float_arg, required=True)
     compute.add_argument("--channel", help="channel CSV to audit against the bounds")
     compute.add_argument("--out", help="report output path")
     compute.set_defaults(handler=_cmd_bound_compute)
@@ -394,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("channel", help="channel CSV path")
     verify.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     verify.add_argument("--graph", help="graph JSON path")
-    verify.add_argument("--epsilon", type=float, help="target privacy level")
+    verify.add_argument("--epsilon", type=_float_arg, help="target privacy level")
     verify.add_argument("--out", help="report output path")
     verify.set_defaults(handler=_cmd_channel_verify)
 
@@ -407,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = channel_sub.add_parser("generate", parents=[common])
     generate.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     generate.add_argument("--graph", help="graph JSON path")
-    generate.add_argument("--epsilon", type=float, required=True)
+    generate.add_argument("--epsilon", type=_float_arg, required=True)
     generate.add_argument(
         "--shuffle-outputs",
         action="store_true",
@@ -445,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound_sweep.add_argument("--values", default="1,2,3,4")
     bound_sweep.add_argument("--thetas", default="1,2,3")
     bound_sweep.add_argument("--n-max", type=int, default=8)
-    bound_sweep.add_argument("--epsilon", type=float, default=0.1)
+    bound_sweep.add_argument("--epsilon", type=_float_arg, default=0.1)
     bound_sweep.add_argument("--out", help="CSV output path")
     bound_sweep.set_defaults(handler=_cmd_figure_bound_sweep)
 
@@ -460,10 +477,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except InputError as exc:  # SchemaError is an InputError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

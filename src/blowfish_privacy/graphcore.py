@@ -173,111 +173,54 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class PermutationGroup:
-    """A permutation group stored by explicit element enumeration.
+    """A permutation group given by its generators.
 
-    ``elements`` is sorted, so iteration (and any summation over the group)
-    has a fixed canonical order. ``generators`` optionally keeps the set the
-    group was generated from; orbit computations prefer it when present.
+    The generators are the group's only state: orbits are read from them.
+    ``elements`` is enumerated by closure when first read, and raises
+    :class:`CapExceededError` once the closure passes ``cap`` elements. It is
+    sorted, so any summation over the group has a fixed canonical order.
     """
 
     degree: int
-    elements: tuple[Permutation, ...]
     generators: tuple[Permutation, ...] = ()
+    cap: int = DEFAULT_GROUP_CAP
 
     def __post_init__(self):
-        if not self.elements:
-            raise InputError("a permutation group needs at least the identity")
-        for p in self.elements:
-            if not is_valid_permutation(p, self.degree):
-                raise InputError(f"{p!r} is not a permutation of degree {self.degree}")
-        if identity_permutation(self.degree) not in self.element_set:
-            raise InputError("group is missing the identity permutation")
-        if list(self.elements) != sorted(self.element_set):
-            raise InputError("group elements must be sorted and duplicate-free")
+        gens = [tuple(g) for g in self.generators]
+        for g in gens:
+            if not is_valid_permutation(g, self.degree):
+                raise InputError(f"{g!r} is not a permutation of degree {self.degree}")
+        ident = identity_permutation(self.degree)
+        kept = tuple(g for g in dict.fromkeys(gens) if g != ident)
+        object.__setattr__(self, "generators", kept)
 
     @cached_property
-    def element_set(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
+    def elements(self) -> tuple[Permutation, ...]:
+        ident = identity_permutation(self.degree)
+        seen = {ident}
+        frontier = [ident]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in self.generators:
+                    y = compose(g, x)
+                    if y not in seen:
+                        if len(seen) >= self.cap:
+                            raise CapExceededError(
+                                f"group closure exceeds cap of {self.cap} elements"
+                            )
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return tuple(sorted(seen))
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, perm) -> bool:
-        return tuple(perm) in self.element_set
-
     @classmethod
     def trivial(cls, degree: int) -> "PermutationGroup":
-        return cls(degree, (identity_permutation(degree),))
-
-    @classmethod
-    def from_elements(
-        cls,
-        degree: int,
-        elements: Iterable[Sequence[int]],
-        generators: Iterable[Sequence[int]] = (),
-    ) -> "PermutationGroup":
-        """Build a group from an explicit element set, checking the group laws.
-
-        Closure under composition implies closure under inverse for finite
-        permutation sets, so only composition closure is checked; the check
-        is quadratic in the element count. Given ``generators`` must
-        generate exactly the element set, since orbits are read from them.
-        """
-        elems = sorted({tuple(p) for p in elements})
-        group = cls(degree, tuple(elems), tuple(tuple(p) for p in generators))
-        members = group.element_set
-        for a in elems:
-            for b in elems:
-                if compose(a, b) not in members:
-                    raise InputError(f"element set is not closed: {a!r} o {b!r} missing")
-        if group.generators and (
-            not members.issuperset(group.generators)
-            or _closure(group.generators, degree, len(elems)) != members
-        ):
-            raise InputError("generators do not generate the element set")
-        return group
-
-
-def _closure(
-    generators: Sequence[Permutation], degree: int, cap: int
-) -> set[Permutation]:
-    ident = identity_permutation(degree)
-    elements = {ident}
-    frontier = [ident]
-    gens = [g for g in dict.fromkeys(generators) if g != ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(g, x)
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise CapExceededError(
-                            f"group closure exceeds cap of {cap} elements"
-                        )
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
-
-
-def _checked_generators(
-    generators: Iterable[Sequence[int]], degree: int | None
-) -> tuple[list[Permutation], int]:
-    """Generators as tuples plus their common degree, validated."""
-    gens = [tuple(g) for g in generators]
-    if gens:
-        degree = len(gens[0])
-    elif degree is None:
-        raise InputError("degree is required to generate a group without generators")
-    for g in gens:
-        if not is_valid_permutation(g, degree):
-            raise InputError(f"{g!r} is not a permutation of degree {degree}")
-    return gens, degree
+        return cls(degree)
 
 
 def generate_group(
@@ -285,53 +228,20 @@ def generate_group(
     cap: int = DEFAULT_GROUP_CAP,
     degree: int | None = None,
 ) -> PermutationGroup:
-    """Smallest group containing ``generators``, computed by closure.
+    """Smallest group containing ``generators``, enumerated at once.
 
     ``degree`` is only needed when ``generators`` is empty (the trivial
     group). Raises :class:`CapExceededError` if the closure would exceed
     ``cap`` elements.
     """
-    gens, degree = _checked_generators(generators, degree)
-    elements = _closure(gens, degree, cap)
-    ident = identity_permutation(degree)
-    kept = tuple(g for g in dict.fromkeys(gens) if g != ident)
-    return PermutationGroup(degree, tuple(sorted(elements)), kept)
-
-
-def generate_group_greedy(
-    generators: Iterable[Sequence[int]],
-    cap: int,
-    degree: int | None = None,
-) -> PermutationGroup:
-    """Closure of the largest prefix-respecting subset of ``generators`` that
-    stays within ``cap`` elements.
-
-    Generators whose inclusion would push the closure past the cap are
-    skipped; the result is always a genuine subgroup. Deterministic for a
-    fixed generator order.
-    """
-    gens, degree = _checked_generators(generators, degree)
-    accepted: list[Permutation] = []
-    for g in gens:
-        try:
-            _closure(accepted + [g], degree, cap)
-        except CapExceededError:
-            continue
-        accepted.append(g)
-    return generate_group(accepted, cap, degree)
-
-
-def _reduce_generators(elements: Sequence[Permutation], degree: int) -> tuple[Permutation, ...]:
-    """Greedy small generating set for an enumerated group."""
-    ident = identity_permutation(degree)
-    gens: list[Permutation] = []
-    have: set[Permutation] = {ident}
-    for p in sorted(elements):
-        if p in have:
-            continue
-        gens.append(p)
-        have = _closure(gens, degree, cap=len(elements) + 1)
-    return tuple(gens)
+    gens = [tuple(g) for g in generators]
+    if gens:
+        degree = len(gens[0])
+    elif degree is None:
+        raise InputError("degree is required to generate a group without generators")
+    group = PermutationGroup(degree, tuple(gens), cap)
+    group.elements  # enumerate now, so a cap overflow surfaces here
+    return group
 
 
 def automorphism_group(
@@ -339,16 +249,23 @@ def automorphism_group(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     element_cap: int = DEFAULT_GROUP_CAP,
 ) -> PermutationGroup:
-    """Full automorphism group of ``graph`` by pruned backtracking search.
+    """Full automorphism group of ``graph``, given by generators found by
+    pruned backtracking search.
 
     Vertices may only map to vertices with the same invariant profile
     (degree, sorted distance row, sorted neighbour degrees), and partial
     assignments must preserve all pairwise distances, which for complete
     assignments is equivalent to preserving adjacency and non-adjacency.
 
+    Level ``k`` of the search fixes the first ``k`` vertices of the search
+    order. From the deepest level up, the first automorphism that maps the
+    level's vertex to a given image is kept only when that image is not yet
+    in the vertex's orbit under the generators kept so far; the kept set then
+    generates each level's pointwise stabiliser, hence the whole group.
+
     Raises :class:`CapExceededError` when the graph has more than
-    ``vertex_cap`` vertices (callers may fall back to lifted generators) or
-    when more than ``element_cap`` automorphisms exist.
+    ``vertex_cap`` vertices (callers may fall back to lifted generators).
+    ``element_cap`` bounds the group's later element enumeration.
     """
     n = graph.vertex_count
     if n > vertex_cap:
@@ -370,36 +287,45 @@ def automorphism_group(
         v: [w for w in range(n) if profiles[w] == profiles[v]] for v in range(n)
     }
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    # ``image`` is the partial assignment: order[:k] fixed, order[k:] open.
+    image = list(range(n))
+    used = [True] * n
 
-    found: list[Permutation] = []
-    image = [-1] * n
-    used = [False] * n
+    def fits(k: int, w: int) -> bool:
+        dv, dw = dist[order[k]], dist[w]
+        return not used[w] and all(dv[order[j]] == dw[image[order[j]]] for j in range(k))
 
-    def extend(k: int) -> None:
+    def descend(k: int, w: int) -> Permutation | None:
+        image[order[k]] = w
+        used[w] = True
+        found = first_completion(k + 1)
+        used[w] = False
+        image[order[k]] = -1
+        return found
+
+    def first_completion(k: int) -> Permutation | None:
         if k == n:
-            found.append(tuple(image))
-            if len(found) > element_cap:
-                raise CapExceededError(
-                    f"automorphism group exceeds cap of {element_cap} elements"
-                )
-            return
-        v = order[k]
-        dv = dist[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            dw = dist[w]
-            if all(dv[order[j]] == dw[image[order[j]]] for j in range(k)):
-                image[v] = w
-                used[w] = True
-                extend(k + 1)
-                used[w] = False
-                image[v] = -1
+            return tuple(image)
+        for w in candidates[order[k]]:
+            if fits(k, w):
+                found = descend(k, w)
+                if found is not None:
+                    return found
+        return None
 
-    extend(0)
-    elements = tuple(sorted(found))
-    gens = _reduce_generators(elements, n) if len(elements) <= 5000 else ()
-    return PermutationGroup(n, elements, gens)
+    gens: list[Permutation] = []
+    orbit_of = list(range(n))
+    for k in reversed(range(n)):
+        v = order[k]
+        image[v] = -1
+        used[v] = False
+        for w in candidates[v]:
+            if orbit_of[w] != orbit_of[v] and fits(k, w):
+                found = descend(k, w)
+                if found is not None:
+                    gens.append(found)
+                    orbit_of, _ = _orbit_partition(gens, n)
+    return PermutationGroup(n, tuple(gens), element_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +342,33 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def orbits(group: PermutationGroup) -> OrbitPartition:
-    """Orbit partition of ``0 .. degree - 1`` under ``group``.
-
-    Computed by reachability over the group's generators, or over its
-    elements when it keeps no generators.
-    """
-    gens = group.generators or group.elements
-    orbit_index = [-1] * group.degree
-    orbit_lists: list[tuple[int, ...]] = []
-    for v in range(group.degree):
-        if orbit_index[v] != -1:
+def _orbit_partition(
+    generators: Sequence[Sequence[int]], degree: int
+) -> tuple[list[int], list[list[int]]]:
+    """Orbit index of each point of ``0 .. degree - 1`` and the sorted orbits,
+    by breadth-first reachability over ``generators``."""
+    orbit_of = [-1] * degree
+    orbit_lists: list[list[int]] = []
+    for start in range(degree):
+        if orbit_of[start] != -1:
             continue
         oid = len(orbit_lists)
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
+        orbit_of[start] = oid
+        members = [start]
+        for x in members:  # grows while it is read: a FIFO queue
+            for g in generators:
                 y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        members = sorted(seen)
-        for m in members:
-            orbit_index[m] = oid
-        orbit_lists.append(tuple(members))
-    return OrbitPartition(tuple(orbit_index), tuple(orbit_lists))
+                if orbit_of[y] == -1:
+                    orbit_of[y] = oid
+                    members.append(y)
+        orbit_lists.append(sorted(members))
+    return orbit_of, orbit_lists
+
+
+def orbits(group: PermutationGroup) -> OrbitPartition:
+    """Orbit partition of ``0 .. degree - 1`` under ``group``'s generators."""
+    orbit_of, orbit_lists = _orbit_partition(group.generators, group.degree)
+    return OrbitPartition(tuple(orbit_of), tuple(tuple(o) for o in orbit_lists))
 
 
 def transporter(group: PermutationGroup, u: int, v: int) -> tuple[Permutation, ...]:
@@ -459,27 +385,13 @@ def stabiliser(group: PermutationGroup, u: int) -> tuple[Permutation, ...]:
 def pair_orbits(
     perms: Sequence[Permutation], degree: int
 ) -> list[list[tuple[int, int]]]:
-    """Orbits of ordered index pairs under the group generated by ``perms``."""
-    orbit_of = [[-1] * degree for _ in range(degree)]
-    out: list[list[tuple[int, int]]] = []
-    for i in range(degree):
-        for j in range(degree):
-            if orbit_of[i][j] != -1:
-                continue
-            oid = len(out)
-            orbit_of[i][j] = oid
-            members = [(i, j)]
-            queue = deque([(i, j)])
-            while queue:
-                a, b = queue.popleft()
-                for p in perms:
-                    c, d = p[a], p[b]
-                    if orbit_of[c][d] == -1:
-                        orbit_of[c][d] = oid
-                        members.append((c, d))
-                        queue.append((c, d))
-            out.append(members)
-    return out
+    """Orbits of ordered index pairs under the group generated by ``perms``.
+
+    Pair ``(a, b)`` is point ``a * degree + b`` of the action on pairs.
+    """
+    lifted = [[x * degree + y for x in p for y in p] for p in perms]
+    _, orbit_lists = _orbit_partition(lifted, degree * degree)
+    return [[divmod(x, degree) for x in orbit] for orbit in orbit_lists]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +402,6 @@ def lift_policy_automorphisms(
     policy: "BlowfishPolicy",
     adjacency: "AdjacencyGraph",
     secret_vertex_cap: int = DEFAULT_VERTEX_CAP,
-    element_cap: int = DEFAULT_GROUP_CAP,
 ) -> tuple[Permutation, ...]:
     """Generators of an automorphism subgroup of the database adjacency graph.
 
@@ -507,13 +418,11 @@ def lift_policy_automorphisms(
             "lifting needs an unconstrained permissible set; "
             "use a full automorphism search instead"
         )
-    labels = policy.secret_graph.universe.labels
-    label_index = {lab: i for i, lab in enumerate(labels)}
-    secret = Graph.from_edges(
-        len(labels),
-        [(label_index[a], label_index[b]) for a, b in policy.secret_graph.edges],
+    universe = policy.secret_graph.universe
+    labels = universe.labels
+    secret_aut = automorphism_group(
+        policy.secret_graph.index_graph, vertex_cap=secret_vertex_cap
     )
-    secret_aut = automorphism_group(secret, vertex_cap=secret_vertex_cap, element_cap=element_cap)
 
     vertices = adjacency.vertices
     if len(vertices) != len(labels) ** policy.n:
@@ -522,19 +431,15 @@ def lift_policy_automorphisms(
         )
     index_of = {db: k for k, db in enumerate(vertices)}
     n = policy.n
-    ident_secret = identity_permutation(len(labels))
 
-    secret_gens = secret_aut.generators or secret_aut.elements
     gens: list[Permutation] = []
     for record in range(n):
-        for phi in secret_gens:
-            if phi == ident_secret:
-                continue
+        for phi in secret_aut.generators:
             mapped = []
             for db in vertices:
                 image_db = (
                     db[:record]
-                    + (labels[phi[label_index[db[record]]]],)
+                    + (labels[phi[universe.index(db[record])]],)
                     + db[record + 1 :]
                 )
                 mapped.append(index_of[image_db])

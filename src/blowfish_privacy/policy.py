@@ -16,6 +16,7 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InputError, SchemaError
+from .graphcore import Graph
 
 Database = tuple[str, ...]
 
@@ -103,6 +104,14 @@ class SecretGraph:
         ia, ib = self.universe.index(a), self.universe.index(b)
         pair = (a, b) if ia < ib else (b, a)
         return pair in self.edges
+
+    @cached_property
+    def index_graph(self) -> Graph:
+        """This graph on universe indices, as used by the graph machinery."""
+        index = self.universe.index
+        return Graph.from_edges(
+            len(self.universe), [(index(a), index(b)) for a, b in self.edges]
+        )
 
     @property
     def edge_count(self) -> int:
@@ -205,7 +214,7 @@ def distance_threshold_policy(
     permissible: Iterable[Sequence[str]] | None | str = None,
 ) -> BlowfishPolicy:
     """Secrets connect labels whose numeric values differ by at most ``theta``."""
-    if theta < 0:
+    if not theta >= 0:
         raise InputError(f"distance threshold must be non-negative, got {theta}")
     vals = tuple(float(v) for v in values)
     universe = TupleUniverse(tuple(_label_for(v) for v in vals), vals)

@@ -75,7 +75,8 @@ def group_average(
     The group must consist of automorphisms of the relevant adjacency graph
     (that is what makes the privacy level non-increasing); this is the
     caller's responsibility unless ``verify_graph`` is passed, in which case
-    every element is checked against it.
+    every generator is checked against it (a group generated by
+    automorphisms consists of automorphisms).
     """
     if channel.rows != channel.cols:
         raise InputError("group averaging needs a square channel")
@@ -86,10 +87,10 @@ def group_average(
     if strategy not in ("full", "orbit"):
         raise InputError(f"unknown strategy {strategy!r}")
     if verify_graph is not None:
-        for perm in group.elements:
+        for perm in group.generators:
             if not is_automorphism(verify_graph, perm):
                 raise InputError(
-                    f"group element {perm!r} is not an automorphism of the graph"
+                    f"group generator {perm!r} is not an automorphism of the graph"
                 )
 
     results = {}
@@ -102,10 +103,9 @@ def group_average(
             acc += probs[np.ix_(idx, idx)]
         results["full"] = np.asarray(acc / group.order, dtype=float)
     if "orbit" in wanted:
-        gens = group.generators or group.elements
         out = np.empty((channel.rows, channel.rows))
         probs = channel.probs
-        for orbit in pair_orbits(gens, group.degree):
+        for orbit in pair_orbits(group.generators, group.degree):
             value = math.fsum(float(probs[a, b]) for a, b in orbit) / len(orbit)
             for a, b in orbit:
                 out[a, b] = value

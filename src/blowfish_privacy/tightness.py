@@ -35,8 +35,8 @@ SWEEP_COLUMNS = (
 def _check_parameters(n: int, delta: float | None = None) -> None:
     if n < 2:
         raise InputError(f"the sharpness family needs n >= 2, got {n}")
-    if delta is not None and not delta > 0:
-        raise InputError(f"delta must be positive, got {delta}")
+    if delta is not None and not 0 < delta < math.inf:
+        raise InputError(f"delta must be positive and finite, got {delta}")
 
 
 def sharpness_graph(n: int) -> Graph:

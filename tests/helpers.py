@@ -9,7 +9,14 @@ from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
-from blowfish_privacy import Graph, OrbitPartition, custom_policy
+from blowfish_privacy import (
+    CapExceededError,
+    Graph,
+    OrbitPartition,
+    PermutationGroup,
+    custom_policy,
+    generate_group,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +88,40 @@ def oracle_orbits(group):
             orbit_index[m] = len(orbit_lists)
         orbit_lists.append(tuple(members))
     return OrbitPartition(tuple(orbit_index), tuple(orbit_lists))
+
+
+def oracle_pair_orbits(group):
+    """Orbits of ordered point pairs, as sets, by enumerating every element."""
+    points = range(group.degree)
+    return {
+        frozenset((p[a], p[b]) for p in group.elements) for a in points for b in points
+    }
+
+
+# ---------------------------------------------------------------------------
+# Group budgets
+
+
+def generate_group_greedy(generators, cap, degree=None):
+    """Closure of the largest prefix-respecting subset of ``generators`` that
+    stays within ``cap`` elements.
+
+    Generators whose inclusion would push the closure past the cap are
+    skipped; the result is always a genuine subgroup. Deterministic for a
+    fixed generator order. Lets tests average over big groups within a
+    time budget.
+    """
+    gens = [tuple(g) for g in generators]
+    if gens:
+        degree = len(gens[0])
+    accepted = []
+    for g in gens:
+        try:
+            PermutationGroup(degree, tuple(accepted + [g]), cap).elements
+        except CapExceededError:
+            continue
+        accepted.append(g)
+    return generate_group(accepted, cap, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.adjacency import AdjacencyAsymmetryWarning
 from blowfish_privacy.bounds import component_bound_bits
-from blowfish_privacy.graphcore import components_and_diameters, generate_group_greedy
+from blowfish_privacy.graphcore import components_and_diameters
 from blowfish_privacy.symmetrise import diagonal_maximise, group_average
 from blowfish_privacy.tightness import build_sharpness_instance
 
-from helpers import oracle_adjacency_edges
+from helpers import generate_group_greedy, oracle_adjacency_edges
 
 LOG2E = math.log2(math.e)
 
@@ -117,12 +117,11 @@ def subgroup_for(case: RandomCase, budget: int = 1536) -> PermutationGroup:
         )
     try:
         full = automorphism_group(graph, vertex_cap=12, element_cap=20000)
+        if full.order <= budget:
+            return full
     except CapExceededError:
         return PermutationGroup.trivial(graph.vertex_count)
-    if full.order <= budget:
-        return full
-    generators = list(full.generators or full.elements[:40])[:40]
-    return generate_group_greedy(generators, cap=budget, degree=graph.vertex_count)
+    return generate_group_greedy(full.generators, cap=budget, degree=graph.vertex_count)
 
 
 # ---------------------------------------------------------------------------

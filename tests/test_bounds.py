@@ -90,8 +90,9 @@ def test_consistency_identity(path16_graph):
 
 
 def test_component_bound_rejects_negative_epsilon():
-    with pytest.raises(InputError):
-        component_bound_bits((1,), -0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(InputError):
+            component_bound_bits((1,), bad)
 
 
 @given(

@@ -259,3 +259,9 @@ def test_channel_csv_rejects_ragged_rows():
 def test_channel_csv_rejects_empty():
     with pytest.raises(SchemaError):
         channel_from_csv("")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_prior_rejects_non_finite_entries(bad):
+    with pytest.raises(InputError, match="non-finite"):
+        Prior(np.array([0.5, bad, 0.5]))

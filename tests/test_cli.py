@@ -295,3 +295,44 @@ def test_bound_compute_with_channel_audit(tmp_path, capsys):
     report = parse_report(capsys.readouterr().out)
     assert report["bounds_hold"] == "true"
     assert float(report["leakage_margin_bits"]) > 0
+
+
+def exit_code(*argv):
+    """Exit status of one CLI call, including argparse's SystemExit."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+NON_FINITE_CALLS = {
+    "prior_nan": ("channel", "leakage", "{k}", "--prior", "{prior}"),
+    "bound_epsilon_nan": ("bound", "compute", "{policy}", "--epsilon", "nan"),
+    "figure_epsilon_nan": ("figure", "bound-sweep", "--n-max", "2", "--epsilon", "nan"),
+    "verify_epsilon_nan": ("channel", "verify", "{k}", "--policy", "{policy}", "--epsilon", "nan"),
+    "theta_nan": ("policy", "build", "--kind", "distance-threshold", "--values", "1,2,3",
+                  "--theta", "nan", "--n", "1"),
+    "values_nan": ("policy", "build", "--kind", "distance-threshold", "--values", "1,nan,3",
+                   "--theta", "1", "--n", "1"),
+    "delta_inf": ("tightness", "sweep", "--n", "2", "--delta", "inf"),
+    "thetas_inf": ("figure", "bound-sweep", "--thetas", "1,inf", "--n-max", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))
+def test_non_finite_numbers_exit_two_without_output(tmp_path, case):
+    policy = build_path_policy(tmp_path, n=1)
+    k = tmp_path / "k.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "1", "--out", str(k)) == 0
+    prior = tmp_path / "prior.json"
+    prior.write_text("[0.5, NaN, 0.25, 0.25]")
+    out = tmp_path / "out.txt"
+    argv = [a.format(k=k, prior=prior, policy=policy) for a in NON_FINITE_CALLS[case]]
+    assert exit_code(*argv, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_infinite_epsilon_is_unbounded(tmp_path, capsys):
+    policy = build_path_policy(tmp_path, n=1)
+    assert run("bound", "compute", str(policy), "--epsilon", "inf") == 0
+    assert parse_report(capsys.readouterr().out)["leakage_upper_bits"] == "unbounded"

@@ -25,13 +25,12 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.graphcore import (
     UNREACHABLE,
-    generate_group_greedy,
     identity_permutation,
     is_automorphism,
     pair_orbits,
 )
 
-from helpers import graphs, oracle_automorphisms, oracle_orbits
+from helpers import graphs, oracle_automorphisms, oracle_orbits, oracle_pair_orbits
 
 
 def path_graph(n):
@@ -108,7 +107,7 @@ def test_generate_group_involution():
 def test_generate_group_symmetric_three():
     group = generate_group([(1, 2, 0), (1, 0, 2)])
     assert group.order == 6
-    assert group.element_set == oracle_automorphisms(Graph.from_edges(3, []))
+    assert set(group.elements) == oracle_automorphisms(Graph.from_edges(3, []))
 
 
 def test_generate_group_cap():
@@ -116,30 +115,29 @@ def test_generate_group_cap():
         generate_group([(1, 2, 0), (1, 0, 2)], cap=3)
 
 
-def test_generate_group_greedy_respects_cap():
-    group = generate_group_greedy([(1, 2, 0), (1, 0, 2)], cap=3)
-    assert group.order <= 3
-    full = generate_group(list(group.generators) or [], degree=3)
-    assert full.element_set == group.element_set
-
-
-def test_from_elements_rejects_non_closed():
-    with pytest.raises(InputError):
-        PermutationGroup.from_elements(3, [(0, 1, 2), (1, 2, 0)])
-
-
-def test_from_elements_rejects_generators_of_another_group():
-    elements = [(0, 1, 2), (2, 1, 0)]
-    for generators in ([(1, 0, 2)], [(0, 1, 2)]):
-        with pytest.raises(InputError):
-            PermutationGroup.from_elements(3, elements, generators)
-    group = PermutationGroup.from_elements(3, elements, [(2, 1, 0)])
+def test_group_is_the_closure_of_its_generators():
+    # a 3-cycle generates a group of order 3, whose single orbit is everything
+    group = PermutationGroup(3, [(1, 2, 0)])
+    assert group.order == 3
     assert orbits(group) == oracle_orbits(group)
+    assert orbits(group).orbits == ((0, 1, 2),)
+    # duplicates and the identity are dropped from the generating set
+    assert PermutationGroup(3, [(1, 2, 0), (0, 1, 2), (1, 2, 0)]).generators == ((1, 2, 0),)
+    for bad in ([(1, 0)], [(0, 1, 2, 3)], [(0, 0, 1)]):
+        with pytest.raises(InputError):
+            PermutationGroup(3, bad)
+
+
+def test_group_enumeration_respects_cap():
+    group = PermutationGroup(3, [(1, 2, 0), (1, 0, 2)], cap=5)
+    assert orbits(group).orbits == ((0, 1, 2),)  # orbits need no enumeration
+    with pytest.raises(CapExceededError):
+        group.order
 
 
 def test_automorphism_group_path_three():
     group = automorphism_group(path_graph(3))
-    assert group.element_set == {(0, 1, 2), (2, 1, 0)}
+    assert set(group.elements) == {(0, 1, 2), (2, 1, 0)}
 
 
 def test_automorphism_group_complete_four():
@@ -153,7 +151,7 @@ def test_automorphism_group_cycle_five_dihedral():
 def test_automorphism_group_path_seven_brute_force():
     graph = path_graph(7)
     group = automorphism_group(graph)
-    assert group.element_set == oracle_automorphisms(graph)
+    assert set(group.elements) == oracle_automorphisms(graph)
 
 
 def test_automorphism_vertex_cap():
@@ -162,17 +160,33 @@ def test_automorphism_vertex_cap():
 
 
 def test_automorphism_element_cap():
+    group = automorphism_group(Graph.from_edges(8, []), element_cap=100)
     with pytest.raises(CapExceededError):
-        automorphism_group(Graph.from_edges(8, []), element_cap=100)
+        group.order
+
+
+def test_automorphism_generator_counts():
+    assert len(automorphism_group(complete_graph(3)).generators) == 2
+    assert len(automorphism_group(Graph.from_edges(8, [])).generators) == 7
+    k4_pairs = induce_adjacency_graph(complete_policy(4, n=2)).to_graph()
+    assert len(automorphism_group(k4_pairs).generators) == 6
 
 
 @settings(max_examples=40)
 @given(graphs(max_vertices=6))
 def test_automorphism_group_equals_brute_force(graph):
     group = automorphism_group(graph)
-    assert group.element_set == oracle_automorphisms(graph)
+    assert set(group.elements) == oracle_automorphisms(graph)
     for perm in group.elements:
         assert is_automorphism(graph, perm)
+
+
+@settings(max_examples=40)
+@given(graphs(max_vertices=7))
+def test_automorphism_generators_generate_the_full_group(graph):
+    group = automorphism_group(graph)
+    closure = generate_group(group.generators, degree=graph.vertex_count)
+    assert set(closure.elements) == oracle_automorphisms(graph)
 
 
 def test_orbits_examples():
@@ -239,6 +253,15 @@ def test_generated_group_orbits_match_raw_generators(data):
     assert orbits(group) == oracle_orbits(group)
 
 
+@settings(max_examples=40)
+@given(permutation_sets())
+def test_pair_orbits_match_element_enumeration(data):
+    degree, perms = data
+    group = generate_group(perms, degree=degree)
+    expected = sorted(sorted(orbit) for orbit in oracle_pair_orbits(group))
+    assert sorted(sorted(orbit) for orbit in pair_orbits(perms, degree)) == expected
+
+
 def test_pair_orbits_path_three():
     result = pair_orbits([(2, 1, 0)], 3)
     as_sets = [frozenset(orbit) for orbit in result]
@@ -271,6 +294,12 @@ def test_lift_includes_index_swap():
     swap = tuple(ag.vertices.index((b, a)) for a, b in ag.vertices)
     assert swap in gens
     assert generate_group(gens).order == 6 * 6 * 2
+
+
+def test_lift_generator_count():
+    pol = complete_policy(3, n=4)
+    # two generators of S3 per record, plus three adjacent record swaps
+    assert len(lift_policy_automorphisms(pol, induce_adjacency_graph(pol))) == 11
 
 
 def test_lift_rejects_constrained():

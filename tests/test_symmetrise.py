@@ -95,7 +95,7 @@ def test_diagonal_maximise_wide_channel_properties():
 
 def test_group_average_hand_example():
     m = ChannelMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]))
-    group = PermutationGroup.from_elements(3, [(0, 1, 2), (2, 1, 0)])
+    group = generate_group([(2, 1, 0)])
     averaged = group_average(m, group, cross_check=True)
     expected = np.array([[0.55, 0.3, 0.15], [0.2, 0.6, 0.2], [0.15, 0.3, 0.55]])
     assert averaged.probs == pytest.approx(expected, rel=1e-12)

@@ -152,7 +152,7 @@ def test_sweep_csv_shape():
     assert len(lines) == 5
 
 
-@pytest.mark.parametrize("n,delta", [(1, 0.5), (0, 1.0), (2, 0.0), (2, -1.0)])
+@pytest.mark.parametrize("n,delta", [(1, 0.5), (0, 1.0), (2, 0.0), (2, -1.0), (2, math.inf)])
 def test_rejects_bad_parameters(n, delta):
     with pytest.raises(InputError):
         sharpness_ratio(n, delta)
