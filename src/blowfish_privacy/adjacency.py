@@ -150,27 +150,18 @@ def _induce_definition(
 
 
 def induce_adjacency_graph(
-    policy: BlowfishPolicy,
-    cap: int = DEFAULT_DATABASE_CAP,
-    method: str = "auto",
+    policy: BlowfishPolicy, cap: int = DEFAULT_DATABASE_CAP
 ) -> AdjacencyGraph:
     """Induce the database adjacency graph for ``policy``.
 
-    ``method`` selects the edge test: ``"fast"`` uses the single-position
-    characterisation valid for unconstrained permissible sets, and
-    ``"definition"`` scans every candidate intermediate database (both
-    argument orders). ``"auto"`` picks the fast path when the policy is
-    unconstrained.
+    An unconstrained policy takes the single-position characterisation
+    (adjacent databases differ in one record, on a secret pair); an explicit
+    permissible set is scanned by the definition, every candidate
+    intermediate database in both argument orders.
     """
     vertices = enumerate_permissible(policy, cap)
-    if method == "auto":
-        method = "fast" if policy.unconstrained else "definition"
-    if method == "fast":
-        if not policy.unconstrained:
-            raise InputError("fast induction requires an unconstrained permissible set")
+    if policy.unconstrained:
         return AdjacencyGraph(vertices, _induce_fast(policy, vertices))
-    if method != "definition":
-        raise InputError(f"unknown induction method {method!r}")
     edges, asymmetric = _induce_definition(policy, vertices)
     if asymmetric:
         warnings.warn(

@@ -9,9 +9,9 @@ reported in bits while epsilon stays in natural units.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,25 +32,46 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-def validate_channel(matrix, tolerance: float = ROW_SUM_TOLERANCE) -> list[Violation]:
-    """Diagnostic scan for range and row-sum violations (empty list when valid)."""
+def validate_channel(matrix) -> list[Violation]:
+    """Diagnostic scan for range and row-sum violations (empty list when valid).
+
+    Per row: one violation per entry outside ``[0, 1]`` by more than
+    ``RANGE_TOLERANCE`` (magnitude inf when the entry is not finite), then one
+    for a row sum off 1 by more than ``ROW_SUM_TOLERANCE``.
+    """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         return [Violation("shape", -1, None, float("nan"))]
     violations = []
-    for i in range(arr.shape[0]):
-        row = arr[i]
-        for j, entry in enumerate(row):
-            if not math.isfinite(entry):
-                violations.append(Violation("range", i, j, float("inf")))
-                continue
-            outside = max(-entry, entry - 1.0)
-            if outside > RANGE_TOLERANCE:
-                violations.append(Violation("range", i, j, float(outside)))
-        total = math.fsum(float(x) for x in row)
-        if not math.isfinite(total) or abs(total - 1.0) > tolerance:
-            violations.append(Violation("row_sum", i, None, float(abs(total - 1.0))))
+    for i, row in enumerate(arr):
+        # NaN fails both comparisons. The upper test subtracts 1 as the magnitude
+        # does: ``row <= 1 + tol`` would pass 1.000000000001, which is 1.00009e-12
+        # above 1 because 1 + tol rounds up to that same float.
+        outside = ~((row >= -RANGE_TOLERANCE) & (row - 1.0 <= RANGE_TOLERANCE))
+        for j in np.flatnonzero(outside).tolist():
+            entry = float(row[j])
+            magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
+            violations.append(Violation("range", i, j, magnitude))
+        try:  # a memoryview hands fsum the floats one at a time, with no row list
+            total = math.fsum(memoryview(row))
+        except (ValueError, OverflowError):  # inf - inf, or huge entries overflowing
+            total = math.nan
+        if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
+            violations.append(Violation("row_sum", i, None, abs(total - 1.0)))
     return violations
+
+
+def _check(arr: np.ndarray, what: str) -> None:
+    """Raise :class:`InputError` naming the first violations of ``arr``."""
+    problems = validate_channel(arr)
+    if problems:
+        head = ", ".join(
+            ("non-finite" if v.magnitude == math.inf else v.kind)
+            + f"@row {v.row}"
+            + (f" col {v.column}" if v.column is not None else "")
+            for v in problems[:5]
+        )
+        raise InputError(f"invalid {what} ({len(problems)} violation(s): {head})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +82,7 @@ class ChannelMatrix:
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float, copy=True)
-        problems = validate_channel(arr)
-        if problems:
-            head = ", ".join(
-                f"{v.kind}@row {v.row}" + (f" col {v.column}" if v.column is not None else "")
-                for v in problems[:5]
-            )
-            raise InputError(f"invalid channel matrix ({len(problems)} violation(s): {head})")
+        _check(arr, "channel matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -90,13 +105,7 @@ class Prior:
         arr = np.array(self.probabilities, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("prior must be a non-empty vector")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("prior has non-finite entries")
-        if np.any(arr < -RANGE_TOLERANCE):
-            raise InputError("prior has negative entries")
-        total = math.fsum(float(x) for x in arr)
-        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-            raise InputError(f"prior sums to {total}, expected 1")
+        _check(arr[None, :], "prior")
         arr.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
 
@@ -195,16 +204,12 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    dist = distances(graph)
-    n = graph.vertex_count
-    out = np.zeros((n, n))
-    for i in range(n):
-        reachable = [j for j in range(n) if dist[i][j] >= 0]
-        weights = [math.exp(-0.5 * epsilon * dist[i][j]) for j in reachable]
-        total = math.fsum(weights)
-        for j, w in zip(reachable, weights):
-            out[i, j] = w / total
-    return ChannelMatrix(out)
+    # One weight per distance; distance -1 (unreachable) indexes the trailing 0.
+    table = [math.exp(-0.5 * epsilon * d) for d in range(graph.vertex_count)] + [0.0]
+    weights = np.array(table)[np.array(distances(graph))]
+    for row in weights:
+        row /= math.fsum(memoryview(row))
+    return ChannelMatrix(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +217,17 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
 
 
 def channel_to_csv(channel: ChannelMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in channel.probs:
-        writer.writerow([repr(float(x)) for x in row])
-    return buf.getvalue()
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in channel.probs)
 
 
 def channel_from_csv(text: str) -> ChannelMatrix:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise SchemaError("channel CSV is empty")
+    """Parse a channel CSV: one row of floats per line, ``#`` lines are comments."""
     try:
-        [float(cell) for cell in rows[0]]
-    except ValueError:
-        rows = rows[1:]  # header row of output labels
-        if not rows:
-            raise SchemaError("channel CSV has a header but no data rows") from None
-    width = len(rows[0])
-    matrix = []
-    for lineno, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise SchemaError(f"channel CSV row {lineno} has {len(row)} cells, expected {width}")
-        try:
-            matrix.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise SchemaError(f"channel CSV row {lineno}: {exc}") from None
-    return ChannelMatrix(np.asarray(matrix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on empty input
+            arr = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, quotechar='"')
+    except ValueError as exc:
+        raise SchemaError(f"channel CSV: {exc}") from None
+    if arr.size == 0:
+        raise SchemaError("channel CSV is empty")
+    return ChannelMatrix(arr)

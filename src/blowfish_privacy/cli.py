@@ -272,7 +272,7 @@ def _cmd_symmetrise_run(args) -> int:
     graph = adjacency.to_graph()
 
     if args.group == "trivial":
-        group = graphcore.PermutationGroup.trivial(graph.vertex_count)
+        group = graphcore.PermutationGroup(graph.vertex_count)
     elif args.group == "lifted":
         if not args.policy:
             raise InputError("--group lifted requires --policy")
@@ -339,20 +339,12 @@ def _cmd_figure_bound_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomised steps")
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
         "--max-databases",
         type=int,
         default=None,
         help=f"cap on materialised databases (default 100000, env {ENV_MAX_DATABASES})",
-    )
-    common.add_argument(
-        "--max-group",
-        type=int,
-        default=graphcore.DEFAULT_GROUP_CAP,
-        help="cap on enumerated group elements; groups are kept as generators and "
-        "enumerated only for the reported group_order and --strategy full",
     )
 
     parser = argparse.ArgumentParser(
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     policy_parser = top.add_parser("policy", help="build or validate policy documents")
     policy_sub = policy_parser.add_subparsers(dest="subcommand", required=True)
 
-    build = policy_sub.add_parser("build", parents=[common], help="construct a policy")
+    build = policy_sub.add_parser("build", help="construct a policy")
     build.add_argument(
         "--kind",
         required=True,
@@ -384,20 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", help="output path (stdout when omitted)")
     build.set_defaults(handler=_cmd_policy_build)
 
-    validate = policy_sub.add_parser("validate", parents=[common], help="validate a policy document")
+    validate = policy_sub.add_parser("validate", help="validate a policy document")
     validate.add_argument("document", help="policy JSON path")
     validate.set_defaults(handler=_cmd_policy_validate)
 
     adjacency_parser = top.add_parser("adjacency", help="induce adjacency graphs")
     adjacency_sub = adjacency_parser.add_subparsers(dest="subcommand", required=True)
-    induce = adjacency_sub.add_parser("induce", parents=[common])
+    induce = adjacency_sub.add_parser("induce", parents=[capped])
     induce.add_argument("policy", help="policy JSON path")
     induce.add_argument("--out", help="graph JSON output path")
     induce.set_defaults(handler=_cmd_adjacency_induce)
 
     bound_parser = top.add_parser("bound", help="evaluate leakage and min-entropy bounds")
     bound_sub = bound_parser.add_subparsers(dest="subcommand", required=True)
-    compute = bound_sub.add_parser("compute", parents=[common])
+    compute = bound_sub.add_parser("compute", parents=[capped])
     compute.add_argument("policy", help="policy JSON path")
     compute.add_argument("--epsilon", type=_float_arg, required=True)
     compute.add_argument("--channel", help="channel CSV to audit against the bounds")
@@ -407,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel_parser = top.add_parser("channel", help="verify, measure, or generate channels")
     channel_sub = channel_parser.add_subparsers(dest="subcommand", required=True)
 
-    verify = channel_sub.add_parser("verify", parents=[common])
+    verify = channel_sub.add_parser("verify", parents=[capped])
     verify.add_argument("channel", help="channel CSV path")
     verify.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     verify.add_argument("--graph", help="graph JSON path")
@@ -415,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="report output path")
     verify.set_defaults(handler=_cmd_channel_verify)
 
-    leak = channel_sub.add_parser("leakage", parents=[common])
+    leak = channel_sub.add_parser("leakage")
     leak.add_argument("channel", help="channel CSV path")
     leak.add_argument("--prior", help="JSON list of prior probabilities")
     leak.add_argument("--out", help="report output path")
     leak.set_defaults(handler=_cmd_channel_leakage)
 
-    generate = channel_sub.add_parser("generate", parents=[common])
+    generate = channel_sub.add_parser("generate", parents=[capped])
     generate.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     generate.add_argument("--graph", help="graph JSON path")
     generate.add_argument("--epsilon", type=_float_arg, required=True)
@@ -430,17 +422,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="apply a seeded random permutation of output columns",
     )
+    generate.add_argument("--seed", type=int, default=0, help="seed for --shuffle-outputs")
     generate.add_argument("--out", help="channel CSV output path")
     generate.set_defaults(handler=_cmd_channel_generate)
 
     symmetrise_parser = top.add_parser("symmetrise", help="run the channel symmetrisation pipeline")
     symmetrise_sub = symmetrise_parser.add_subparsers(dest="subcommand", required=True)
-    run = symmetrise_sub.add_parser("run", parents=[common])
+    run = symmetrise_sub.add_parser("run", parents=[capped])
     run.add_argument("channel", help="channel CSV path")
     run.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     run.add_argument("--graph", help="graph JSON path")
     run.add_argument("--group", default="full", choices=["full", "lifted", "trivial"])
     run.add_argument("--vertex-cap", type=int, default=graphcore.DEFAULT_VERTEX_CAP)
+    run.add_argument(
+        "--max-group",
+        type=int,
+        default=graphcore.DEFAULT_GROUP_CAP,
+        help="cap on enumerated group elements; groups are kept as generators and "
+        "enumerated only for the reported group_order and --strategy full",
+    )
     run.add_argument("--strategy", default="full", choices=["full", "orbit"])
     run.add_argument("--cross-check", action="store_true")
     run.add_argument("--out-grouped", help="CSV path for the column-grouped channel")
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tightness_parser = top.add_parser("tightness", help="sharpness-family sweeps")
     tightness_sub = tightness_parser.add_subparsers(dest="subcommand", required=True)
-    sweep = tightness_sub.add_parser("sweep", parents=[common])
+    sweep = tightness_sub.add_parser("sweep")
     sweep.add_argument("--n", required=True, help="comma-separated component counts (each >= 2)")
     sweep.add_argument("--delta", required=True, help="comma-separated positive deltas")
     sweep.add_argument("--out", help="CSV output path")
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_parser = top.add_parser("figure", help="figure-reproduction CSVs")
     figure_sub = figure_parser.add_subparsers(dest="subcommand", required=True)
-    bound_sweep = figure_sub.add_parser("bound-sweep", parents=[common])
+    bound_sweep = figure_sub.add_parser("bound-sweep")
     bound_sweep.add_argument("--values", default="1,2,3,4")
     bound_sweep.add_argument("--thetas", default="1,2,3")
     bound_sweep.add_argument("--n-max", type=int, default=8)

@@ -218,10 +218,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermutationGroup":
-        return cls(degree)
-
 
 def generate_group(
     generators: Iterable[Sequence[int]],

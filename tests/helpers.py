@@ -5,8 +5,11 @@ tuples and sets, deliberately not reusing the library's data structures,
 so they can arbitrate between the library's optimised code paths.
 """
 
+import math
+from dataclasses import replace
 from itertools import combinations, permutations, product
 
+import numpy as np
 from hypothesis import strategies as st
 
 from blowfish_privacy import (
@@ -16,7 +19,9 @@ from blowfish_privacy import (
     PermutationGroup,
     custom_policy,
     generate_group,
+    induce_adjacency_graph,
 )
+from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +67,44 @@ def oracle_adjacency_edges(edge_set, universe_dbs):
         if forward or backward:
             edges.add((i, j))
     return edges
+
+
+def induce_by_definition(policy):
+    """Adjacency graph from the definition scan, also for an unconstrained
+    policy: it is restated with every database listed explicitly."""
+    if policy.unconstrained:
+        every = tuple(product(policy.universe.labels, repeat=policy.n))
+        policy = replace(policy, permissible=every)
+    return induce_adjacency_graph(policy)
+
+
+def oracle_violations(matrix):
+    """Channel violations ``(kind, row, column, magnitude)`` by a per-entry scan.
+
+    Per row: each entry that is not finite (magnitude inf) or lies outside
+    ``[0, 1]`` by more than the range tolerance, then the row sum when it is
+    off 1 by more than the row-sum tolerance; a sum ``fsum`` cannot form
+    (inf - inf, overflow) counts as NaN.
+    """
+    rows = np.asarray(matrix, dtype=float)
+    if rows.ndim != 2 or rows.size == 0:
+        return [("shape", -1, None, math.nan)]
+    violations = []
+    for i, row in enumerate(rows.tolist()):
+        for j, entry in enumerate(row):
+            if not math.isfinite(entry):
+                violations.append(("range", i, j, math.inf))
+                continue
+            outside = max(-entry, entry - 1.0)
+            if outside > RANGE_TOLERANCE:
+                violations.append(("range", i, j, outside))
+        try:
+            total = math.fsum(row)
+        except (ValueError, OverflowError):
+            total = math.nan
+        if not math.isfinite(total) or abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            violations.append(("row_sum", i, None, abs(total - 1.0)))
+    return violations
 
 
 def oracle_automorphisms(graph: Graph):

@@ -39,7 +39,7 @@ from blowfish_privacy.graphcore import components_and_diameters
 from blowfish_privacy.symmetrise import diagonal_maximise, group_average
 from blowfish_privacy.tightness import build_sharpness_instance
 
-from helpers import generate_group_greedy, oracle_adjacency_edges
+from helpers import generate_group_greedy, induce_by_definition, oracle_adjacency_edges
 
 LOG2E = math.log2(math.e)
 
@@ -120,7 +120,7 @@ def subgroup_for(case: RandomCase, budget: int = 1536) -> PermutationGroup:
         if full.order <= budget:
             return full
     except CapExceededError:
-        return PermutationGroup.trivial(graph.vertex_count)
+        return PermutationGroup(graph.vertex_count)
     return generate_group_greedy(full.generators, cap=budget, degree=graph.vertex_count)
 
 
@@ -131,8 +131,8 @@ def subgroup_for(case: RandomCase, budget: int = 1536) -> PermutationGroup:
 def test_criterion_1_sixteen_vertex_induction():
     def body():
         policy = distance_threshold_policy([1, 2, 3, 4], 1, n=2)
-        fast = induce_adjacency_graph(policy, method="fast")
-        definition = induce_adjacency_graph(policy, method="definition")
+        fast = induce_adjacency_graph(policy)
+        definition = induce_by_definition(policy)
         assert len(fast.vertices) == 16
         assert fast.edges == definition.edges
         assert definition.asymmetric_pairs == ()

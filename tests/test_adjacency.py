@@ -22,7 +22,7 @@ from blowfish_privacy.adjacency import (
 )
 from blowfish_privacy.graphcore import components_and_diameters
 
-from helpers import graphs, oracle_adjacency_edges, small_policies
+from helpers import graphs, induce_by_definition, oracle_adjacency_edges, small_policies
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +77,8 @@ def test_is_adjacent_requires_membership(path_policy):
 
 
 def test_induced_graph_matches_both_paths_and_oracle(path_policy):
-    fast = induce_adjacency_graph(path_policy, method="fast")
-    definition = induce_adjacency_graph(path_policy, method="definition")
+    fast = induce_adjacency_graph(path_policy)
+    definition = induce_by_definition(path_policy)
     assert fast.vertices == definition.vertices
     assert fast.edges == definition.edges
     assert definition.asymmetric_pairs == ()
@@ -118,12 +118,6 @@ def test_single_database_graph():
     assert ag.edges == frozenset()
 
 
-def test_fast_method_rejects_constrained():
-    pol = complete_policy(2, n=1, permissible=[("1",), ("2",)])
-    with pytest.raises(InputError):
-        induce_adjacency_graph(pol, method="fast")
-
-
 def test_directional_asymmetry_detected_and_reported():
     # Path secrets 1-2-3 with permissible {(1,1), (2,2), (3,2)}: going from
     # (1,1), the database (3,2) realises a strictly smaller secret
@@ -149,8 +143,8 @@ def test_directional_asymmetry_detected_and_reported():
 @settings(max_examples=60)
 @given(small_policies(max_tuples=4, max_n=2, allow_constrained=False))
 def test_fast_path_equals_definition_on_unconstrained(pol):
-    fast = induce_adjacency_graph(pol, method="fast")
-    definition = induce_adjacency_graph(pol, method="definition")
+    fast = induce_adjacency_graph(pol)
+    definition = induce_by_definition(pol)
     assert fast.edges == definition.edges
     assert definition.asymmetric_pairs == ()
 
@@ -162,15 +156,15 @@ def test_definition_path_matches_oracle(pol):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
-        ag = induce_adjacency_graph(pol, method="definition")
+        ag = induce_by_definition(pol)
     expected = oracle_adjacency_edges(pol.secret_graph.edges, list(ag.vertices))
     assert set(ag.edges) == expected
 
 
 def test_fast_equals_definition_three_records():
     pol = distance_threshold_policy([1, 2, 3], 1, n=3)
-    fast = induce_adjacency_graph(pol, method="fast")
-    definition = induce_adjacency_graph(pol, method="definition")
+    fast = induce_adjacency_graph(pol)
+    definition = induce_by_definition(pol)
     assert fast.edges == definition.edges
 
 

@@ -17,6 +17,8 @@ from blowfish_privacy import (
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
 from blowfish_privacy.errors import SchemaError
 
+from helpers import oracle_violations
+
 
 def path3():
     return Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -53,6 +55,31 @@ def test_validate_negative_entry():
     problems = validate_channel([[1.2, -0.2]])
     kinds = {p.kind for p in problems}
     assert "range" in kinds
+
+
+# Entries on both sides of every tolerance edge. 1.000000000001 is out of
+# range by the per-entry rule (1.00009e-12 above 1) but equals the rounded
+# sum 1.0 + RANGE_TOLERANCE.
+FAULTS = (math.nan, math.inf, -math.inf, 1e308, -1e-12, -2e-12, 1.000000000001, 1.5)
+
+
+@st.composite
+def faulty_matrices(draw):
+    arr = draw(channels()).probs.copy()
+    rows, cols = arr.shape
+    cells = st.tuples(
+        st.integers(0, rows - 1), st.integers(0, cols - 1), st.sampled_from(FAULTS)
+    )
+    for i, j, entry in draw(st.lists(cells, max_size=3)):
+        arr[i, j] = entry
+    arr[draw(st.integers(0, rows - 1)), 0] += draw(st.sampled_from([0.0, 5e-10, -2e-9]))
+    return arr
+
+
+@given(faulty_matrices())
+def test_validate_matches_per_entry_oracle(matrix):
+    # repr compares NaN magnitudes too
+    assert repr([tuple(v) for v in validate_channel(matrix)]) == repr(oracle_violations(matrix))
 
 
 def test_channel_constructor_rejects_invalid():
@@ -245,7 +272,7 @@ def test_channel_csv_round_trip_property(chan):
 
 
 def test_channel_csv_header_round_trip():
-    text = "a,b\n1.0,0.0\n0.0,1.0\n"
+    text = "# a,b\n1.0,0.0\n0.0,1.0\n"
     again = channel_from_csv(text)
     assert np.array_equal(again.probs, np.eye(2))
     assert channel_to_csv(again) == "1.0,0.0\n0.0,1.0\n"

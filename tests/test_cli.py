@@ -332,6 +332,33 @@ def test_non_finite_numbers_exit_two_without_output(tmp_path, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["a,b\n1.0,0.0\n0.0,1.0\n", "inf,-inf\n0.0,1.0\n"],
+    ids=["unmarked_header", "inf_minus_inf"],
+)
+def test_bad_channel_csv_exits_two_without_output(tmp_path, capsys, text):
+    channel = tmp_path / "k.csv"
+    channel.write_text(text)
+    assert run("channel", "leakage", str(channel)) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tightness", "sweep", "--n", "2", "--delta", "1", "--seed", "1"),
+        ("figure", "bound-sweep", "--max-group", "10"),
+        ("channel", "leakage", "k.csv", "--max-databases", "10"),
+    ],
+    ids=["tightness_seed", "figure_max_group", "leakage_max_databases"],
+)
+def test_flags_are_refused_where_not_read(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    assert exit_code(*argv) == 2
+
+
 def test_infinite_epsilon_is_unbounded(tmp_path, capsys):
     policy = build_path_policy(tmp_path, n=1)
     assert run("bound", "compute", str(policy), "--epsilon", "inf") == 0

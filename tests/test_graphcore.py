@@ -192,7 +192,7 @@ def test_automorphism_generators_generate_the_full_group(graph):
 def test_orbits_examples():
     p3 = automorphism_group(path_graph(3))
     assert orbits(p3).orbits == ((0, 2), (1,))
-    trivial = PermutationGroup.trivial(4)
+    trivial = PermutationGroup(4)
     assert orbits(trivial).orbits == ((0,), (1,), (2,), (3,))
     k4 = automorphism_group(complete_graph(4))
     assert orbits(k4).orbits == ((0, 1, 2, 3),)

@@ -105,7 +105,7 @@ def test_group_average_hand_example():
 
 def test_group_average_trivial_group_is_identity_map():
     m = ChannelMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.6, 0.2], [0.1, 0.3, 0.6]]))
-    averaged = group_average(m, PermutationGroup.trivial(3), cross_check=True)
+    averaged = group_average(m, PermutationGroup(3), cross_check=True)
     assert np.array_equal(averaged.probs, m.probs)
 
 
@@ -132,13 +132,13 @@ def test_group_average_verify_graph_rejects_non_automorphism():
 def test_group_average_rejects_non_square():
     m = ChannelMatrix(np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]))
     with pytest.raises(InputError):
-        group_average(m, PermutationGroup.trivial(2))
+        group_average(m, PermutationGroup(2))
 
 
 def test_group_average_rejects_degree_mismatch():
     m = ChannelMatrix(np.eye(3))
     with pytest.raises(InputError):
-        group_average(m, PermutationGroup.trivial(2))
+        group_average(m, PermutationGroup(2))
 
 
 def test_group_average_strategies_agree():
@@ -223,7 +223,7 @@ def test_check_symmetrisation_valid_pipeline_passes():
 def test_check_symmetrisation_trivial_group_passes():
     graph = path3()
     chan = graph_randomized_response(graph, 1.0)
-    group = PermutationGroup.trivial(3)
+    group = PermutationGroup(3)
     grouped, _ = diagonal_maximise(chan, graph)
     averaged = group_average(grouped, group)
     assert np.array_equal(averaged.probs, grouped.probs)
