@@ -62,26 +62,33 @@ def secret_difference(
     )
 
 
-def _is_adjacent_from(
-    base: Database,
-    other: Database,
-    secret_graph: SecretGraph,
-    universe_databases: Sequence[Database],
-) -> bool:
-    """Directional minimally-secretly-different test with ``base`` as reference."""
-    s_target = secret_difference(base, other, secret_graph)
-    if not s_target:
-        return False
-    t_target = total_difference(base, other)
-    for mid in universe_databases:
-        s_mid = secret_difference(base, mid, secret_graph)
-        if not s_mid:
-            continue
-        if s_mid < s_target:
-            return False
-        if s_mid == s_target and total_difference(base, mid) < t_target:
-            return False
-    return True
+def _adjacent_from(
+    base: Database, vertices: Sequence[Database], secret_graph: SecretGraph
+) -> list[int]:
+    """Indices of the databases minimally secretly different from ``base``.
+
+    The databases are grouped by their secret difference from ``base``. A
+    database qualifies when its group is non-empty, no non-empty group lies
+    strictly inside it, and no member of its group has a strictly smaller
+    total difference.
+    """
+    groups: dict[frozenset[DiffTriple], list[int]] = {}
+    for k, other in enumerate(vertices):
+        s_other = secret_difference(base, other, secret_graph)
+        if s_other:
+            groups.setdefault(s_other, []).append(k)
+    # Only a smaller group can lie strictly inside another, so size order sees it first.
+    minimal: list[frozenset[DiffTriple]] = []
+    for s_group in sorted(groups, key=len):
+        if not any(s_min < s_group for s_min in minimal):
+            minimal.append(s_group)
+    adjacent = []
+    for s_group in minimal:
+        totals = {k: total_difference(base, vertices[k]) for k in groups[s_group]}
+        adjacent += [
+            k for k, t in totals.items() if not any(u < t for u in totals.values())
+        ]
+    return adjacent
 
 
 def is_adjacent(
@@ -96,9 +103,8 @@ def is_adjacent(
         raise InputError(f"database {base!r} is not permissible")
     if tuple(other) not in members:
         raise InputError(f"database {other!r} is not permissible")
-    return _is_adjacent_from(
-        tuple(base), tuple(other), policy.secret_graph, universe_databases
-    )
+    adjacent = _adjacent_from(tuple(base), universe_databases, policy.secret_graph)
+    return tuple(other) in {universe_databases[k] for k in adjacent}
 
 
 @dataclass(frozen=True)
@@ -134,19 +140,16 @@ def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> froz
 def _induce_definition(
     policy: BlowfishPolicy, vertices: tuple[Database, ...]
 ) -> tuple[frozenset, tuple[tuple[int, int], ...]]:
-    secret_graph = policy.secret_graph
-    edges = set()
-    asymmetric = []
-    count = len(vertices)
-    for i in range(count):
-        for j in range(i + 1, count):
-            forward = _is_adjacent_from(vertices[i], vertices[j], secret_graph, vertices)
-            backward = _is_adjacent_from(vertices[j], vertices[i], secret_graph, vertices)
-            if forward or backward:
-                edges.add((i, j))
-            if forward != backward:
-                asymmetric.append((i, j))
-    return frozenset(edges), tuple(asymmetric)
+    arcs = {
+        (i, j)
+        for i, base in enumerate(vertices)
+        for j in _adjacent_from(base, vertices, policy.secret_graph)
+    }
+    edges = frozenset((min(arc), max(arc)) for arc in arcs)
+    asymmetric = sorted(
+        (i, j) for i, j in edges if ((i, j) in arcs) != ((j, i) in arcs)
+    )
+    return edges, tuple(asymmetric)
 
 
 def induce_adjacency_graph(
@@ -156,8 +159,8 @@ def induce_adjacency_graph(
 
     An unconstrained policy takes the single-position characterisation
     (adjacent databases differ in one record, on a secret pair); an explicit
-    permissible set is scanned by the definition, every candidate
-    intermediate database in both argument orders.
+    permissible set follows the definition, in one pass from each database
+    as base; an edge is kept when either direction holds.
     """
     vertices = enumerate_permissible(policy, cap)
     if policy.unconstrained:

@@ -98,38 +98,23 @@ class Components:
 
 
 def components_and_diameters(graph: Graph) -> Components:
-    """Connected components and per-component diameters (isolated vertex: 0)."""
-    n = graph.vertex_count
-    adj = graph.neighbors
-    assignment = [-1] * n
-    members: list[list[int]] = []
-    for start in range(n):
+    """Connected components and per-component diameters (isolated vertex: 0).
+
+    Each component is the reachable set of its smallest vertex's distance
+    row; components are numbered in the order of their smallest vertices.
+    """
+    dist = distances(graph)
+    assignment = [-1] * graph.vertex_count
+    diameters = []
+    for start, row in enumerate(dist):
         if assignment[start] != -1:
             continue
-        comp = len(members)
-        assignment[start] = comp
-        group = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if assignment[w] == -1:
-                    assignment[w] = comp
-                    group.append(w)
-                    queue.append(w)
-        members.append(group)
-
-    dist = distances(graph)
-    diameters = []
-    for group in members:
-        best = 0
-        for i, a in enumerate(group):
-            row = dist[a]
-            for b in group[i + 1 :]:
-                if row[b] > best:
-                    best = row[b]
-        diameters.append(best)
-    return Components(len(members), tuple(assignment), tuple(diameters))
+        members = [v for v, d in enumerate(row) if d != UNREACHABLE]
+        for v in members:
+            assignment[v] = len(diameters)
+        # Unreachable entries are -1, so a member's row peaks inside the component.
+        diameters.append(max(max(dist[v]) for v in members))
+    return Components(len(diameters), tuple(assignment), tuple(diameters))
 
 
 # ---------------------------------------------------------------------------

@@ -181,15 +181,14 @@ def enumerate_permissible(
     """Materialise the permissible set in canonical order.
 
     For an unconstrained policy this is the full product of labels in
-    lexicographic index order; its size must not exceed ``cap``.
+    lexicographic index order. Either way its size must not exceed ``cap``.
     """
+    total = permissible_size(policy)
+    if total > cap:
+        raise CapExceededError(
+            f"permissible set has {total} databases, exceeding the cap of {cap}"
+        )
     if policy.unconstrained:
-        total = permissible_size(policy)
-        if total > cap:
-            raise CapExceededError(
-                f"unconstrained permissible set has {total} databases, "
-                f"exceeding the cap of {cap}"
-            )
         return tuple(product(policy.universe.labels, repeat=policy.n))
     return policy.permissible
 

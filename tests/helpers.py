@@ -69,6 +69,20 @@ def oracle_adjacency_edges(edge_set, universe_dbs):
     return edges
 
 
+def oracle_asymmetric_pairs(edge_set, universe_dbs):
+    """Index pairs ``i < j`` on which the two directions of the definition disagree."""
+    return {
+        (i, j)
+        for i, j in combinations(range(len(universe_dbs)), 2)
+        if oracle_minimally_secretly_different(
+            universe_dbs[i], universe_dbs[j], edge_set, universe_dbs
+        )
+        != oracle_minimally_secretly_different(
+            universe_dbs[j], universe_dbs[i], edge_set, universe_dbs
+        )
+    }
+
+
 def induce_by_definition(policy):
     """Adjacency graph from the definition scan, also for an unconstrained
     policy: it is restated with every database listed explicitly."""
@@ -76,6 +90,47 @@ def induce_by_definition(policy):
         every = tuple(product(policy.universe.labels, repeat=policy.n))
         policy = replace(policy, permissible=every)
     return induce_adjacency_graph(policy)
+
+
+def oracle_components(graph):
+    """``(count, assignment, diameters)`` by BFS labelling and Floyd-Warshall.
+
+    Components are numbered in the order of their smallest vertices; a
+    diameter is the largest finite shortest-path length inside a component.
+    """
+    n = graph.vertex_count
+    neighbours = {v: set() for v in range(n)}
+    for a, b in graph.edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    assignment = [-1] * n
+    count = 0
+    for start in range(n):
+        if assignment[start] != -1:
+            continue
+        assignment[start] = count
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in neighbours[v]:
+                if assignment[w] == -1:
+                    assignment[w] = count
+                    frontier.append(w)
+        count += 1
+    dist = [[0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    for a, b in graph.edges:
+        dist[a][b] = dist[b][a] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    diameters = [0] * count
+    for i in range(n):
+        for j in range(n):
+            if dist[i][j] < math.inf:
+                c = assignment[i]
+                diameters[c] = max(diameters[c], dist[i][j])
+    return count, tuple(assignment), tuple(diameters)
 
 
 def oracle_violations(matrix):

@@ -1,3 +1,7 @@
+import random
+import warnings
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +26,14 @@ from blowfish_privacy.adjacency import (
 )
 from blowfish_privacy.graphcore import components_and_diameters
 
-from helpers import graphs, induce_by_definition, oracle_adjacency_edges, small_policies
+from helpers import (
+    graphs,
+    induce_by_definition,
+    oracle_adjacency_edges,
+    oracle_asymmetric_pairs,
+    oracle_minimally_secretly_different,
+    small_policies,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +163,29 @@ def test_fast_path_equals_definition_on_unconstrained(pol):
 @settings(max_examples=40)
 @given(small_policies(max_tuples=3, max_n=2, allow_constrained=True))
 def test_definition_path_matches_oracle(pol):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
         ag = induce_by_definition(pol)
-    expected = oracle_adjacency_edges(pol.secret_graph.edges, list(ag.vertices))
-    assert set(ag.edges) == expected
+    dbs = list(ag.vertices)
+    edge_set = pol.secret_graph.edges
+    assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
+    assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
+    for a in dbs:
+        for b in dbs:
+            expected = oracle_minimally_secretly_different(a, b, edge_set, dbs)
+            assert is_adjacent(a, b, pol, dbs) == expected
+
+
+def test_definition_path_matches_oracle_on_forty_databases():
+    labels = ("1", "2", "3", "4")
+    sample = random.Random(0).sample(list(product(labels, repeat=3)), 40)
+    pol = distance_threshold_policy([1, 2, 3, 4], 1, n=3, permissible=sample)
+    with pytest.warns(AdjacencyAsymmetryWarning):
+        ag = induce_adjacency_graph(pol)
+    dbs = list(ag.vertices)
+    edge_set = pol.secret_graph.edges
+    assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
+    assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
 
 
 def test_fast_equals_definition_three_records():

@@ -104,6 +104,29 @@ def test_adjacency_cap_exceeded_exits_three(tmp_path):
     assert not (tmp_path / "never.json").exists()
 
 
+def test_explicit_permissible_set_is_capped(tmp_path):
+    permissible = tmp_path / "permissible.json"
+    permissible.write_text(json.dumps([[a, b] for a in "1234" for b in "1234"]))
+    policy = tmp_path / "policy.json"
+    code = run(
+        "policy", "build",
+        "--kind", "distance-threshold",
+        "--values", "1,2,3,4",
+        "--theta", "1",
+        "--n", "2",
+        "--permissible", str(permissible),
+        "--out", str(policy),
+    )
+    assert code == 0
+    code = run(
+        "adjacency", "induce", str(policy),
+        "--max-databases", "10",
+        "--out", str(tmp_path / "never.json"),
+    )
+    assert code == 3
+    assert not (tmp_path / "never.json").exists()
+
+
 def test_max_databases_env_mirror(tmp_path, monkeypatch):
     policy = build_path_policy(tmp_path, n=20)
     monkeypatch.setenv("BLOWFISH_MAX_DATABASES", "1000000")
@@ -341,6 +364,19 @@ def test_bad_channel_csv_exits_two_without_output(tmp_path, capsys, text):
     channel = tmp_path / "k.csv"
     channel.write_text(text)
     assert run("channel", "leakage", str(channel)) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_channel_verify_rejects_bad_row_sum_without_output(tmp_path, capsys):
+    policy = build_path_policy(tmp_path, n=1)
+    channel = tmp_path / "k.csv"
+    channel.write_text("1.0,0.0\n0.0,1.0\n0.5,0.4\n0.0,1.0\n")
+    out = tmp_path / "verify.txt"
+    code = run(
+        "channel", "verify", str(channel), "--policy", str(policy), "--out", str(out)
+    )
+    assert code == 2
+    assert not out.exists()
     assert capsys.readouterr().out == ""
 
 

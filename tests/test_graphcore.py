@@ -30,7 +30,13 @@ from blowfish_privacy.graphcore import (
     pair_orbits,
 )
 
-from helpers import graphs, oracle_automorphisms, oracle_orbits, oracle_pair_orbits
+from helpers import (
+    graphs,
+    oracle_automorphisms,
+    oracle_components,
+    oracle_orbits,
+    oracle_pair_orbits,
+)
 
 
 def path_graph(n):
@@ -80,6 +86,13 @@ def test_components_edgeless():
     comps = components_and_diameters(Graph.from_edges(3, []))
     assert comps.count == 3
     assert comps.diameters == (0, 0, 0)
+
+
+@settings(max_examples=80)
+@given(graphs(max_vertices=9))
+def test_components_match_bfs_floyd_warshall_oracle(graph):
+    comps = components_and_diameters(graph)
+    assert (comps.count, comps.assignment, comps.diameters) == oracle_components(graph)
 
 
 # ---------------------------------------------------------------------------
