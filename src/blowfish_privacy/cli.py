@@ -134,9 +134,15 @@ def _load_channel(path: str) -> channel_mod.ChannelMatrix:
 
 
 def _resolve_graph(args, cap: int):
-    """Adjacency graph from --graph (graph document) or --policy (induced)."""
+    """Adjacency graph from --graph (graph document) or --policy (induced),
+    with at most ``cap`` vertices either way."""
     if getattr(args, "graph", None):
-        return adjacency_mod.adjacency_from_json(_read_text(args.graph))
+        adjacency = adjacency_mod.adjacency_from_json(_read_text(args.graph))
+        if len(adjacency.vertices) > cap:
+            raise CapExceededError(
+                f"graph has {len(adjacency.vertices)} vertices, exceeding the cap of {cap}"
+            )
+        return adjacency
     if getattr(args, "policy", None):
         return adjacency_mod.induce_adjacency_graph(_load_policy(args.policy), cap=cap)
     raise InputError("either --graph or --policy is required")
@@ -222,8 +228,8 @@ def _cmd_bound_compute(args) -> int:
 
 
 def _cmd_channel_verify(args) -> int:
-    chan = _load_channel(args.channel)
     graph = _resolve_graph(args, _max_databases(args)).to_graph()
+    chan = _load_channel(args.channel)
     epsilon_star = channel_mod.minimal_epsilon(chan, graph)
     items = [
         ("rows", chan.rows),
@@ -266,9 +272,9 @@ def _cmd_channel_generate(args) -> int:
 
 
 def _cmd_symmetrise_run(args) -> int:
-    chan = _load_channel(args.channel)
     adjacency = _resolve_graph(args, _max_databases(args))
     graph = adjacency.to_graph()
+    chan = _load_channel(args.channel)
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -284,7 +290,7 @@ def _cmd_symmetrise_run(args) -> int:
         group = graphcore.automorphism_group(
             graph, vertex_cap=args.vertex_cap, element_cap=args.max_group
         )
-    order = group.order  # enumerates the group: a --max-group overflow exits 3 here
+    order = group.order  # from the stabiliser chain: a --max-group overflow exits 3 here
 
     grouped, _ = symmetrise_mod.diagonal_maximise(chan, graph)
     averaged = symmetrise_mod.group_average(
@@ -437,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-group",
         type=int,
         default=graphcore.DEFAULT_GROUP_CAP,
-        help="cap on enumerated group elements; groups are kept as generators and "
-        "enumerated only for the reported group_order and --strategy full",
+        help="cap on the group order, read from the stabiliser chain built from the "
+        "generators and checked before any averaging; no group element is enumerated",
     )
     run.add_argument("--strategy", default="full", choices=["full", "orbit"])
     run.add_argument("--cross-check", action="store_true")

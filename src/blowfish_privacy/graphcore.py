@@ -8,10 +8,13 @@ this convention is used everywhere (cosets are order-sensitive).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, TYPE_CHECKING
+
+import numpy as np
 
 from .errors import CapExceededError, InputError, UnsupportedLiftError
 
@@ -156,14 +159,171 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
 # Permutation groups
 
 
+@dataclass(frozen=True)
+class StabiliserChain:
+    """Base and transversals of a permutation group.
+
+    ``transversals[i]`` stacks one element per point of the orbit of
+    ``base[i]`` under the pointwise stabiliser of ``base[:i]``, identity
+    first; row ``u`` maps ``base[i]`` to its orbit point. Every group
+    element factors uniquely as ``u_0 ∘ u_1 ∘ … ∘ u_k`` with ``u_i`` a row
+    of ``transversals[i]``, so the order is the product of their lengths.
+    """
+
+    base: tuple[int, ...]
+    transversals: tuple[np.ndarray, ...]
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(u) for u in self.transversals)
+
+
+# Permutation entries per batch of sifted Schreier generators (bounds memory).
+_SIFT_BATCH = 1 << 18
+
+
+class _Level:
+    """One level of a chain under construction: its base point, the strong
+    generators fixing the earlier base points, and the orbit transversal.
+
+    The orbit only ever grows by appending, so the transversal element of a
+    point never changes once found; ``tested[g]`` counts the orbit points
+    whose Schreier generators with ``gens[g]`` have been sifted to identity.
+    """
+
+    def __init__(self, point: int, degree: int):
+        self.point = point
+        self.gens: list[np.ndarray] = []
+        self.tested: list[int] = []
+        self.position = np.full(degree, -1, dtype=np.intp)
+        self.position[point] = 0
+        self.orbit = [point]
+        ident = np.arange(degree)
+        self.rows, self.inverse_rows = [ident], [ident]
+        self.transversal = self.inverse = ident[None, :]
+
+    def add(self, gen: np.ndarray) -> None:
+        """Add a strong generator and extend the orbit breadth-first."""
+        self.gens.append(gen)
+        self.tested.append(0)
+        for k, beta in enumerate(self.orbit):  # grows while it is read: a FIFO queue
+            for s in self.gens:
+                gamma = int(s[beta])
+                if self.position[gamma] < 0:
+                    self.position[gamma] = len(self.orbit)
+                    self.orbit.append(gamma)
+                    u = s[self.rows[k]]
+                    self.rows.append(u)
+                    self.inverse_rows.append(np.argsort(u))
+        if len(self.rows) > len(self.transversal):
+            self.transversal = np.stack(self.rows)
+            self.inverse = np.stack(self.inverse_rows)
+
+
+def _after(table: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Row ``r`` is ``table[rows[r]] ∘ perms[r]``, by one flat gather."""
+    degree = table.shape[1]
+    return table.ravel()[(rows * degree)[:, None] + perms]
+
+
+def _first_residue(levels: list[_Level], i: int) -> tuple[np.ndarray, int] | None:
+    """First untested Schreier generator of level ``i`` that does not sift
+    to the identity through the deeper levels, as its residue and the level
+    it stopped at (``len(levels)`` when it passed them all); ``None`` when
+    every Schreier generator of the level sifts.
+    """
+    level = levels[i]
+    degree = level.transversal.shape[1]
+    ident = np.arange(degree)
+    batch = max(1, _SIFT_BATCH // degree)
+    for g, s in enumerate(level.gens):
+        while level.tested[g] < len(level.orbit):
+            lo = level.tested[g]
+            su = s[level.transversal[lo : lo + batch]]  # s ∘ u_beta
+            h = _after(level.inverse, level.position[su[:, level.point]], su)
+            # Sift the batch; only rows before the first stuck one still matter.
+            found = None
+            for depth in range(i + 1, len(levels)):
+                deeper = levels[depth]
+                pos = deeper.position[h[:, deeper.point]]
+                stuck = np.flatnonzero(pos < 0)
+                if len(stuck):
+                    row = int(stuck[0])
+                    found = (row, h[row].copy(), depth)
+                    h, pos = h[:row], pos[:row]
+                h = _after(deeper.inverse, pos, h)
+            nontrivial = np.flatnonzero((h != ident).any(axis=1))
+            if len(nontrivial):
+                row = int(nontrivial[0])
+                found = (row, h[row].copy(), len(levels))
+            if found is not None:
+                row, residue, depth = found
+                level.tested[g] = lo + row
+                return residue, depth
+            level.tested[g] = min(len(level.orbit), lo + batch)
+    return None
+
+
+def _schreier_sims(
+    generators: Sequence[Permutation], degree: int, cap: int
+) -> StabiliserChain:
+    """Stabiliser chain of the group generated by ``generators``, by the
+    deterministic Schreier–Sims algorithm (Seress 2003, ch. 4).
+
+    Levels are completed from the deepest up: a level is done when every
+    Schreier generator ``u_{s(beta)}^-1 ∘ s ∘ u_beta`` of its orbit sifts to
+    the identity through the levels below it. A residue that does not is
+    added as a strong generator to every level it reached (with a new base
+    point, its first moved point, when it passed them all), and work resumes
+    at the deepest of those levels.
+
+    The orbits found so far only grow and multiply to at most the order, so
+    :class:`CapExceededError` is raised as soon as their product passes
+    ``cap``, which bounds the work and memory of the construction.
+    """
+    levels: list[_Level] = []
+
+    def add(perm: np.ndarray, first: int, last: int) -> None:
+        """Add ``perm`` to levels ``first .. last``; ``last == len(levels)``
+        opens a new level at the first point ``perm`` moves."""
+        if last == len(levels):
+            levels.append(_Level(int(np.flatnonzero(perm != np.arange(degree))[0]), degree))
+        for level in levels[first : last + 1]:
+            level.add(perm)
+        if math.prod(len(level.orbit) for level in levels) > cap:
+            raise CapExceededError(f"group order exceeds cap of {cap} elements")
+
+    for gen in generators:
+        gen = np.asarray(gen, dtype=np.intp)
+        moves = (j for j, level in enumerate(levels) if gen[level.point] != level.point)
+        add(gen, 0, next(moves, len(levels)))
+
+    i = len(levels) - 1
+    while i >= 0:
+        found = _first_residue(levels, i)
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        add(h, i + 1, j)
+        i = j
+    return StabiliserChain(
+        tuple(level.point for level in levels),
+        tuple(level.transversal for level in levels),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class PermutationGroup:
     """A permutation group given by its generators.
 
-    The generators are the group's only state: orbits are read from them.
-    ``elements`` is enumerated by closure when first read, and raises
-    :class:`CapExceededError` once the closure passes ``cap`` elements. It is
-    sorted, so any summation over the group has a fixed canonical order.
+    The generators are the group's only input: orbits are read from them,
+    and everything that needs the whole group reads the stabiliser
+    ``chain``, built from them by Schreier–Sims when first needed and
+    cached. ``order`` is the product of the chain's transversal sizes, and
+    building the chain raises :class:`CapExceededError` once the order is
+    known to pass ``cap``, before anything is enumerated. ``elements`` is
+    sorted, so any summation over it has a fixed canonical order.
     """
 
     degree: int
@@ -180,28 +340,22 @@ class PermutationGroup:
         object.__setattr__(self, "generators", kept)
 
     @cached_property
-    def elements(self) -> tuple[Permutation, ...]:
-        ident = identity_permutation(self.degree)
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = compose(g, x)
-                    if y not in seen:
-                        if len(seen) >= self.cap:
-                            raise CapExceededError(
-                                f"group closure exceeds cap of {self.cap} elements"
-                            )
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+    def chain(self) -> StabiliserChain:
+        return _schreier_sims(self.generators, self.degree, self.cap)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.chain.order
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """Every element, as the products ``u_0 ∘ … ∘ u_k`` of the chain's
+        transversal rows, in lexicographic order."""
+        products = np.arange(self.degree)[None, :]
+        for transversal in reversed(self.chain.transversals):
+            products = transversal[:, products].reshape(-1, self.degree)
+        products = products[np.lexsort(products.T[::-1])]
+        return tuple(map(tuple, products.tolist()))
 
 
 def generate_group(
@@ -209,11 +363,11 @@ def generate_group(
     cap: int = DEFAULT_GROUP_CAP,
     degree: int | None = None,
 ) -> PermutationGroup:
-    """Smallest group containing ``generators``, enumerated at once.
+    """Smallest group containing ``generators``, with its stabiliser chain built.
 
     ``degree`` is only needed when ``generators`` is empty (the trivial
-    group). Raises :class:`CapExceededError` if the closure would exceed
-    ``cap`` elements.
+    group). Raises :class:`CapExceededError` if the order exceeds ``cap``;
+    the order comes from the stabiliser chain, so no element is enumerated.
     """
     gens = [tuple(g) for g in generators]
     if gens:
@@ -221,7 +375,7 @@ def generate_group(
     elif degree is None:
         raise InputError("degree is required to generate a group without generators")
     group = PermutationGroup(degree, tuple(gens), cap)
-    group.elements  # enumerate now, so a cap overflow surfaces here
+    group.order  # build the chain now, so a cap overflow surfaces here
     return group
 
 
@@ -246,7 +400,7 @@ def automorphism_group(
 
     Raises :class:`CapExceededError` when the graph has more than
     ``vertex_cap`` vertices (callers may fall back to lifted generators).
-    ``element_cap`` bounds the group's later element enumeration.
+    ``element_cap`` is the returned group's cap on its order.
     """
     n = graph.vertex_count
     if n > vertex_cap:
@@ -369,10 +523,34 @@ def pair_orbits(
     """Orbits of ordered index pairs under the group generated by ``perms``.
 
     Pair ``(a, b)`` is point ``a * degree + b`` of the action on pairs.
+    Each pair's label starts as its own index and repeatedly takes the
+    smallest label one generator step away, forwards or backwards, with
+    pointer jumping between rounds, until it is the smallest pair of its
+    orbit. Orbits are listed by smallest pair, members in increasing order.
     """
-    lifted = [[x * degree + y for x in p for y in p] for p in perms]
-    _, orbit_lists = _orbit_partition(lifted, degree * degree)
-    return [[divmod(x, degree) for x in orbit] for orbit in orbit_lists]
+    steps = []  # label[np.ix_(q, q)][a, b] is the label of pair (q[a], q[b])
+    for perm in perms:
+        forward = np.asarray(perm)
+        backward = np.argsort(forward)
+        steps += [np.ix_(forward, forward), np.ix_(backward, backward)]
+    dtype = np.int32 if degree * degree <= np.iinfo(np.int32).max else np.int64
+    label = np.arange(degree * degree, dtype=dtype).reshape(degree, degree)
+    while True:
+        before = label
+        for step in steps:
+            label = np.minimum(label, label[step])
+        while True:
+            jumped = label.ravel()[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            break
+    label = label.ravel()
+    order = np.argsort(label, kind="stable")
+    pairs = list(zip(*(x.tolist() for x in divmod(order, degree))))
+    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(pairs)]
+    return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,24 @@ def oracle_automorphisms(graph: Graph):
     return result
 
 
+def oracle_elements(degree, generators):
+    """Every element of the group generated by ``generators``, as a set, by
+    breadth-first closure under left multiplication (small groups only)."""
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        found = []
+        for x in frontier:
+            for g in generators:
+                y = tuple(g[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        frontier = found
+    return seen
+
+
 def oracle_orbits(group):
     """Orbit partition by enumerating every group element's image of each point."""
     orbit_index = [-1] * group.degree
@@ -215,7 +233,7 @@ def generate_group_greedy(generators, cap, degree=None):
     accepted = []
     for g in gens:
         try:
-            PermutationGroup(degree, tuple(accepted + [g]), cap).elements
+            PermutationGroup(degree, tuple(accepted + [g]), cap).order
         except CapExceededError:
             continue
         accepted.append(g)
@@ -252,3 +270,14 @@ def small_policies(draw, max_tuples=4, max_n=2, allow_constrained=True):
         shuffled = draw(st.permutations(all_dbs))
         permissible = shuffled[:size]
     return custom_policy(labels, edges, n=n, permissible=permissible)
+
+
+@st.composite
+def permutation_sets(draw, max_degree=7):
+    """A degree and 0-3 permutations of it, sometimes with the identity."""
+    degree = draw(st.integers(1, max_degree))
+    count = draw(st.integers(0, 3))
+    perms = [tuple(draw(st.permutations(range(degree)))) for _ in range(count)]
+    if draw(st.booleans()):
+        perms.append(tuple(range(degree)))
+    return degree, perms

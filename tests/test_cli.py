@@ -127,6 +127,26 @@ def test_explicit_permissible_set_is_capped(tmp_path):
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("channel", "generate", "--epsilon", "1"),
+        ("channel", "verify", "k.csv"),
+        ("symmetrise", "run", "k.csv"),
+    ],
+    ids=["generate", "verify", "symmetrise"],
+)
+def test_loaded_graph_is_capped(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    policy = build_path_policy(tmp_path)
+    assert run("adjacency", "induce", str(policy), "--out", "graph.json") == 0
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "1",
+               "--out", "k.csv") == 0
+    code = run(*argv, "--graph", "graph.json", "--max-databases", "10", "--out", "never")
+    assert code == 3
+    assert not (tmp_path / "never").exists()
+
+
 def test_max_databases_env_mirror(tmp_path, monkeypatch):
     policy = build_path_policy(tmp_path, n=20)
     monkeypatch.setenv("BLOWFISH_MAX_DATABASES", "1000000")

@@ -1,7 +1,9 @@
 from itertools import combinations
 
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from blowfish_privacy import (
     CapExceededError,
@@ -34,8 +36,10 @@ from helpers import (
     graphs,
     oracle_automorphisms,
     oracle_components,
+    oracle_elements,
     oracle_orbits,
     oracle_pair_orbits,
+    permutation_sets,
 )
 
 
@@ -148,6 +152,38 @@ def test_group_enumeration_respects_cap():
         group.order
 
 
+@settings(max_examples=60)
+@given(permutation_sets())
+@example((3, []))
+@example((3, [(0, 1, 2)]))
+def test_stabiliser_chain_matches_closure_oracle(data):
+    degree, perms = data
+    group = PermutationGroup(degree, perms)
+    closure = oracle_elements(degree, perms)
+    assert group.order == len(closure)
+    assert group.elements == tuple(sorted(closure))
+    chain = group.chain
+    for i, (point, transversal) in enumerate(zip(chain.base, chain.transversals)):
+        assert transversal[0].tolist() == list(identity_permutation(degree))
+        images = transversal[:, point].tolist()
+        assert len(set(images)) == len(images)
+        fixed = list(chain.base[:i])
+        assert transversal[:, fixed].tolist() == [fixed] * len(transversal)
+
+
+def test_lifted_wreath_order_comes_from_the_chain():
+    pol = complete_policy(3, n=6)
+    gens = lift_policy_automorphisms(pol, induce_adjacency_graph(pol))
+    # S3 wr S6 on the 729 databases has order (3!)^6 * 6!
+    assert PermutationGroup(729, gens, cap=10**8).order == 6**6 * 720 == 33_592_320
+    capped = PermutationGroup(729, gens)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError):
+        capped.order
+    assert time.perf_counter() - start < 2.0
+    assert "elements" not in vars(capped)
+
+
 def test_automorphism_group_path_three():
     group = automorphism_group(path_graph(3))
     assert set(group.elements) == {(0, 1, 2), (2, 1, 0)}
@@ -250,14 +286,6 @@ def test_orbits_match_generator_reachability(graph):
     assert orbits(group) == oracle_orbits(group)
 
 
-@st.composite
-def permutation_sets(draw):
-    degree = draw(st.integers(1, 6))
-    count = draw(st.integers(0, 3))
-    perms = [tuple(draw(st.permutations(range(degree)))) for _ in range(count)]
-    return degree, perms
-
-
 @settings(max_examples=40)
 @given(permutation_sets())
 def test_generated_group_orbits_match_raw_generators(data):
@@ -271,8 +299,9 @@ def test_generated_group_orbits_match_raw_generators(data):
 def test_pair_orbits_match_element_enumeration(data):
     degree, perms = data
     group = generate_group(perms, degree=degree)
+    # orbits by smallest pair, members in increasing order
     expected = sorted(sorted(orbit) for orbit in oracle_pair_orbits(group))
-    assert sorted(sorted(orbit) for orbit in pair_orbits(perms, degree)) == expected
+    assert pair_orbits(perms, degree) == expected
 
 
 def test_pair_orbits_path_three():

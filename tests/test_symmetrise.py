@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowfish_privacy import (
     ChannelMatrix,
@@ -19,6 +20,8 @@ from blowfish_privacy import (
     orbits,
 )
 from blowfish_privacy.errors import BlowfishError
+
+from helpers import oracle_elements, permutation_sets
 
 
 def path3():
@@ -150,6 +153,22 @@ def test_group_average_strategies_agree():
         full = group_average(chan, group, strategy="full")
         orbit = group_average(chan, group, strategy="orbit")
         assert np.max(np.abs(full.probs - orbit.probs)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(permutation_sets(), st.integers(0, 2**32 - 1))
+def test_full_average_matches_element_by_element_sum(data, seed):
+    degree, perms = data
+    probs = np.random.default_rng(seed).dirichlet(np.ones(degree), size=degree)
+    elements = oracle_elements(degree, perms)
+    total = np.zeros((degree, degree), dtype=np.longdouble)
+    for perm in elements:
+        idx = np.asarray(perm)
+        total += probs.astype(np.longdouble)[np.ix_(idx, idx)]
+    expected = np.asarray(total / len(elements), dtype=float)
+    group = PermutationGroup(degree, perms)
+    averaged = group_average(ChannelMatrix(probs), group, strategy="full")
+    assert np.max(np.abs(averaged.probs - expected)) <= 1e-12
 
 
 def test_group_average_cross_check_mode_raises_on_mismatch(monkeypatch):
