@@ -18,13 +18,16 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InputError, SchemaError
-from .graphcore import Graph
+from .graphcore import UNREACHABLE, Graph, distances
 from .policy import (
     BlowfishPolicy,
     DEFAULT_DATABASE_CAP,
     Database,
     SecretGraph,
+    capped_permissible_size,
     custom_policy,
     enumerate_permissible,
 )
@@ -135,6 +138,39 @@ def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> froz
                 other = db[:pos] + (other_lab,) + db[pos + 1 :]
                 edges.add((idx, index_of[other]))
     return frozenset(edges)
+
+
+def product_distances(
+    policy: BlowfishPolicy, cap: int = DEFAULT_DATABASE_CAP
+) -> np.ndarray:
+    """All-pairs distances of an unconstrained policy's adjacency graph, not induced.
+
+    That graph is the n-fold Cartesian product of the secret graph, so the
+    distance between two databases is the sum of their per-record secret
+    distances, and ``UNREACHABLE`` when any record's pair is unreachable.
+    The sum is built record by record as numpy broadcasts over the
+    mixed-radix canonical order (record 0 most significant). Equal to
+    :func:`graphcore.distances` of the induced graph; the database count is
+    checked against ``cap`` before anything is allocated.
+    """
+    if not policy.unconstrained:
+        raise InputError("product distances need an unconstrained policy")
+    capped_permissible_size(policy, cap)
+    secret = np.array(distances(policy.secret_graph.index_graph))
+    m, n = len(secret), policy.n
+    # An unreachable record pair counts as more than any sum of finite ones.
+    # The dtype is the smallest signed one that holds the largest sum,
+    # n * beyond (the negated bound minus one keeps e.g. 128 out of int8).
+    beyond = n * (m - 1) + 1
+    per_record = np.where(secret == UNREACHABLE, beyond, secret).astype(
+        np.min_scalar_type(-n * beyond - 1)
+    )
+    total = per_record
+    for _ in range(n - 1):
+        size = len(total) * m
+        total = (total[:, None, :, None] + per_record[None, :, None, :]).reshape(size, size)
+    total[total >= beyond] = UNREACHABLE
+    return total
 
 
 def _induce_definition(

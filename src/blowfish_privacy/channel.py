@@ -13,7 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .reporting import render_kv
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
+# Entries of row pairs that minimal_epsilon compares at once.
+EPSILON_CHUNK_CELLS = 2**13
 
 
 class Violation(NamedTuple):
@@ -175,58 +177,99 @@ def minimal_epsilon(channel: ChannelMatrix, graph: Graph) -> float:
 
     Maximum over edges and columns of ``|ln(K[i,j] / K[h,j])|``; a zero
     against a positive entry forces infinity, two zeros contribute nothing,
-    and an edgeless graph yields 0.
+    and an edgeless graph yields 0. The edges are compared as index arrays,
+    a chunk at a time whose rows hold at most ``EPSILON_CHUNK_CELLS``
+    entries (one edge when a single row is longer), so the temporaries stay
+    small. Every ratio and logarithm is the same float operation as in an
+    edge-by-edge scan, so the result equals that scan's exactly.
     """
     if graph.vertex_count != channel.rows:
         raise InputError(
             f"graph has {graph.vertex_count} vertices but channel has {channel.rows} rows"
         )
     probs = channel.probs
+    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
+    step = max(1, EPSILON_CHUNK_CELLS // channel.cols)
     worst = 0.0
-    for i, h in graph.edges:
-        a, b = probs[i], probs[h]
-        if np.any((a > 0) != (b > 0)):
+    for start in range(0, len(ends), step):
+        chunk = ends[start : start + step]
+        a, b = probs[chunk[:, 0]], probs[chunk[:, 1]]
+        positive = a > 0
+        if np.any(positive != (b > 0)):
             return math.inf
-        both = (a > 0) & (b > 0)
-        if both.any():
-            ratios = np.abs(np.log(a[both] / b[both]))
-            worst = max(worst, float(ratios.max()))
+        if positive.any():
+            worst = max(worst, float(np.abs(np.log(a[positive] / b[positive])).max()))
     return worst
 
 
-def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
-    """Test channel with output weight exp(-epsilon/2 * distance) per component.
+def randomized_response(dist: np.ndarray, epsilon: float) -> ChannelMatrix:
+    """Channel with output weight exp(-epsilon/2 * distance), from a distance matrix.
 
-    Outputs coincide with inputs; entries across components are zero, so the
-    matrix is block-diagonal over the components. The result is private for
-    ``graph`` at level ``epsilon`` (adjacent rows shift every distance by at
-    most one, and so does the normaliser).
+    ``dist`` holds hop counts between inputs, ``UNREACHABLE`` (-1) across
+    components, whose entries become zero. Each row is divided by its
+    correctly rounded sum (``math.fsum``). The result is private at level
+    ``epsilon`` for the graph the distances come from (adjacent rows shift
+    every distance by at most one, and so does the normaliser).
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     # One weight per distance; distance -1 (unreachable) indexes the trailing 0.
-    table = [math.exp(-0.5 * epsilon * d) for d in range(graph.vertex_count)] + [0.0]
-    weights = np.array(table)[np.array(distances(graph))]
+    longest = int(dist.max())
+    table = [math.exp(-0.5 * epsilon * d) for d in range(longest + 1)] + [0.0]
+    weights = np.array(table)[dist]
     for row in weights:
         row /= math.fsum(memoryview(row))
     return ChannelMatrix(weights)
+
+
+def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
+    """:func:`randomized_response` over the all-pairs BFS distances of ``graph``.
+
+    Outputs coincide with inputs; entries across components are zero, so the
+    matrix is block-diagonal over the components.
+    """
+    return randomized_response(np.array(distances(graph)), epsilon)
 
 
 # ---------------------------------------------------------------------------
 # CSV serialisation
 
 
-def channel_to_csv(channel: ChannelMatrix) -> str:
-    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in channel.probs)
+def channel_to_csv(channel: ChannelMatrix) -> Iterator[str]:
+    """The CSV lines of ``channel``, one per row, each ending in a newline.
+
+    Entries are written as ``repr`` (shortest round-trip decimal). Each row's
+    distinct entries are found on their bit patterns, so ``-0.0`` stays apart
+    from ``0.0``, and formatted once; the line is gathered through the
+    inverse index. A distance-based channel has few distinct entries per
+    row, so most ``repr`` calls are saved. A row with no repeated entry is
+    formatted as it stands, so it costs only the sort more. Lines are
+    produced lazily, so a caller can stream them to a file or join them into
+    the whole text.
+    """
+    for row in np.ascontiguousarray(channel.probs).view(np.int64):
+        distinct, where = np.unique(row, return_inverse=True)
+        if len(distinct) == len(row):
+            yield ",".join(map(repr, row.view(np.float64).tolist())) + "\n"
+            continue
+        text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        yield ",".join(text[where].tolist()) + "\n"
 
 
-def channel_from_csv(text: str) -> ChannelMatrix:
-    """Parse a channel CSV: one row of floats per line, ``#`` lines are comments."""
+def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
+    """Parse a channel CSV: one row of floats per line, ``#`` lines are comments.
+
+    ``source`` is the CSV text or an open text file; a file is read by
+    ``np.loadtxt`` in chunks, with no copy of its whole text. Malformed
+    rows and undecodable bytes are :class:`SchemaError`.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy warns on empty input
-            arr = np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2, quotechar='"')
-    except ValueError as exc:
+            arr = np.loadtxt(source, delimiter=",", ndmin=2, quotechar='"')
+    except ValueError as exc:  # UnicodeDecodeError included
         raise SchemaError(f"channel CSV: {exc}") from None
     if arr.size == 0:
         raise SchemaError("channel CSV is empty")

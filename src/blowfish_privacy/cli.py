@@ -18,6 +18,8 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -44,16 +46,24 @@ FIGURE_COLUMNS = (
 )
 
 
-def _write_output(path: str | None, content: str) -> None:
-    """Write to ``path`` atomically, or to stdout when no path is given."""
+def _write_output(path: str | None, content: str | Iterable[str]) -> None:
+    """Write ``content`` to ``path`` atomically, or to stdout when no path is given.
+
+    ``content`` is a string or an iterable of strings (a channel's CSV rows),
+    which is written chunk by chunk as it is produced, never joined. The
+    chunks go to a temporary file beside ``path`` that replaces it only once
+    all are written; if producing or writing one raises, the temporary file
+    is removed and ``path`` is left as it was.
+    """
+    chunks = [content] if isinstance(content, str) else content
     if path is None:
-        sys.stdout.write(content)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blowfish-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(content)
+            handle.writelines(chunks)
         # mkstemp creates the file as 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -65,12 +75,19 @@ def _write_output(path: str | None, content: str) -> None:
         raise
 
 
-def _read_text(path: str) -> str:
+@contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """``path`` open as UTF-8 text; unreadable or undecodable input is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with _opened(path) as handle:
+        return handle.read()
 
 
 def _max_databases(args) -> int:
@@ -130,12 +147,16 @@ def _load_policy(path: str) -> policy_mod.BlowfishPolicy:
 
 
 def _load_channel(path: str) -> channel_mod.ChannelMatrix:
-    return channel_mod.channel_from_csv(_read_text(path))
+    """The channel CSV at ``path``, parsed straight from the open file."""
+    with _opened(path) as handle:
+        return channel_mod.channel_from_csv(handle)
 
 
-def _resolve_graph(args, cap: int):
-    """Adjacency graph from --graph (graph document) or --policy (induced),
-    with at most ``cap`` vertices either way."""
+def _resolve_source(
+    args, cap: int
+) -> adjacency_mod.AdjacencyGraph | policy_mod.BlowfishPolicy:
+    """The --graph adjacency graph (at most ``cap`` vertices), or the --policy
+    policy, not yet induced."""
     if getattr(args, "graph", None):
         adjacency = adjacency_mod.adjacency_from_json(_read_text(args.graph))
         if len(adjacency.vertices) > cap:
@@ -144,8 +165,21 @@ def _resolve_graph(args, cap: int):
             )
         return adjacency
     if getattr(args, "policy", None):
-        return adjacency_mod.induce_adjacency_graph(_load_policy(args.policy), cap=cap)
+        return _load_policy(args.policy)
     raise InputError("either --graph or --policy is required")
+
+
+def _induced(source, cap: int) -> adjacency_mod.AdjacencyGraph:
+    """``source`` as an adjacency graph: a policy is induced (at most ``cap``
+    databases), a graph is kept."""
+    if isinstance(source, policy_mod.BlowfishPolicy):
+        return adjacency_mod.induce_adjacency_graph(source, cap=cap)
+    return source
+
+
+def _resolve_graph(args, cap: int) -> adjacency_mod.AdjacencyGraph:
+    """Adjacency graph from --graph, or induced from --policy."""
+    return _induced(_resolve_source(args, cap), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +295,16 @@ def _cmd_channel_leakage(args) -> int:
 
 
 def _cmd_channel_generate(args) -> int:
-    graph = _resolve_graph(args, _max_databases(args)).to_graph()
-    chan = channel_mod.graph_randomized_response(graph, args.epsilon)
+    cap = _max_databases(args)
+    source = _resolve_source(args, cap)
+    if isinstance(source, policy_mod.BlowfishPolicy) and source.unconstrained:
+        # The adjacency graph is the secret graph's n-fold Cartesian product:
+        # its distances are sums over records, with no graph induced.
+        dist = adjacency_mod.product_distances(source, cap)
+        chan = channel_mod.randomized_response(dist, args.epsilon)
+    else:
+        graph = _induced(source, cap).to_graph()
+        chan = channel_mod.graph_randomized_response(graph, args.epsilon)
     if args.shuffle_outputs:
         rng = np.random.default_rng(args.seed)
         order = rng.permutation(chan.cols)

@@ -175,6 +175,16 @@ def permissible_size(policy: BlowfishPolicy) -> int:
     return len(policy.permissible)
 
 
+def capped_permissible_size(policy: BlowfishPolicy, cap: int) -> int:
+    """:func:`permissible_size`, raising :class:`CapExceededError` above ``cap``."""
+    total = permissible_size(policy)
+    if total > cap:
+        raise CapExceededError(
+            f"permissible set has {total} databases, exceeding the cap of {cap}"
+        )
+    return total
+
+
 def enumerate_permissible(
     policy: BlowfishPolicy, cap: int = DEFAULT_DATABASE_CAP
 ) -> tuple[Database, ...]:
@@ -183,11 +193,7 @@ def enumerate_permissible(
     For an unconstrained policy this is the full product of labels in
     lexicographic index order. Either way its size must not exceed ``cap``.
     """
-    total = permissible_size(policy)
-    if total > cap:
-        raise CapExceededError(
-            f"permissible set has {total} databases, exceeding the cap of {cap}"
-        )
+    capped_permissible_size(policy, cap)
     if policy.unconstrained:
         return tuple(product(policy.universe.labels, repeat=policy.n))
     return policy.permissible

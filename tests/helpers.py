@@ -162,6 +162,30 @@ def oracle_violations(matrix):
     return violations
 
 
+def oracle_channel_csv(channel):
+    """Channel CSV text with one ``repr`` call per entry, row by row."""
+    return "".join(",".join(map(repr, row.tolist())) + "\n" for row in channel.probs)
+
+
+def oracle_minimal_epsilon(channel, graph):
+    """Smallest private epsilon by comparing the two rows of one edge at a time.
+
+    Infinite as soon as an edge's rows differ in support; otherwise the
+    largest ``|log(a / b)|`` over the columns where both rows are positive.
+    """
+    probs = channel.probs
+    worst = 0.0
+    for i, h in graph.edges:
+        a, b = probs[i], probs[h]
+        if np.any((a > 0) != (b > 0)):
+            return math.inf
+        both = (a > 0) & (b > 0)
+        if both.any():
+            ratios = np.abs(np.log(a[both] / b[both]))
+            worst = max(worst, float(ratios.max()))
+    return worst
+
+
 def oracle_automorphisms(graph: Graph):
     """All automorphisms by filtering every permutation (small graphs only)."""
     result = set()

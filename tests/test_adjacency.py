@@ -2,10 +2,12 @@ import random
 import warnings
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import (
+    CapExceededError,
     DiffTriple,
     InputError,
     complete_policy,
@@ -23,8 +25,9 @@ from blowfish_privacy.adjacency import (
     AdjacencyGraph,
     adjacency_from_json,
     adjacency_to_json,
+    product_distances,
 )
-from blowfish_privacy.graphcore import components_and_diameters
+from blowfish_privacy.graphcore import components_and_diameters, distances
 
 from helpers import (
     graphs,
@@ -158,6 +161,43 @@ def test_fast_path_equals_definition_on_unconstrained(pol):
     definition = induce_by_definition(pol)
     assert fast.edges == definition.edges
     assert definition.asymmetric_pairs == ()
+
+
+# 128 labels, n = 1: a path over 127 of them and one isolated label, so the
+# unreachable sentinel is 128, one past int8.
+PATH_OF_127_AND_ONE = custom_policy(
+    [f"l{i}" for i in range(128)], [(f"l{i}", f"l{i + 1}") for i in range(126)], n=1
+)
+
+
+@st.composite
+def unconstrained_policies(draw, max_tuples=5, max_n=4):
+    """Unconstrained policies on any secret graph, edgeless and disconnected ones included."""
+    m = draw(st.integers(1, max_tuples))
+    labels = [chr(ord("a") + i) for i in range(m)]
+    pairs = [(labels[i], labels[j]) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return custom_policy(labels, edges, n=draw(st.integers(1, max_n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unconstrained_policies())
+@example(custom_policy(["a", "b", "c"], [], n=3))
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3))
+@example(custom_policy(["a"], [], n=4))
+@example(PATH_OF_127_AND_ONE)
+def test_product_distances_equal_bfs_on_the_induced_graph(pol):
+    bfs = np.array(distances(induce_adjacency_graph(pol).to_graph()))
+    product_dist = product_distances(pol)
+    assert product_dist.shape == bfs.shape
+    assert np.array_equal(product_dist, bfs)
+
+
+def test_product_distances_check_the_cap_and_the_policy():
+    with pytest.raises(CapExceededError, match="81 databases"):
+        product_distances(complete_policy(3, n=4), cap=80)
+    with pytest.raises(InputError, match="unconstrained"):
+        product_distances(complete_policy(3, n=1, permissible=[("1",), ("2",)]))
 
 
 @settings(max_examples=40)

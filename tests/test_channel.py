@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import (
     ChannelMatrix,
@@ -14,10 +15,11 @@ from blowfish_privacy import (
     minimal_epsilon,
     validate_channel,
 )
+from blowfish_privacy import channel as channel_mod
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
 from blowfish_privacy.errors import SchemaError
 
-from helpers import oracle_violations
+from helpers import graphs, oracle_channel_csv, oracle_minimal_epsilon, oracle_violations
 
 
 def path3():
@@ -118,6 +120,54 @@ def test_minimal_epsilon_dimension_mismatch():
     chan = ChannelMatrix(np.eye(2))
     with pytest.raises(InputError):
         minimal_epsilon(chan, Graph.from_edges(3, []))
+
+
+@st.composite
+def channels_on(draw, graph):
+    """A channel with one row per vertex of ``graph``, often with shared zeros."""
+    cols = draw(st.integers(1, 6))
+    weights = np.asarray(
+        draw(
+            st.lists(
+                st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.25, 0.5, 1.0, 3.0]),
+                         min_size=cols, max_size=cols),
+                min_size=graph.vertex_count,
+                max_size=graph.vertex_count,
+            )
+        )
+    )
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    if draw(st.booleans()):  # one support for every row: no infinite level
+        weights[:, weights.max(axis=0) > 0] += 0.125
+    return ChannelMatrix(weights / weights.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150)
+@given(graphs(max_vertices=7), st.data(), st.integers(1, 20))
+def test_minimal_epsilon_equals_edge_by_edge_oracle(graph, data, chunk_cells):
+    """Exactly equal, also when the chunks split the edge list unevenly."""
+    chan = data.draw(channels_on(graph))
+    with mock.patch.object(channel_mod, "EPSILON_CHUNK_CELLS", chunk_cells):
+        assert minimal_epsilon(chan, graph) == oracle_minimal_epsilon(chan, graph)
+
+
+def test_minimal_epsilon_chunks_of_the_default_size():
+    # 40 columns make chunks of 204 edges; K_40 has 780 = 3 * 204 + 168 of them.
+    rng = np.random.default_rng(7)
+    graph = Graph.from_edges(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
+    weights = rng.random((40, 40))
+    chan = ChannelMatrix(weights / weights.sum(axis=1, keepdims=True))
+    assert minimal_epsilon(chan, graph) == oracle_minimal_epsilon(chan, graph) > 0
+    weights[39, 5] = 0.0  # support differs on edges of the last, short chunk only
+    chan = ChannelMatrix(weights / weights.sum(axis=1, keepdims=True))
+    assert minimal_epsilon(chan, graph) == oracle_minimal_epsilon(chan, graph) == math.inf
+
+
+def test_minimal_epsilon_ignores_zero_over_zero():
+    chan = ChannelMatrix(np.array([[0.0, 0.5, 0.5], [0.0, 0.25, 0.75]]))
+    graph = Graph.from_edges(2, [(0, 1)])
+    assert minimal_epsilon(chan, graph) == oracle_minimal_epsilon(chan, graph)
+    assert minimal_epsilon(chan, graph) == pytest.approx(math.log(2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +289,7 @@ def test_grr_respects_epsilon_over_random_pairs():
 
 def test_channel_csv_round_trip():
     chan = graph_randomized_response(path3(), 1.0)
-    text = channel_to_csv(chan)
+    text = "".join(channel_to_csv(chan))
     again = channel_from_csv(text)
     assert np.array_equal(again.probs, chan.probs)
 
@@ -265,17 +315,72 @@ def channels(draw):
 
 @given(channels())
 def test_channel_csv_round_trip_property(chan):
-    text = channel_to_csv(chan)
+    text = "".join(channel_to_csv(chan))
     again = channel_from_csv(text)
     assert np.array_equal(again.probs, chan.probs)
-    assert channel_to_csv(again) == text
+    assert "".join(channel_to_csv(again)) == text
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0]],
+        [[-0.0, 1.0]],
+        [[0.0, -0.0, 1.0, 0.0, -0.0]],
+        [[5e-324, 1.0]],
+        [[0.25, 0.25, 0.25, 0.25]],
+        [[k / 55 for k in range(1, 11)]],
+        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]],
+    ],
+    ids=["1x1", "negative-zero", "mixed-zeros", "subnormal", "1x4-repeated",
+         "1x10-distinct", "3x3-repeats"],
+)
+def test_csv_writer_matches_per_entry_oracle(rows):
+    chan = ChannelMatrix(np.array(rows))
+    assert list(channel_to_csv(chan)) == oracle_channel_csv(chan).splitlines(keepends=True)
+
+
+@st.composite
+def channels_with_repeats(draw):
+    """Channels whose rows mix repeated and distinct entries and both zeros."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 8))
+    weights = np.asarray(
+        draw(
+            st.lists(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 1.0)),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    flips = np.asarray(draw(st.lists(st.booleans(), min_size=probs.size, max_size=probs.size)))
+    probs[(probs == 0) & flips.reshape(probs.shape)] = -0.0
+    return ChannelMatrix(probs)
+
+
+@given(channels_with_repeats())
+@example(ChannelMatrix(np.full((1, 1), 1.0)))
+def test_csv_writer_matches_per_entry_oracle_property(chan):
+    assert "".join(channel_to_csv(chan)) == oracle_channel_csv(chan)
+
+
+def test_csv_writer_reads_a_transposed_array_in_row_order():
+    chan = ChannelMatrix(np.asfortranarray([[0.5, 0.5], [0.25, 0.75]]))
+    assert "".join(channel_to_csv(chan)) == "0.5,0.5\n0.25,0.75\n"
 
 
 def test_channel_csv_header_round_trip():
     text = "# a,b\n1.0,0.0\n0.0,1.0\n"
     again = channel_from_csv(text)
     assert np.array_equal(again.probs, np.eye(2))
-    assert channel_to_csv(again) == "1.0,0.0\n0.0,1.0\n"
+    assert "".join(channel_to_csv(again)) == "1.0,0.0\n0.0,1.0\n"
 
 
 def test_channel_csv_rejects_ragged_rows():

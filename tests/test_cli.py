@@ -419,3 +419,114 @@ def test_infinite_epsilon_is_unbounded(tmp_path, capsys):
     policy = build_path_policy(tmp_path, n=1)
     assert run("bound", "compute", str(policy), "--epsilon", "inf") == 0
     assert parse_report(capsys.readouterr().out)["leakage_upper_bits"] == "unbounded"
+
+
+NOT_UTF8 = b"\xff\xfe not UTF-8 \xc3\x28\n"
+
+UNDECODABLE_INPUTS = {
+    "channel": ("channel", "leakage", "{bad}", "--out", "{out}"),
+    "policy": ("policy", "validate", "{bad}"),
+    "induce_policy": ("adjacency", "induce", "{bad}", "--out", "{out}"),
+    "graph": ("channel", "generate", "--graph", "{bad}", "--epsilon", "1", "--out", "{out}"),
+    "prior": ("channel", "leakage", "{k}", "--prior", "{bad}", "--out", "{out}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_INPUTS))
+def test_input_that_is_not_utf8_exits_two_without_output(tmp_path, capsys, case):
+    policy = build_path_policy(tmp_path, n=1)
+    k = tmp_path / "k.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "1", "--out", str(k)) == 0
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(NOT_UTF8)
+    out = tmp_path / "out.txt"
+    argv = [a.format(k=k, bad=bad, out=out) for a in UNDECODABLE_INPUTS[case]]
+    assert run(*argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "codec can't decode" in captured.err
+    assert captured.out == ""
+
+
+def test_unconstrained_generate_over_cap_exits_three(tmp_path):
+    policy = build_path_policy(tmp_path, n=2)  # 16 databases
+    out = tmp_path / "never.csv"
+    code = run(
+        "channel", "generate", "--policy", str(policy), "--epsilon", "0.1",
+        "--max-databases", "15", "--out", str(out),
+    )
+    assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        ("--kind", "distance-threshold", "--values", "1,2,3,4", "--theta", "1", "--n", "3"),
+        ("--kind", "custom", "--tuples", "a,b,c,d", "--edges", "a:b,c:d", "--n", "2"),
+        ("--kind", "custom", "--tuples", "a,b,c", "--n", "2"),
+        ("--kind", "custom", "--tuples", "a,b,c", "--edges", "a:b,b:c", "--n", "2",
+         "--permissible", "{permissible}"),
+        # Unreachable pairs at distance sentinel 128, one past int8.
+        ("--kind", "custom", "--tuples", ",".join(f"l{i}" for i in range(128)),
+         "--edges", ",".join(f"l{i}:l{i + 1}" for i in range(126)), "--n", "1"),
+    ],
+    ids=["path", "disconnected", "edgeless", "constrained", "128-labels"],
+)
+def test_generate_from_a_policy_matches_the_induced_graph_path(tmp_path, build):
+    """The channel of --policy (product distances when unconstrained) is
+    byte-identical to the BFS one over the induced --graph."""
+    permissible = tmp_path / "permissible.json"
+    permissible.write_text(json.dumps([["a", "a"], ["a", "c"], ["b", "b"], ["c", "a"], ["c", "c"]]))
+    policy, graph = tmp_path / "policy.json", tmp_path / "graph.json"
+    build = [a.format(permissible=permissible) for a in build]
+    assert run("policy", "build", *build, "--out", str(policy)) == 0
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    by_policy, by_graph = tmp_path / "by_policy.csv", tmp_path / "by_graph.csv"
+    for source, target, out in (("--policy", policy, by_policy), ("--graph", graph, by_graph)):
+        assert run("channel", "generate", source, str(target), "--epsilon", "0.3",
+                   "--shuffle-outputs", "--seed", "5", "--out", str(out)) == 0
+    assert by_policy.read_bytes() == by_graph.read_bytes()
+
+
+def test_unconstrained_generate_induces_no_graph(tmp_path, monkeypatch):
+    from blowfish_privacy import adjacency
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the unconstrained path induced the adjacency graph")
+
+    policy = build_path_policy(tmp_path, n=3)
+    monkeypatch.setattr(adjacency, "induce_adjacency_graph", refuse)
+    out = tmp_path / "k.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.1",
+               "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 64
+
+
+def test_unconstrained_generate_refuses_a_bad_epsilon(tmp_path, capsys):
+    policy = build_path_policy(tmp_path, n=3)
+    out = tmp_path / "never.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0",
+               "--out", str(out)) == 2
+    assert "epsilon must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_streamed_output_that_fails_midway_leaves_no_file(tmp_path):
+    from blowfish_privacy.cli import _write_output
+
+    def rows():
+        yield "0.5,0.5\n"
+        yield "0.25,0.75\n"
+        raise RuntimeError("row formatting failed")
+
+    out = tmp_path / "k.csv"
+    with pytest.raises(RuntimeError, match="row formatting failed"):
+        _write_output(str(out), rows())
+    assert not out.exists()
+    assert not list(tmp_path.glob(".blowfish-*"))
+    out.write_text("previous\n")
+    with pytest.raises(RuntimeError):
+        _write_output(str(out), rows())
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
