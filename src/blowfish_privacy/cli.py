@@ -488,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the group order, read from the stabiliser chain built from the "
         "generators and checked before any averaging; no group element is enumerated",
     )
-    run.add_argument("--strategy", default="full", choices=["full", "orbit"])
+    run.add_argument("--strategy", default="orbit", choices=["full", "orbit"],
+                     help="orbit (default): one exact sum per pair orbit; "
+                     "full: through the stabiliser chain's transversals")
     run.add_argument("--cross-check", action="store_true")
     run.add_argument("--out-grouped", help="CSV path for the column-grouped channel")
     run.add_argument("--out-averaged", help="CSV path for the group-averaged channel")

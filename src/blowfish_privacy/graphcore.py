@@ -395,8 +395,9 @@ def automorphism_group(
     Level ``k`` of the search fixes the first ``k`` vertices of the search
     order. From the deepest level up, the first automorphism that maps the
     level's vertex to a given image is kept only when that image is not yet
-    in the vertex's orbit under the generators kept so far; the kept set then
-    generates each level's pointwise stabiliser, hence the whole group.
+    in the vertex's orbit (its :func:`orbit_labels` label) under the kept
+    generators; the kept set then generates each level's pointwise
+    stabiliser, hence the whole group.
 
     Raises :class:`CapExceededError` when the graph has more than
     ``vertex_cap`` vertices (callers may fall back to lifted generators).
@@ -449,7 +450,7 @@ def automorphism_group(
         return None
 
     gens: list[Permutation] = []
-    orbit_of = list(range(n))
+    orbit_of = orbit_labels(gens, n)
     for k in reversed(range(n)):
         v = order[k]
         image[v] = -1
@@ -459,7 +460,7 @@ def automorphism_group(
                 found = descend(k, w)
                 if found is not None:
                     gens.append(found)
-                    orbit_of, _ = _orbit_partition(gens, n)
+                    orbit_of = orbit_labels(gens, n)
     return PermutationGroup(n, tuple(gens), element_cap)
 
 
@@ -477,33 +478,54 @@ class OrbitPartition:
         return len(self.orbits)
 
 
-def _orbit_partition(
-    generators: Sequence[Sequence[int]], degree: int
-) -> tuple[list[int], list[list[int]]]:
-    """Orbit index of each point of ``0 .. degree - 1`` and the sorted orbits,
-    by breadth-first reachability over ``generators``."""
-    orbit_of = [-1] * degree
-    orbit_lists: list[list[int]] = []
-    for start in range(degree):
-        if orbit_of[start] != -1:
-            continue
-        oid = len(orbit_lists)
-        orbit_of[start] = oid
-        members = [start]
-        for x in members:  # grows while it is read: a FIFO queue
-            for g in generators:
-                y = g[x]
-                if orbit_of[y] == -1:
-                    orbit_of[y] = oid
-                    members.append(y)
-        orbit_lists.append(sorted(members))
-    return orbit_of, orbit_lists
+def orbit_labels(perms: Sequence[Permutation], degree: int, arity: int = 1) -> np.ndarray:
+    """Smallest orbit member of each point (``arity`` 1) or ordered pair
+    (``arity`` 2) under the group generated by ``perms``, flat, pair
+    ``(a, b)`` being ``a * degree + b``. Each label starts as its own index
+    and takes the smallest label one generator step away, forwards or
+    backwards, with pointer jumping between rounds, until nothing changes.
+    """
+    steps = []  # label[np.ix_(q, …, q)][t] is the label of tuple q(t)
+    for perm in perms:
+        forward = np.asarray(perm, dtype=np.intp)
+        backward = np.argsort(forward)
+        steps += [np.ix_(*[forward] * arity), np.ix_(*[backward] * arity)]
+    size = degree**arity
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    label = np.arange(size, dtype=dtype).reshape((degree,) * arity)
+    while True:
+        before = label
+        for step in steps:
+            label = np.minimum(label, label[step])
+        while True:
+            jumped = label.ravel()[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, before):
+            return label.ravel()
+
+
+def orbit_slices(label: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Indices stably sorted by ``label`` and the cuts between orbits: orbit
+    ``k`` is ``order[cuts[k]:cuts[k + 1]]``, members increasing, orbits by
+    smallest member when the labels come from :func:`orbit_labels`."""
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    return order, [*starts.tolist(), len(label)]
 
 
 def orbits(group: PermutationGroup) -> OrbitPartition:
-    """Orbit partition of ``0 .. degree - 1`` under ``group``'s generators."""
-    orbit_of, orbit_lists = _orbit_partition(group.generators, group.degree)
-    return OrbitPartition(tuple(orbit_of), tuple(tuple(o) for o in orbit_lists))
+    """Orbit partition of ``0 .. degree - 1`` under ``group``'s generators,
+    from the point labels of :func:`orbit_labels`, by smallest member."""
+    label = orbit_labels(group.generators, group.degree)
+    _, orbit_index = np.unique(label, return_inverse=True)
+    order, cuts = orbit_slices(label)
+    members = order.tolist()
+    return OrbitPartition(
+        tuple(orbit_index.tolist()),
+        tuple(tuple(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])),
+    )
 
 
 def transporter(group: PermutationGroup, u: int, v: int) -> tuple[Permutation, ...]:
@@ -520,36 +542,11 @@ def stabiliser(group: PermutationGroup, u: int) -> tuple[Permutation, ...]:
 def pair_orbits(
     perms: Sequence[Permutation], degree: int
 ) -> list[list[tuple[int, int]]]:
-    """Orbits of ordered index pairs under the group generated by ``perms``.
-
-    Pair ``(a, b)`` is point ``a * degree + b`` of the action on pairs.
-    Each pair's label starts as its own index and repeatedly takes the
-    smallest label one generator step away, forwards or backwards, with
-    pointer jumping between rounds, until it is the smallest pair of its
-    orbit. Orbits are listed by smallest pair, members in increasing order.
-    """
-    steps = []  # label[np.ix_(q, q)][a, b] is the label of pair (q[a], q[b])
-    for perm in perms:
-        forward = np.asarray(perm)
-        backward = np.argsort(forward)
-        steps += [np.ix_(forward, forward), np.ix_(backward, backward)]
-    dtype = np.int32 if degree * degree <= np.iinfo(np.int32).max else np.int64
-    label = np.arange(degree * degree, dtype=dtype).reshape(degree, degree)
-    while True:
-        before = label
-        for step in steps:
-            label = np.minimum(label, label[step])
-        while True:
-            jumped = label.ravel()[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        if np.array_equal(label, before):
-            break
-    label = label.ravel()
-    order = np.argsort(label, kind="stable")
+    """Orbits of ordered index pairs under the group generated by ``perms``:
+    the pair labels of :func:`orbit_labels` as lists of ``(a, b)`` tuples,
+    orbits by smallest pair, members in increasing order."""
+    order, cuts = orbit_slices(orbit_labels(perms, degree, arity=2))
     pairs = list(zip(*(x.tolist() for x in divmod(order, degree))))
-    cuts = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), len(pairs)]
     return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelMatrix, minimal_epsilon
 from .errors import BlowfishError, InputError
-from .graphcore import Graph, PermutationGroup, is_automorphism, orbits, pair_orbits
+from .graphcore import Graph, PermutationGroup, is_automorphism, orbit_labels, orbit_slices, orbits
 from .reporting import render_kv
 
 EQUALITY_TOLERANCE = 1e-12
@@ -70,8 +70,9 @@ def group_average(
     transversals of the group's stabiliser chain, one level at a time in
     extended precision, which counts every element exactly once without
     enumerating the group; ``"orbit"`` averages each entry over the orbit of
-    its index pair, read from the generators, which is equivalent because
-    every pair in an orbit is hit by equally many group elements.
+    its index pair (its :func:`orbit_labels` label, read from the generators),
+    which is equivalent because every pair in an orbit is hit by equally many
+    group elements: one correctly rounded ``math.fsum`` per orbit slice.
     ``cross_check`` computes both and requires agreement within
     ``EQUALITY_TOLERANCE``. Building the chain checks the group's cap, so
     ``"full"`` raises :class:`CapExceededError` for a group whose order
@@ -112,13 +113,12 @@ def group_average(
             averaged = acc / len(transversal)
         results["full"] = np.asarray(averaged, dtype=float)
     if "orbit" in wanted:
-        out = np.empty((channel.rows, channel.rows))
-        probs = channel.probs
-        for orbit in pair_orbits(group.generators, group.degree):
-            value = math.fsum(float(probs[a, b]) for a, b in orbit) / len(orbit)
-            for a, b in orbit:
-                out[a, b] = value
-        results["orbit"] = out
+        order, cuts = orbit_slices(orbit_labels(group.generators, group.degree, arity=2))
+        values = channel.probs.ravel()[order]
+        means = [math.fsum(values[lo:hi]) / (hi - lo) for lo, hi in zip(cuts, cuts[1:])]
+        out = np.empty(len(order))
+        out[order] = np.repeat(means, np.diff(cuts))
+        results["orbit"] = out.reshape(channel.rows, channel.rows)
     if cross_check:
         gap = float(np.max(np.abs(results["full"] - results["orbit"])))
         if gap > EQUALITY_TOLERANCE:

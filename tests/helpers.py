@@ -238,6 +238,17 @@ def oracle_pair_orbits(group):
     }
 
 
+def oracle_orbit_average(probs, pair_orbits):
+    """Each entry replaced by the mean over its pair orbit, pair by pair:
+    one ``fsum`` over the orbit's entries, written back to every member."""
+    out = np.empty_like(probs)
+    for orbit in pair_orbits:
+        value = math.fsum(float(probs[a, b]) for a, b in orbit) / len(orbit)
+        for a, b in orbit:
+            out[a, b] = value
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Group budgets
 

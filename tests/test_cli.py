@@ -5,7 +5,7 @@ import stat
 
 import pytest
 
-from blowfish_privacy.cli import main
+from blowfish_privacy.cli import build_parser, main
 
 LOG2E = math.log2(math.e)
 
@@ -251,6 +251,11 @@ def test_channel_generate_verify_leakage_symmetrise(tmp_path, capsys):
     assert report["all_passed"] == "true"
     assert report["group_order"] == "8"
     assert grouped_out.exists() and averaged_out.exists()
+
+
+def test_symmetrise_run_defaults_to_the_orbit_strategy():
+    args = build_parser().parse_args(["symmetrise", "run", "k.csv"])
+    assert args.strategy == "orbit"
 
 
 def test_channel_generate_shuffle_outputs_is_seeded(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +13,24 @@ from blowfish_privacy import (
     automorphism_group,
     check_symmetrisation,
     diagonal_maximise,
+    distance_threshold_policy,
     generate_group,
     graph_randomized_response,
     group_average,
+    induce_adjacency_graph,
     leakage,
     minimal_epsilon,
     orbits,
 )
 from blowfish_privacy.errors import BlowfishError
+from blowfish_privacy.graphcore import lift_policy_automorphisms
 
-from helpers import oracle_elements, permutation_sets
+from helpers import (
+    oracle_elements,
+    oracle_orbit_average,
+    oracle_pair_orbits,
+    permutation_sets,
+)
 
 
 def path3():
@@ -171,17 +180,48 @@ def test_full_average_matches_element_by_element_sum(data, seed):
     assert np.max(np.abs(averaged.probs - expected)) <= 1e-12
 
 
+@settings(max_examples=60)
+@given(permutation_sets(), st.integers(0, 2**32 - 1))
+def test_orbit_average_equals_pair_by_pair_oracle_bit_for_bit(data, seed):
+    degree, perms = data
+    rng = np.random.default_rng(seed)
+    probs = np.where(rng.random((degree, degree)) < 0.4, 0.0, rng.random((degree, degree)))
+    probs[probs.sum(axis=1) == 0, 0] = 1.0
+    probs /= probs.sum(axis=1, keepdims=True)
+    group = PermutationGroup(degree, perms)
+    expected = oracle_orbit_average(probs, oracle_pair_orbits(group))
+    averaged = group_average(ChannelMatrix(probs), group, strategy="orbit")
+    assert averaged.probs.tobytes() == expected.tobytes()
+
+
+def test_orbit_average_builds_no_per_pair_objects():
+    # 1,048,576 ordered pairs: one Python tuple per pair alone passes the bound
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
+    group = PermutationGroup(
+        1024, lift_policy_automorphisms(policy, induce_adjacency_graph(policy))
+    )
+    channel = ChannelMatrix(np.eye(1024))
+    tracemalloc.start()
+    try:
+        averaged = group_average(channel, group, strategy="orbit")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(averaged.probs, np.eye(1024))  # the identity is invariant
+
+
 def test_group_average_cross_check_mode_raises_on_mismatch(monkeypatch):
-    # sabotage the orbit route to prove the cross-check trips
+    # sabotage the orbit labels to prove the cross-check trips
     import blowfish_privacy.symmetrise as sym
 
     m = ChannelMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]))
     group = generate_group([(1, 0)])
 
-    def broken(perms, degree):
-        return [[(i, j)] for i in range(degree) for j in range(degree)]
+    def broken(perms, degree, arity=1):
+        return np.arange(degree**arity)  # every tuple alone in its orbit
 
-    monkeypatch.setattr(sym, "pair_orbits", broken)
+    monkeypatch.setattr(sym, "orbit_labels", broken)
     with pytest.raises(BlowfishError):
         sym.group_average(m, group, cross_check=True)
 
