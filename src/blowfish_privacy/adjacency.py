@@ -32,6 +32,9 @@ from .policy import (
     enumerate_permissible,
 )
 
+# Entries that one block of the pairwise difference comparisons holds at once.
+DIFFERENCE_CHUNK_CELLS = 2**16
+
 
 class DiffTriple(NamedTuple):
     """One differing record: position, base value, other value."""
@@ -65,33 +68,93 @@ def secret_difference(
     )
 
 
-def _adjacent_from(
-    base: Database, vertices: Sequence[Database], secret_graph: SecretGraph
-) -> list[int]:
-    """Indices of the databases minimally secretly different from ``base``.
+def _contains_any(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Mask of the coded ``rows`` whose set contains at least one of ``subsets``.
 
-    The databases are grouped by their secret difference from ``base``. A
-    database qualifies when its group is non-empty, no non-empty group lies
-    strictly inside it, and no member of its group has a strictly smaller
-    total difference.
+    Rows and subsets are compared a block of each at a time, each block pair
+    holding at most ``DIFFERENCE_CHUNK_CELLS`` entries (one row against one
+    subset when a single row is longer).
     """
-    groups: dict[frozenset[DiffTriple], list[int]] = {}
-    for k, other in enumerate(vertices):
-        s_other = secret_difference(base, other, secret_graph)
-        if s_other:
-            groups.setdefault(s_other, []).append(k)
-    # Only a smaller group can lie strictly inside another, so size order sees it first.
-    minimal: list[frozenset[DiffTriple]] = []
-    for s_group in sorted(groups, key=len):
-        if not any(s_min < s_group for s_min in minimal):
-            minimal.append(s_group)
-    adjacent = []
-    for s_group in minimal:
-        totals = {k: total_difference(base, vertices[k]) for k in groups[s_group]}
-        adjacent += [
-            k for k, t in totals.items() if not any(u < t for u in totals.values())
-        ]
-    return adjacent
+    width = max(1, rows.shape[1])
+    subset_step = max(1, min(len(subsets), DIFFERENCE_CHUNK_CELLS // width))
+    row_step = max(1, DIFFERENCE_CHUNK_CELLS // (subset_step * width))
+    found = np.zeros(len(rows), dtype=bool)
+    for k in range(0, len(subsets), subset_step):
+        block = subsets[k : k + subset_step]
+        absent = block < 0
+        for r in range(0, len(rows), row_step):
+            inside = absent | (block == rows[r : r + row_step, None, :])
+            found[r : r + row_step] |= inside.all(axis=2).any(axis=1)
+    return found
+
+
+def _minimal_rows(codes: np.ndarray) -> np.ndarray:
+    """Mask of the coded rows whose set strictly contains no other row's set.
+
+    Row ``r`` codes the set of pairs ``(p, codes[r, p])`` with
+    ``codes[r, p] >= 0``. Only a smaller set can lie strictly inside another,
+    and strict containment is transitive, so the rows are visited one size at
+    a time and each is tested only against the minimal rows of smaller sizes.
+    """
+    sizes = (codes >= 0).sum(axis=1)
+    minimal = np.zeros(len(codes), dtype=bool)
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        level = np.flatnonzero(sizes == size)
+        if minimal.any():
+            level = level[~_contains_any(codes[level], codes[minimal])]
+        minimal[level] = True
+    return minimal
+
+
+def _adjacent_from(rows: np.ndarray, base: np.ndarray, secret: np.ndarray) -> np.ndarray:
+    """Indices of the ``rows`` minimally secretly different from ``base``.
+
+    Databases are rows of universe indices and ``secret`` is the secret graph
+    as a boolean table. From a fixed base, a differing record is fixed by its
+    position and its other value, so a difference is coded as a row that
+    holds the other database's value at each position in the difference and
+    -1 elsewhere. The rows are grouped exactly by their secret-difference
+    code. A row qualifies when its group is non-empty, no non-empty group
+    lies strictly inside it, and no member of its group has a strictly
+    smaller total difference.
+    """
+    secret_code = np.where(secret[base, rows], rows, -1)
+    candidates = np.flatnonzero((secret_code >= 0).any(axis=1))
+    if not len(candidates):
+        return candidates
+    codes = secret_code[candidates]
+    # Sort the codes, then cut wherever a row differs from the one before it
+    # (np.unique over rows sorts raw bytes and is several times slower here).
+    order = np.lexsort(codes.T)
+    ordered = codes[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group_of = np.empty(len(order), dtype=np.intp)
+    group_of[order] = np.cumsum(first) - 1
+    members = candidates[_minimal_rows(ordered[first])[group_of]]
+    # Nested total differences have nested secret differences, so members of
+    # two different minimal groups never nest and all groups are done at once.
+    member_rows = rows[members]
+    total_code = np.where(member_rows != base, member_rows, -1)
+    return members[_minimal_rows(total_code)]
+
+
+def _encode(policy: BlowfishPolicy, databases: Sequence[Database], n: int) -> np.ndarray:
+    """The databases as a ``len(databases) x n`` array of universe indices."""
+    if any(len(db) != n for db in databases):
+        raise InputError(f"databases must all have {n} records")
+    index = policy.universe.index
+    codes = [index(label) for db in databases for label in db]
+    return np.array(codes, dtype=np.intp).reshape(len(databases), n)
+
+
+def _secret_table(policy: BlowfishPolicy) -> np.ndarray:
+    """The secret graph as a symmetric boolean table over universe indices."""
+    m = len(policy.universe)
+    ends = np.array(list(policy.secret_graph.index_graph.edges), dtype=np.intp).reshape(-1, 2)
+    table = np.zeros((m, m), dtype=bool)
+    table[ends[:, 0], ends[:, 1]] = table[ends[:, 1], ends[:, 0]] = True
+    return table
 
 
 def is_adjacent(
@@ -106,8 +169,10 @@ def is_adjacent(
         raise InputError(f"database {base!r} is not permissible")
     if tuple(other) not in members:
         raise InputError(f"database {other!r} is not permissible")
-    adjacent = _adjacent_from(tuple(base), universe_databases, policy.secret_graph)
-    return tuple(other) in {universe_databases[k] for k in adjacent}
+    rows = _encode(policy, universe_databases, len(base))
+    (base_row,) = _encode(policy, [base], len(base))
+    adjacent = _adjacent_from(rows, base_row, _secret_table(policy))
+    return tuple(other) in {universe_databases[k] for k in adjacent.tolist()}
 
 
 @dataclass(frozen=True)
@@ -176,10 +241,12 @@ def product_distances(
 def _induce_definition(
     policy: BlowfishPolicy, vertices: tuple[Database, ...]
 ) -> tuple[frozenset, tuple[tuple[int, int], ...]]:
+    rows = _encode(policy, vertices, policy.n)
+    secret = _secret_table(policy)
     arcs = {
         (i, j)
-        for i, base in enumerate(vertices)
-        for j in _adjacent_from(base, vertices, policy.secret_graph)
+        for i, base in enumerate(rows)
+        for j in _adjacent_from(rows, base, secret).tolist()
     }
     edges = frozenset((min(arc), max(arc)) for arc in arcs)
     asymmetric = sorted(
@@ -194,9 +261,18 @@ def induce_adjacency_graph(
     """Induce the database adjacency graph for ``policy``.
 
     An unconstrained policy takes the single-position characterisation
-    (adjacent databases differ in one record, on a secret pair); an explicit
-    permissible set follows the definition, in one pass from each database
-    as base; an edge is kept when either direction holds.
+    (adjacent databases differ in one record, on a secret pair). An explicit
+    permissible set follows the definition, one pass from each database as
+    base, on a ``V x n`` array of universe indices and a boolean table of the
+    secret graph. Each pass codes every database's secret and total
+    difference from the base as an index row, groups the rows exactly by
+    secret code, keeps the groups with no smaller non-empty group inside
+    them, and within those the databases whose total difference is minimal.
+    Both subset scans visit candidates in order of size and test them only
+    against the minimal rows of smaller sizes, a block at a time of at most
+    ``DIFFERENCE_CHUNK_CELLS`` entries, so no temporary outgrows the database
+    array by more than that budget. An edge is kept when either direction
+    holds; pairs where the directions disagree are recorded and warned about.
     """
     vertices = enumerate_permissible(policy, cap)
     if policy.unconstrained:

@@ -78,12 +78,26 @@ def _check(arr: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ChannelMatrix:
-    """Validated row-stochastic matrix; the backing array is read-only."""
+    """Validated row-stochastic matrix; the backing array is read-only.
+
+    The input is copied unless it is a read-only float64 array that owns its
+    memory: such an array has been handed over by a caller that made it for
+    the channel, and is kept as it is. A writable array, or a view of one, is
+    always copied, so the channel never aliases data a caller can still change.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float, copy=True)
+        arr = self.probs
+        handed_over = (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.float64
+            and arr.base is None
+            and not arr.flags.writeable
+        )
+        if not handed_over:
+            arr = np.array(arr, dtype=float, copy=True)
         _check(arr, "channel matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -219,6 +233,7 @@ def randomized_response(dist: np.ndarray, epsilon: float) -> ChannelMatrix:
     weights = np.array(table)[dist]
     for row in weights:
         row /= math.fsum(memoryview(row))
+    weights.setflags(write=False)
     return ChannelMatrix(weights)
 
 
@@ -273,4 +288,5 @@ def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
         raise SchemaError(f"channel CSV: {exc}") from None
     if arr.size == 0:
         raise SchemaError("channel CSV is empty")
+    arr.setflags(write=False)
     return ChannelMatrix(arr)

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
@@ -308,7 +309,9 @@ def _cmd_channel_generate(args) -> int:
     if args.shuffle_outputs:
         rng = np.random.default_rng(args.seed)
         order = rng.permutation(chan.cols)
-        chan = channel_mod.ChannelMatrix(chan.probs[:, order])
+        shuffled = np.take(chan.probs, order, axis=1)
+        shuffled.setflags(write=False)
+        chan = channel_mod.ChannelMatrix(shuffled)
     _write_output(args.out, channel_mod.channel_to_csv(chan))
     return 0
 
@@ -518,23 +521,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:  # SchemaError is an InputError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input ({exc})", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # One line per library warning, like the error lines, with no source location.
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except InputError as exc:  # SchemaError is an InputError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except json.JSONDecodeError as exc:
+            print(f"error: invalid JSON input ({exc})", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ from .graphcore import Graph, PermutationGroup, is_automorphism, orbit_labels, o
 from .reporting import render_kv
 
 EQUALITY_TOLERANCE = 1e-12
+# Entries of the channel that one block of diagonal_maximise's column adds covers.
+GROUPING_CHUNK_CELLS = 2**16
 
 
 def diagonal_maximise(
@@ -34,8 +36,9 @@ def diagonal_maximise(
     Zero columns are appended first if the channel has fewer outputs than
     inputs. Each column is assigned to the smallest row index attaining its
     maximum, and assigned columns are summed into the target row's column of
-    the result. Empty groups yield all-zero columns, whose maximum 0 still
-    lies on the diagonal.
+    the result, in column order, by one ``np.add.at`` per block of at most
+    ``GROUPING_CHUNK_CELLS`` entries. Empty groups yield all-zero columns,
+    whose maximum 0 still lies on the diagonal.
 
     Returns the square channel and the per-column row assignment.
     """
@@ -44,14 +47,18 @@ def diagonal_maximise(
         raise InputError(
             f"graph has {ell} vertices but channel has {channel.rows} rows"
         )
-    width = max(ell, channel.cols)
-    padded = np.zeros((ell, width))
-    padded[:, : channel.cols] = channel.probs
-    assignment = tuple(int(np.argmax(padded[:, j])) for j in range(width))
+    probs, cols = channel.probs, channel.cols
+    # A zero padding column goes to row 0 (its first maximum) and adds nothing.
+    assignment = np.zeros(max(ell, cols), dtype=np.intp)
+    assignment[:cols] = probs.argmax(axis=0)
     grouped = np.zeros((ell, ell))
-    for j, target in enumerate(assignment):
-        grouped[:, target] += padded[:, j]
-    return ChannelMatrix(grouped), assignment
+    # Column j is added to column assignment[j] in the order of j, so every sum
+    # is the column loop's; a block of rows at a time keeps the strided adds in cache.
+    step = max(1, GROUPING_CHUNK_CELLS // cols)
+    for r in range(0, ell, step):
+        np.add.at(grouped[r : r + step].T, assignment[:cols], probs[r : r + step].T)
+    grouped.setflags(write=False)
+    return ChannelMatrix(grouped), tuple(assignment.tolist())
 
 
 def group_average(

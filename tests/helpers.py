@@ -249,6 +249,23 @@ def oracle_orbit_average(probs, pair_orbits):
     return out
 
 
+def oracle_diagonal_maximise(probs, ell):
+    """Column grouping one column at a time: ``(grouped, assignment)``.
+
+    The channel is padded with zero columns to at least ``ell``; each column
+    goes to the first row attaining its maximum and is added to that
+    column of the ``ell x ell`` result.
+    """
+    width = max(ell, probs.shape[1])
+    padded = np.zeros((ell, width))
+    padded[:, : probs.shape[1]] = probs
+    assignment = tuple(int(np.argmax(padded[:, j])) for j in range(width))
+    grouped = np.zeros((ell, ell))
+    for j, target in enumerate(assignment):
+        grouped[:, target] += padded[:, j]
+    return grouped, assignment
+
+
 # ---------------------------------------------------------------------------
 # Group budgets
 

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 import warnings
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from blowfish_privacy import (
     secret_difference,
     total_difference,
 )
+from blowfish_privacy import adjacency as adjacency_mod
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
     AdjacencyGraph,
@@ -214,6 +217,84 @@ def test_definition_path_matches_oracle(pol):
         for b in dbs:
             expected = oracle_minimally_secretly_different(a, b, edge_set, dbs)
             assert is_adjacent(a, b, pol, dbs) == expected
+
+
+@st.composite
+def constrained_policies(draw, max_tuples=4, max_n=3, max_databases=20):
+    """Explicit permissible sets of 2 to ``max_databases`` databases on any secret graph."""
+    m = draw(st.integers(2, max_tuples))
+    labels = [str(i + 1) for i in range(m)]
+    pairs = [(labels[i], labels[j]) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    n = draw(st.integers(1, max_n))
+    every = list(product(labels, repeat=n))
+    size = draw(st.integers(2, min(len(every), max_databases)))
+    permissible = draw(st.permutations(every))[:size]
+    return custom_policy(labels, edges, n=n, permissible=permissible)
+
+
+def assert_definition_matches_oracle(pol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
+        ag = induce_adjacency_graph(pol)
+    dbs = list(ag.vertices)
+    edge_set = pol.secret_graph.edges
+    assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
+    assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
+    for a in dbs:
+        for b in dbs:
+            expected = oracle_minimally_secretly_different(a, b, edge_set, dbs)
+            assert is_adjacent(a, b, pol, dbs) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(constrained_policies(), st.integers(1, 40))
+def test_definition_path_matches_oracle_up_to_twenty_databases(pol, chunk_cells):
+    """Also when the comparison blocks split rows and subsets unevenly."""
+    with mock.patch.object(adjacency_mod, "DIFFERENCE_CHUNK_CELLS", chunk_cells):
+        assert_definition_matches_oracle(pol)
+
+
+def test_definition_path_groups_exactly_at_forty_records():
+    # Path secrets 1-2-3 over 40 records. From the all-"1" base, "b" has the
+    # secret difference of "a" plus one more record, so it is not adjacent;
+    # both differ from the base only at positions 32 and up, where a packed
+    # mixed-radix key (radix 4, in 64 bits) would wrap to the same value.
+    def db(**changes):
+        return tuple(changes.get(f"p{i}", "1") for i in range(40))
+
+    base = db()
+    a = db(p35="2", p36="3")
+    b = db(p35="2", p38="2")
+    others = [db(p33="2", p39="2"), db(p34="3", p37="2"), db(p2="2", p35="2", p36="3")]
+    pol = custom_policy(
+        ["1", "2", "3"], [("1", "2"), ("2", "3")], n=40, permissible=[base, a, b, *others]
+    )
+    dbs = enumerate_permissible(pol)
+    assert is_adjacent(base, a, pol, dbs)
+    assert not is_adjacent(base, b, pol, dbs)
+    assert_definition_matches_oracle(pol)
+
+
+def test_one_large_minimal_group_stays_within_the_cells_budget():
+    # From the all-"1" base every other database changes record 0 to "2", the
+    # only secret pair, so all 4,096 form one minimal group. Half leave record
+    # 1 alone and half change it, with disjoint values elsewhere, so the 2,048
+    # larger total differences are each compared with the 2,048 smaller ones:
+    # 2,048 x 2,048 x 13 entries, 52 MiB of booleans if compared at once.
+    pol = custom_policy([str(v) for v in range(1, 8)], [("1", "2")], n=13)
+    base = ("1",) * 13
+    small = [("2", "1", *rest) for rest in product("34", repeat=11)]
+    large = [("2", "5", *rest) for rest in product("67", repeat=11)]
+    dbs = [base, *small, *large]
+    tracemalloc.start()
+    try:
+        adjacent = is_adjacent(base, large[-1], pol, dbs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert adjacent
+    assert peak < 8 * 2**20
 
 
 def test_definition_path_matches_oracle_on_forty_databases():

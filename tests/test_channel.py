@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,44 @@ def test_channel_is_read_only():
     chan = ChannelMatrix(np.eye(2))
     with pytest.raises(ValueError):
         chan.probs[0, 0] = 0.3
+
+
+def test_channel_never_aliases_an_array_the_caller_can_change():
+    mine = np.eye(2)
+    chan = ChannelMatrix(mine)
+    mine[0, 0] = 0.3
+    assert chan.probs[0, 0] == 1.0
+    assert mine.flags.writeable
+    # A read-only view of a writable array is copied too.
+    view = mine.view()
+    view.setflags(write=False)
+    mine[0, 0] = 1.0
+    chan = ChannelMatrix(view)
+    mine[0, 0] = 0.3
+    assert chan.probs[0, 0] == 1.0
+
+
+def test_channel_keeps_a_handed_over_array():
+    handed = np.eye(2)
+    handed.setflags(write=False)
+    assert ChannelMatrix(handed).probs is handed
+
+
+def test_randomized_response_holds_one_matrix_at_its_peak():
+    from blowfish_privacy import distance_threshold_policy
+    from blowfish_privacy.adjacency import product_distances
+
+    dist = product_distances(distance_threshold_policy([1, 2, 3, 4], 1, n=5))
+    matrix_bytes = 1024 * 1024 * 8
+    tracemalloc.start()
+    try:
+        chan = channel_mod.randomized_response(dist, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chan.probs.shape == (1024, 1024)
+    # One float64 matrix plus the distances and small change, not two matrices.
+    assert peak < matrix_bytes + dist.nbytes + 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -535,3 +535,20 @@ def test_streamed_output_that_fails_midway_leaves_no_file(tmp_path):
         _write_output(str(out), rows())
     assert out.read_text() == "previous\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
+
+
+def test_library_warnings_are_one_stable_stderr_line(tmp_path, capsys):
+    # Path secrets 1-2-3 over {(1,1), (2,2), (3,2)}: the relation disagrees by
+    # direction on one pair, which adjacency induce reports as a warning.
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "tuples": ["1", "2", "3"],
+        "secret_edges": [["1", "2"], ["2", "3"]],
+        "n": 2,
+        "permissible": [["1", "1"], ["2", "2"], ["3", "2"]],
+    }))
+    assert run("adjacency", "induce", str(policy), "--out", str(tmp_path / "g.json")) == 0
+    assert capsys.readouterr().err == (
+        "warning: adjacency disagreed by direction on 1 pair(s); "
+        "edges were kept when either direction held\n"
+    )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from blowfish_privacy import (
     minimal_epsilon,
     orbits,
 )
+from blowfish_privacy import symmetrise as symmetrise_mod
 from blowfish_privacy.errors import BlowfishError
 from blowfish_privacy.graphcore import lift_policy_automorphisms
 
 from helpers import (
+    oracle_diagonal_maximise,
     oracle_elements,
     oracle_orbit_average,
     oracle_pair_orbits,
@@ -99,6 +102,34 @@ def test_diagonal_maximise_wide_channel_properties():
         math.fsum(chan.probs.max(axis=0)), abs=1e-12
     )
     assert minimal_epsilon(grouped, graph) <= minimal_epsilon(chan, graph) + 1e-12
+
+
+@st.composite
+def tied_channels(draw, max_rows=6, max_cols=40):
+    """Channels whose weights are often small integers, so column maxima tie
+    and zeros abound; wide ones add many columns into one target, in order."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    weight = st.one_of(st.integers(0, 3), st.floats(0, 3))
+    weights = np.array(
+        draw(st.lists(weight, min_size=rows * cols, max_size=rows * cols)), dtype=float
+    ).reshape(rows, cols)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        probs[probs == 0] = -0.0
+    return ChannelMatrix(probs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_channels(), st.integers(1, 100))
+def test_diagonal_maximise_equals_column_loop_oracle_bit_for_bit(chan, chunk_cells):
+    """Equal bytes, also when the row blocks split the channel unevenly."""
+    with mock.patch.object(symmetrise_mod, "GROUPING_CHUNK_CELLS", chunk_cells):
+        grouped, assignment = diagonal_maximise(chan, Graph.from_edges(chan.rows, []))
+    expected, expected_assignment = oracle_diagonal_maximise(chan.probs, chan.rows)
+    assert assignment == expected_assignment
+    assert grouped.probs.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
