@@ -18,8 +18,7 @@ import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InputError, SchemaError
 from .graphcore import UNREACHABLE, Graph, distances
 from .policy import (

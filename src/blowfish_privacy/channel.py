@@ -15,8 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, TextIO
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InputError, SchemaError
 from .graphcore import Graph, distances
 from .reporting import render_kv
@@ -25,6 +24,8 @@ ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
+# Entries of the rows that validate_channel screens at once.
+VALIDATE_CHUNK_CELLS = 2**14
 
 
 class Violation(NamedTuple):
@@ -34,32 +35,76 @@ class Violation(NamedTuple):
     magnitude: float
 
 
+def _in_range(entries: np.ndarray) -> np.ndarray:
+    """Mask of the entries within ``RANGE_TOLERANCE`` of ``[0, 1]``.
+
+    NaN fails both comparisons. The upper test subtracts 1 as the magnitude
+    does: ``entries <= 1 + tol`` would pass 1.000000000001, which is
+    1.00009e-12 above 1 because 1 + tol rounds up to that same float.
+    """
+    return (entries >= -RANGE_TOLERANCE) & (entries - 1.0 <= RANGE_TOLERANCE)
+
+
+def _row_violations(i: int, row: np.ndarray) -> list[Violation]:
+    """The violations of row ``i``: its entries out of range, then its exact sum."""
+    violations = []
+    for j in np.flatnonzero(~_in_range(row)).tolist():
+        entry = float(row[j])
+        magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
+        violations.append(Violation("range", i, j, magnitude))
+    try:  # a memoryview hands fsum the floats one at a time, with no row list
+        total = math.fsum(memoryview(row))
+    except (ValueError, OverflowError):  # inf - inf, or huge entries overflowing
+        total = math.nan
+    if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
+        violations.append(Violation("row_sum", i, None, abs(total - 1.0)))
+    return violations
+
+
 def validate_channel(matrix) -> list[Violation]:
     """Diagnostic scan for range and row-sum violations (empty list when valid).
 
     Per row: one violation per entry outside ``[0, 1]`` by more than
     ``RANGE_TOLERANCE`` (magnitude inf when the entry is not finite), then one
-    for a row sum off 1 by more than ``ROW_SUM_TOLERANCE``.
+    for a row sum off 1 by more than ``ROW_SUM_TOLERANCE``, the sum taken
+    exactly by ``math.fsum``.
+
+    The rows are screened a block of at most ``VALIDATE_CHUNK_CELLS`` entries
+    at a time, with a range mask and numpy's float sum ``s`` per row. A row
+    whose entries are all in range and whose ``|s - 1|`` is at most
+    ``ROW_SUM_TOLERANCE - B`` is valid, and only the other rows get the exact
+    per-row scan, so the list is the one that scan gives for every row.
+
+    ``B = 4 n u (|s| + 2 n r) + 4 u`` covers ``|s - fsum(row)|`` for a row
+    of ``n`` entries, with ``u = 2**-53`` and ``r = RANGE_TOLERANCE``. Any
+    order of the ``n - 1`` rounded additions that form ``s`` (pairwise or
+    not) errs by at most ``g |x|_1``, ``g = (n-1) u / (1 - (n-1) u)``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+    In-range entries are at least ``-r``, so ``|x|_1 <= S + 2 n r`` for the
+    exact sum ``S``; with ``|S| <= |s| + |s - S|`` this gives
+    ``|s - S| <= g / (1 - g) (|s| + 2 n r)``, at most
+    ``2 n u (|s| + 2 n r)`` while ``n u <= 1/4``. ``fsum`` rounds ``S`` once,
+    by at most ``u |S| <= 2 u`` on a screened row (``|s| < 2`` there). Near 1
+    the subtractions ``s - 1`` and ``fsum - 1`` are exact (Sterbenz), so
+    ``B``, twice these two errors, leaves far more than the rounding in
+    computing ``B`` and ``ROW_SUM_TOLERANCE - B``. Once ``B`` reaches the
+    tolerance, no row passes the screen.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         return [Violation("shape", -1, None, float("nan"))]
+    cols = arr.shape[1]
+    u = 2.0**-53
+    step = max(1, VALIDATE_CHUNK_CELLS // cols)
     violations = []
-    for i, row in enumerate(arr):
-        # NaN fails both comparisons. The upper test subtracts 1 as the magnitude
-        # does: ``row <= 1 + tol`` would pass 1.000000000001, which is 1.00009e-12
-        # above 1 because 1 + tol rounds up to that same float.
-        outside = ~((row >= -RANGE_TOLERANCE) & (row - 1.0 <= RANGE_TOLERANCE))
-        for j in np.flatnonzero(outside).tolist():
-            entry = float(row[j])
-            magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
-            violations.append(Violation("range", i, j, magnitude))
-        try:  # a memoryview hands fsum the floats one at a time, with no row list
-            total = math.fsum(memoryview(row))
-        except (ValueError, OverflowError):  # inf - inf, or huge entries overflowing
-            total = math.nan
-        if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
-            violations.append(Violation("row_sum", i, None, abs(total - 1.0)))
+    for start in range(0, len(arr), step):
+        block = arr[start : start + step]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and inf - inf fail below
+            sums = block.sum(axis=1)
+        bound = 4 * cols * u * (np.abs(sums) + 2 * cols * RANGE_TOLERANCE) + 4 * u
+        valid = (np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE - bound) & _in_range(block).all(axis=1)
+        for i in np.flatnonzero(~valid).tolist():
+            violations += _row_violations(start + i, block[i])
     return violations
 
 

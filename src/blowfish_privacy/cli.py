@@ -22,8 +22,6 @@ import warnings
 from contextlib import contextmanager
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
 from . import adjacency as adjacency_mod
 from . import bounds as bounds_mod
 from . import channel as channel_mod
@@ -31,6 +29,7 @@ from . import graphcore
 from . import policy as policy_mod
 from . import symmetrise as symmetrise_mod
 from . import tightness as tightness_mod
+from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
 from .reporting import render_csv, render_kv
 
@@ -190,10 +189,10 @@ def _resolve_graph(args, cap: int) -> adjacency_mod.AdjacencyGraph:
 def _cmd_policy_build(args) -> int:
     permissible = "all"
     if args.permissible != "all":
-        doc = json.loads(_read_text(args.permissible))
-        if not isinstance(doc, list):
-            raise SchemaError("permissible file must hold a JSON list of label lists")
-        permissible = [tuple(db) for db in doc]
+        permissible = policy_mod.label_lists(
+            json.loads(_read_text(args.permissible)),
+            "permissible file must hold a JSON list of label lists",
+        )
 
     kind = args.kind.replace("-", "_")
     params: dict = {}
@@ -287,7 +286,9 @@ def _cmd_channel_leakage(args) -> int:
     prior = None
     if args.prior:
         doc = json.loads(_read_text(args.prior))
-        if not isinstance(doc, list):
+        if not isinstance(doc, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc
+        ):
             raise SchemaError("prior file must hold a JSON list of probabilities")
         prior = channel_mod.Prior(np.asarray(doc, dtype=float))
     report = channel_mod.leakage(chan, prior)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from .errors import CapExceededError, InputError, UnsupportedLiftError
 
 if TYPE_CHECKING:

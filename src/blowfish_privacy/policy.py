@@ -322,6 +322,16 @@ def policy_to_json(policy: BlowfishPolicy) -> str:
     return json.dumps(policy_to_document(policy), indent=2) + "\n"
 
 
+def label_lists(doc, message: str) -> tuple[Database, ...]:
+    """The databases of a JSON list of label lists; anything else is a
+    :class:`SchemaError` carrying ``message``."""
+    if not isinstance(doc, list) or not all(
+        isinstance(db, list) and all(isinstance(x, str) for x in db) for db in doc
+    ):
+        raise SchemaError(message)
+    return tuple(tuple(db) for db in doc)
+
+
 def policy_from_document(doc) -> BlowfishPolicy:
     if not isinstance(doc, dict):
         raise SchemaError("policy document must be a JSON object")
@@ -359,11 +369,9 @@ def policy_from_document(doc) -> BlowfishPolicy:
 
     permissible = doc["permissible"]
     if permissible != "all":
-        if not isinstance(permissible, list) or not all(
-            isinstance(db, list) and all(isinstance(x, str) for x in db)
-            for db in permissible
-        ):
-            raise SchemaError("'permissible' must be \"all\" or a list of label lists")
+        permissible = label_lists(
+            permissible, "'permissible' must be \"all\" or a list of label lists"
+        )
 
     universe = TupleUniverse(tuple(tuples), values)
     graph = SecretGraph.from_pairs(universe, edges)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .channel import ChannelMatrix, minimal_epsilon
 from .errors import BlowfishError, InputError
 from .graphcore import Graph, PermutationGroup, is_automorphism, orbit_labels, orbit_slices, orbits

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .channel import ChannelMatrix, leakage, minimal_epsilon
 from .errors import InputError
 from .graphcore import Graph
@@ -76,6 +75,7 @@ def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
         out[base, base + 1] = float(pair_low)
         out[base + 1, base] = float(pair_low)
         out[base + 1, base + 1] = float(pair_high)
+    out.setflags(write=False)  # handed over to the channel, not copied
     return ChannelMatrix(out)
 
 

@@ -85,6 +85,70 @@ def test_validate_matches_per_entry_oracle(matrix):
     assert repr([tuple(v) for v in validate_channel(matrix)]) == repr(oracle_violations(matrix))
 
 
+def screen_margin(cols):
+    """The screen's bound ``B`` for a row of ``cols`` entries summing to about 1."""
+    u = 2.0**-53
+    return 4 * cols * u * (1.0 + 2 * cols * channel_mod.RANGE_TOLERANCE) + 4 * u
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def edge_matrix(rng, rows, cols):
+    """Rows whose exact sums sit a few ulps either side of ``1 ± tolerance``
+    and of ``1 ± (tolerance - B)``, some exactly 1, with NaN, ±inf, -0.0 and
+    out-of-range entries sprinkled in."""
+    tol = channel_mod.ROW_SUM_TOLERANCE
+    offsets = (0.0, tol, -tol, tol - screen_margin(cols), screen_margin(cols) - tol)
+    arr = rng.random((rows, cols))
+    arr /= arr.sum(axis=1, keepdims=True)
+    for i in range(rows):
+        target = nudged(1.0 + offsets[i % len(offsets)], int(rng.integers(-4, 5)))
+        arr[i, -1] = target - math.fsum(arr[i, :-1])
+    for _ in range(rows // 3):
+        entry = rng.choice(FAULTS + (-0.0,))
+        arr[rng.integers(rows), rng.integers(cols)] = entry
+    return arr
+
+
+# Blocks of 4, 3, 14 and 5 rows that leave a short last block, and rows
+# longer than the whole block budget (one row per block).
+@pytest.mark.parametrize(
+    "rows, cols, chunk_cells",
+    [(37, 4096, None), (23, 5000, 3 * 5000 + 7), (300, 7, 100), (3, 70_000, None), (41, 1, 5)],
+)
+def test_screen_matches_the_exact_scan_at_every_tolerance_edge(rows, cols, chunk_cells):
+    rng = np.random.default_rng(rows * cols)
+    matrix = edge_matrix(rng, rows, cols)
+    chunk_cells = chunk_cells or channel_mod.VALIDATE_CHUNK_CELLS
+    with mock.patch.object(channel_mod, "VALIDATE_CHUNK_CELLS", chunk_cells):
+        found = validate_channel(matrix)
+    assert repr([tuple(v) for v in found]) == repr(oracle_violations(matrix))
+    assert any(v.kind == "row_sum" for v in found)
+
+
+def test_valid_rows_are_screened_without_an_exact_sum():
+    """A 2,048 x 2,048 channel: no row reaches the exact per-row scan, and
+    no temporary the size of the matrix is allocated."""
+    rng = np.random.default_rng(7)
+    matrix = rng.random((2048, 2048))
+    matrix /= matrix.sum(axis=1, keepdims=True)
+    with mock.patch.object(
+        channel_mod, "_row_violations", side_effect=AssertionError("exact scan")
+    ):
+        tracemalloc.start()
+        try:
+            assert validate_channel(matrix) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # One block's temporaries, far below the 32 MiB matrix.
+    assert peak < 2 * channel_mod.VALIDATE_CHUNK_CELLS * 8 < matrix.nbytes // 16
+
+
 def test_channel_constructor_rejects_invalid():
     with pytest.raises(InputError):
         ChannelMatrix(np.array([[0.5, 0.6]]))

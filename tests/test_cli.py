@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -552,3 +555,75 @@ def test_library_warnings_are_one_stable_stderr_line(tmp_path, capsys):
         "warning: adjacency disagreed by direction on 1 pair(s); "
         "edges were kept when either direction held\n"
     )
+
+
+@pytest.mark.parametrize(
+    "prior",
+    ['["a", "b"]', "[[0.5], [0.5, 0.5]]", "[true, false]"],
+    ids=["strings", "ragged", "bools"],
+)
+def test_malformed_prior_exits_two_without_output(tmp_path, capsys, prior):
+    channel, bad = tmp_path / "k.csv", tmp_path / "prior.json"
+    channel.write_text("1.0,0.0\n0.0,1.0\n")
+    bad.write_text(prior)
+    out = tmp_path / "leakage.txt"
+    assert run("channel", "leakage", str(channel), "--prior", str(bad), "--out", str(out)) == 2
+    assert "prior file must hold a JSON list of probabilities" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "permissible",
+    ['[["1", "2"], 5]', '[{"1": 0}]', '{"1": 0}'],
+    ids=["number", "object_in_list", "object"],
+)
+def test_malformed_permissible_file_exits_two_without_output(tmp_path, capsys, permissible):
+    bad = tmp_path / "permissible.json"
+    bad.write_text(permissible)
+    out = tmp_path / "policy.json"
+    code = run(
+        "policy", "build", "--kind", "distance-threshold", "--values", "1,2",
+        "--theta", "1", "--n", "1", "--permissible", str(bad), "--out", str(out),
+    )
+    assert code == 2
+    assert "permissible file must hold a JSON list of label lists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+DEFERRAL_SCRIPT = """
+import contextlib, io, json, sys
+from blowfish_privacy.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
+    """Commands with no array never import numpy; channel leakage does."""
+    (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    calls = [
+        ["--help"],
+        ["policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
+         "--theta", "1", "--n", "3", "--out", "p.json"],
+        ["policy", "validate", "p.json"],
+        ["adjacency", "induce", "p.json", "--out", "g.json"],
+        ["bound", "compute", "p.json", "--epsilon", "0.5"],
+        ["figure", "bound-sweep", "--n-max", "3"],
+        ["channel", "leakage", "k.csv"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", DEFERRAL_SCRIPT, json.dumps(calls)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [[0, False]] * (len(calls) - 1) + [[0, True]]
