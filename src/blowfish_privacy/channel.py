@@ -9,11 +9,11 @@ reported in bits while epsilon stays in natural units.
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
-import warnings
+import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from ._numpy import np
 from .errors import InputError, SchemaError
@@ -26,6 +26,15 @@ RANGE_TOLERANCE = 1e-12
 EPSILON_CHUNK_CELLS = 2**13
 # Entries of the rows that validate_channel screens at once.
 VALIDATE_CHUNK_CELLS = 2**14
+# Characters of a channel CSV file read at once by the counting pass.
+CSV_CHUNK_CHARS = 2**16
+# Distinct field texts a channel CSV read keeps parsed before it forgets them.
+CSV_CACHE_FIELDS = 2**12
+# A channel CSV number: the ASCII float grammar NumPy's text reader takes,
+# narrower than float(), which also takes "1_0" and non-ASCII digits.
+_NUMBER = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?i:inf|infinity|nan))"
+)
 
 
 class Violation(NamedTuple):
@@ -316,22 +325,147 @@ def channel_to_csv(channel: ChannelMatrix) -> Iterator[str]:
         yield ",".join(text[where].tolist()) + "\n"
 
 
-def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
-    """Parse a channel CSV: one row of floats per line, ``#`` lines are comments.
+def _field_number(text: str) -> float:
+    """The number in one comma-separated field of a channel CSV line.
 
-    ``source`` is the CSV text or an open text file; a file is read by
-    ``np.loadtxt`` in chunks, with no copy of its whole text. Malformed
-    rows and undecodable bytes are :class:`SchemaError`.
+    The line break ending the last field of a line (``\\n`` or ``\\r\\n``) is
+    dropped. A field that opens with ``"`` and holds one more ``"`` stands for
+    the text between them followed by the text after the second one; any
+    other ``"`` stays in the text and fails. The text, stripped of whitespace,
+    must match ``_NUMBER``; a carriage return outside the quotes is a line
+    break inside the line, which fails.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    number = text
+    if '"' in text or "\r" in text:  # otherwise strip() drops a line break too
+        if text.endswith("\n"):
+            text = text[:-2] if text.endswith("\r\n") else text[:-1]
+        quoted, bare = "", text
+        if text.startswith('"') and text.count('"') == 2:
+            quoted, bare = text[1:].split('"')
+        if "\r" in bare:
+            raise SchemaError(f"cannot read {text!r} as a number")
+        number = quoted + bare
+    number = number.strip()
+    if not _NUMBER.fullmatch(number):
+        text = text.removesuffix("\n")
+        raise SchemaError(f"cannot read {text!r} as a number")
+    return float(number)
+
+
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each line of ``lines`` that holds data.
+
+    A ``#`` starts a comment that runs to the end of the line, line break
+    included. A line left empty, or holding only its line break, is skipped;
+    one holding only whitespace is data, and fails as a number.
+    """
+    for number, line in enumerate(lines, 1):
+        cut = line.find("#")
+        if cut >= 0:
+            line = line[:cut]
+        elif not line.endswith("\n"):  # the last line: end it like the others
+            line += "\n"
+        if line not in ("", "\n", "\r\n"):
+            yield number, line.split(",")
+
+
+class _FieldNumbers(dict):
+    """Field text -> number, each text read by :func:`_field_number` the first
+    time it is looked up; past ``CSV_CACHE_FIELDS`` texts the store starts again."""
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= CSV_CACHE_FIELDS:
+            self.clear()
+        value = self[text] = _field_number(text)
+        return value
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its ``\\n``, one copied at a time."""
+    start = 0
+    while (end := text.find("\n", start) + 1) > 0:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+def _start(handle: TextIO) -> int | None:
+    """The position ``handle`` can be rewound to, or None when it cannot."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy warns on empty input
-            arr = np.loadtxt(source, delimiter=",", ndmin=2, quotechar='"')
-    except ValueError as exc:  # UnicodeDecodeError included
+        return handle.tell() if handle.seekable() else None
+    except OSError:  # a text file being iterated cannot tell its position
+        return None
+
+
+def _measure(handle: TextIO, start: int) -> tuple[int, int]:
+    """Characters and lines of the text in ``handle`` from where it stands,
+    read a chunk at a time; the handle is then rewound to ``start``."""
+    chars = breaks = 0
+    last = "\n"
+    while chunk := handle.read(CSV_CHUNK_CHARS):
+        chars += len(chunk)
+        breaks += chunk.count("\n")
+        last = chunk[-1]
+    handle.seek(start)
+    return chars, breaks + (last != "\n")
+
+
+def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
+    """Parse a channel CSV: one row of floats per line, ``#`` starts a comment.
+
+    ``source`` is the CSV text or an open text file, read from where it
+    stands. A field is a number in the ASCII grammar of ``_NUMBER`` (sign,
+    digits, point, exponent, ``inf``, ``infinity``, ``nan``), with
+    whitespace around it, optionally inside one pair of ``"`` that closes on
+    its line. Each distinct field text is checked and parsed once, when it is
+    first seen, so a channel of few distinct values parses each of them
+    once; past ``CSV_CACHE_FIELDS`` parsed texts the store starts again.
+
+    The rows fill one float64 array, handed to :class:`ChannelMatrix` with
+    no copy. Its size is set before the first row is stored, from the width
+    ``w`` of the first data row and a counting pass over the text: at most
+    one row per line, and at most ``(chars + 1) // (2 w)`` rows for a text
+    of ``chars`` characters, since ``r`` rows need ``r (2 w - 1)``
+    characters of fields and commas and ``r - 1`` line breaks. So the array
+    takes at most about 4 bytes per character of text, however many lines
+    are comments; rows left unused are cut off in place. A file is read
+    twice, in chunks and then a line at a time, and a string is split a line
+    at a time: neither makes a copy of the whole text (a file that cannot
+    seek or tell its position is read whole first).
+
+    Malformed fields, rows whose width differs from the first, empty input
+    and undecodable bytes are :class:`SchemaError`.
+    """
+    try:
+        if isinstance(source, str) or (start := _start(source)) is None:
+            text = source if isinstance(source, str) else source.read()
+            chars, line_count = len(text), text.count("\n") + (not text.endswith("\n"))
+            rows = _data_lines(_text_lines(text))
+        else:
+            chars, line_count = _measure(source, start)
+            rows = _data_lines(source)
+        first = next(rows, None)
+        if first is None:
+            raise SchemaError("channel CSV is empty")
+        width = len(first[1])
+        out = np.empty((min(line_count, (chars + 1) // (2 * width)), width))
+        get = _FieldNumbers().__getitem__
+        filled = 0
+        try:
+            for number, fields in itertools.chain([first], rows):
+                if len(fields) != width:
+                    raise SchemaError(f"{len(fields)} field(s) where the first row has {width}")
+                row = np.fromiter(map(get, fields), float, width)
+                if filled == len(out):  # the text changed after it was measured
+                    raise SchemaError("more rows than the text held when it was measured")
+                out[filled] = row
+                filled += 1
+        except SchemaError as exc:
+            raise SchemaError(f"channel CSV line {number}: {exc}") from None
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"channel CSV: {exc}") from None
-    if arr.size == 0:
-        raise SchemaError("channel CSV is empty")
-    arr.setflags(write=False)
-    return ChannelMatrix(arr)
+    if filled < len(out):
+        out.resize((filled, width), refcheck=False)
+    out.setflags(write=False)
+    return ChannelMatrix(out)

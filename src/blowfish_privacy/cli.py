@@ -286,11 +286,9 @@ def _cmd_channel_leakage(args) -> int:
     prior = None
     if args.prior:
         doc = json.loads(_read_text(args.prior))
-        if not isinstance(doc, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in doc
-        ):
-            raise SchemaError("prior file must hold a JSON list of probabilities")
-        prior = channel_mod.Prior(np.asarray(doc, dtype=float))
+        prior = channel_mod.Prior(
+            policy_mod.numbers(doc, "prior file must hold a JSON list of probabilities")
+        )
     report = channel_mod.leakage(chan, prior)
     _write_output(args.out, report.to_text())
     return 0

@@ -322,6 +322,20 @@ def policy_to_json(policy: BlowfishPolicy) -> str:
     return json.dumps(policy_to_document(policy), indent=2) + "\n"
 
 
+def numbers(doc, message: str) -> tuple[float, ...]:
+    """The floats of a JSON list of numbers (not bools); anything else,
+    including an integer beyond the float range, is a :class:`SchemaError`
+    carrying ``message``."""
+    if not isinstance(doc, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
+    ):
+        raise SchemaError(message)
+    try:
+        return tuple(float(v) for v in doc)
+    except OverflowError:
+        raise SchemaError(f"{message}: an integer is too large for a float") from None
+
+
 def label_lists(doc, message: str) -> tuple[Database, ...]:
     """The databases of a JSON list of label lists; anything else is a
     :class:`SchemaError` carrying ``message``."""
@@ -348,13 +362,9 @@ def policy_from_document(doc) -> BlowfishPolicy:
 
     values = doc.get("values")
     if values is not None:
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise SchemaError("'values' must be a list of numbers")
+        values = numbers(values, "'values' must be a list of numbers")
         if len(values) != len(tuples):
             raise SchemaError("'values' must have one entry per tuple")
-        values = tuple(float(v) for v in values)
 
     edges = doc["secret_edges"]
     if not isinstance(edges, list) or not all(

@@ -53,28 +53,24 @@ def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
     The 4x4 block has rows of ``(1+delta, 1+delta, 1, 1)`` cyclically
     shifted one column per row; each 2x2 block is
     ``[[2+2*delta, 2], [2, 2+2*delta]]``. All entries share the normaliser
-    ``4 + 2*delta``; rows are built in exact rational arithmetic and
-    converted to floats entry by entry.
+    ``4 + 2*delta``; the four distinct entries are formed in exact rational
+    arithmetic and each rounded to a float once.
     """
     _check_parameters(n, delta)
     d = Fraction(delta)
     norm = 4 + 2 * d
-    high = (1 + d) / norm
-    low = 1 / norm
-    pair_high = (2 + 2 * d) / norm
-    pair_low = 2 / norm
+    high, low, pair_high, pair_low = (
+        float(x) for x in ((1 + d) / norm, 1 / norm, (2 + 2 * d) / norm, 2 / norm)
+    )
 
     size = 2 * n + 2
     out = np.zeros((size, size))
     for r in range(4):
         for c in range(4):
-            out[r, c] = float(high if (c - r) % 4 in (0, 1) else low)
-    for t in range(n - 1):
-        base = 4 + 2 * t
-        out[base, base] = float(pair_high)
-        out[base, base + 1] = float(pair_low)
-        out[base + 1, base] = float(pair_low)
-        out[base + 1, base + 1] = float(pair_high)
+            out[r, c] = high if (c - r) % 4 in (0, 1) else low
+    pairs = np.arange(4, size, 2)
+    out[pairs, pairs] = out[pairs + 1, pairs + 1] = pair_high
+    out[pairs, pairs + 1] = out[pairs + 1, pairs] = pair_low
     out.setflags(write=False)  # handed over to the channel, not copied
     return ChannelMatrix(out)
 

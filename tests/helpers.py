@@ -5,7 +5,9 @@ tuples and sets, deliberately not reusing the library's data structures,
 so they can arbitrate between the library's optimised code paths.
 """
 
+import io
 import math
+import warnings
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from blowfish_privacy import (
     CapExceededError,
+    ChannelMatrix,
     Graph,
     OrbitPartition,
     PermutationGroup,
@@ -22,6 +25,7 @@ from blowfish_privacy import (
     induce_adjacency_graph,
 )
 from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
+from blowfish_privacy.errors import SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +169,22 @@ def oracle_violations(matrix):
 def oracle_channel_csv(channel):
     """Channel CSV text with one ``repr`` call per entry, row by row."""
     return "".join(",".join(map(repr, row.tolist())) + "\n" for row in channel.probs)
+
+
+def oracle_channel_from_csv(source):
+    """Channel CSV text or open file read by ``np.loadtxt``; errors are SchemaError."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on empty input
+            arr = np.loadtxt(source, delimiter=",", ndmin=2, quotechar='"')
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise SchemaError(f"channel CSV: {exc}") from None
+    if arr.size == 0:
+        raise SchemaError("channel CSV is empty")
+    arr.setflags(write=False)
+    return ChannelMatrix(arr)
 
 
 def oracle_minimal_epsilon(channel, graph):

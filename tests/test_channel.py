@@ -1,4 +1,6 @@
+import io
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -20,7 +22,13 @@ from blowfish_privacy import channel as channel_mod
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
 from blowfish_privacy.errors import SchemaError
 
-from helpers import graphs, oracle_channel_csv, oracle_minimal_epsilon, oracle_violations
+from helpers import (
+    graphs,
+    oracle_channel_csv,
+    oracle_channel_from_csv,
+    oracle_minimal_epsilon,
+    oracle_violations,
+)
 
 
 def path3():
@@ -494,6 +502,264 @@ def test_channel_csv_rejects_ragged_rows():
 def test_channel_csv_rejects_empty():
     with pytest.raises(SchemaError):
         channel_from_csv("")
+
+
+def read_bits(read, source):
+    """Shape and bit patterns of the rows ``read`` parses from ``source``, or
+    SchemaError; the rows are not validated as a channel, so any float counts."""
+    with mock.patch.object(channel_mod, "_check"):
+        try:
+            probs = read(source).probs
+        except SchemaError:
+            return SchemaError
+    return probs.shape, probs.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        ("0.5,0.5\n\n0.5,0.5\n", True),
+        ("0.5,0.5\n   \n", False),
+        ("   \n0.5,0.5\n", False),
+        ("0.5,0.5\n\t\n", False),
+        ("# a,b\n0.5,0.5\n", True),
+        ("0.5,0.5 # c\n0.5,0.5#c\n", True),
+        ("  # c\n0.5,0.5\n", False),
+        ("0.5,0.5\r\n0.5,0.5\r\n", True),
+        ("1\r\n\r\n1\r", True),
+        ("0.5\r,0.5\n", False),
+        ('"0.5",0.5\n', True),
+        ('" 0.5 ",0.5\n', True),
+        ('"0.5" ,0.5\n', True),
+        (' "0.5",0.5\n', False),
+        ('"0.5,0.5"\n', False),
+        ('""0.5"",0.5\n', False),
+        ('"0.5"x,0.5\n', False),
+        ("1_0\n", False),
+        ("\u0661\n", False),
+        ("0x1p-1,0.5\n", False),
+        ("Infinity,0.5\n", True),
+        ("+.5,0.5\n", True),
+        ("5.e-1,0.5\n", True),
+        (",1\n", False),
+        ("1,\n1,\n", False),
+        ("1,", False),
+        (",", False),
+        ("1,,\n", False),
+        ("0.5,,0.5\n", False),
+        ("\t0.5\t,0.5\n", True),
+        ("\f0.5\f,\v0.5\xa0\n", True),
+        ("0.5,0.5\n1.0\n", False),
+        ("", False),
+        ("\n# only a comment\n", False),
+    ],
+    ids=[
+        "blank-line", "whitespace-line-after", "whitespace-line-before", "tab-line",
+        "comment-line", "trailing-comments", "padded-comment-line", "crlf",
+        "crlf-blank-and-bare-cr-end", "cr-inside-line", "quoted", "quoted-padded",
+        "quoted-then-space", "space-then-quoted", "quoted-comma", "doubled-quotes",
+        "quoted-then-letter", "underscore", "arabic-indic-digit", "hex-float",
+        "Infinity", "plus-point-five", "point-before-exponent", "empty-first-field",
+        "trailing-commas", "lone-trailing-comma", "lone-comma", "doubled-trailing-comma",
+        "empty-middle-field", "tab-padding",
+        "form-feed-vtab-nbsp-padding", "ragged", "empty", "comments-only",
+    ],
+)
+@pytest.mark.parametrize("as_file", [False, True], ids=["str", "file"])
+def test_csv_reader_matches_loadtxt_on_pinned_cases(text, accepted, as_file, tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        if not as_file:
+            return read_bits(read, text)
+        with open(path, encoding="utf-8") as handle:
+            return read_bits(read, handle)
+
+    found = outcome(channel_from_csv)
+    assert found == outcome(oracle_channel_from_csv)
+    assert (found is not SchemaError) == accepted
+
+
+@pytest.mark.parametrize("text", ["1,", ",", "1,,\n", ",1\n"])
+def test_csv_reader_names_the_empty_field(text):
+    """An empty field fails as a number, even where the text is too short
+    for a row of the first row's width."""
+    with pytest.raises(SchemaError, match="line 1: cannot read '' as a number"):
+        channel_from_csv(text)
+
+
+@pytest.mark.parametrize("skip", ["readline", "next"])
+def test_csv_reader_reads_a_file_from_where_it_stands(skip, tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_text("x,y,z\n0.25,0.75\n# c\n1.0,0.0\n", encoding="utf-8")
+
+    def outcome(read):
+        with open(path, encoding="utf-8") as handle:
+            handle.readline() if skip == "readline" else next(handle)
+            return read_bits(read, handle)
+
+    found = outcome(channel_from_csv)
+    assert found == outcome(oracle_channel_from_csv)
+    assert found[0] == (2, 2)
+
+
+def test_csv_reader_reads_a_file_that_cannot_seek():
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"# a,b\n0.25,0.75\n1.0,0.0\n")
+    os.close(write_end)
+    with open(read_end, encoding="utf-8") as handle:
+        assert not handle.seekable()
+        chan = channel_from_csv(handle)
+    assert chan.probs.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+
+
+def test_csv_reader_rejects_rows_the_counting_pass_did_not_see():
+    class Changed(io.StringIO):
+        def read(self, size=-1):  # the text looks empty when it is measured
+            return ""
+
+    with pytest.raises(SchemaError, match="more rows than the text held"):
+        channel_from_csv(Changed("1.0\n"))
+
+
+def test_csv_reader_rejects_bytes_that_are_not_utf8_inside_a_comment(tmp_path):
+    path = tmp_path / "k.csv"
+    path.write_bytes(b"0.5,0.5\n# \xff\n")
+    for read in (channel_from_csv, oracle_channel_from_csv):
+        with open(path, encoding="utf-8") as handle, pytest.raises(SchemaError):
+            read(handle)
+
+
+@pytest.mark.parametrize("text", ['"0.5\n",0.5\n', '0.5,"0.5'], ids=["line-break", "end"])
+def test_csv_reader_rejects_a_quoted_field_left_open(text):
+    """np.loadtxt carries an open quoted field over the line break (or to the
+    end of the text) and reads these as [[0.5, 0.5]]; a channel number never
+    spans lines, so the reader rejects them."""
+    with pytest.raises(SchemaError, match="line 1"):
+        channel_from_csv(text)
+
+
+NUMBER_TEXTS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["Infinity", "-inf", "NaN", "-nan", "+.5", "5.e-1", "1E+5", "-0", "00.250"]),
+)
+ODD_TEXTS = st.sampled_from(
+    ["", "1_0", "\u0661", "0x1p-1", "abc", ".", "e5", "1e", "+-1", "0.5\x00", '""0.5""', '"0.5"x',
+     "0.5\r", '"0.5\r"']
+)
+PADDING = st.text(" \t\f\v\xa0\u2003", max_size=2)
+COMMENTS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=4
+)
+
+
+@st.composite
+def csv_fields(draw):
+    """A field: a number or a bad token, padded, perhaps in one pair of quotes.
+    Quotes come in pairs, so no field is left open at the end of its line."""
+    token = draw(ODD_TEXTS if draw(st.integers(0, 5)) == 0 else NUMBER_TEXTS)
+    field = draw(PADDING) + token + draw(PADDING)
+    if draw(st.booleans()):
+        field = '"' + field + '"' + draw(PADDING)
+    return field
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row", "row", "row", "ragged", "blank", "comment", "spaces"]))
+        if kind in ("row", "ragged"):
+            count = width if kind == "row" else draw(st.integers(1, 5))
+            line = ",".join(draw(st.lists(csv_fields(), min_size=count, max_size=count)))
+            if draw(st.booleans()):
+                line += draw(PADDING) + "#" + draw(COMMENTS)
+        else:
+            line = {"blank": "", "comment": "#" + draw(COMMENTS), "spaces": draw(PADDING)}[kind]
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    text = "".join(lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@given(csv_texts())
+@settings(max_examples=400)
+@example("-0.0,nan\n")
+@example("1\r")
+def test_csv_reader_matches_loadtxt_bit_for_bit(text):
+    assert read_bits(channel_from_csv, text) == read_bits(oracle_channel_from_csv, text)
+
+
+def product_channel_text(line_end="\n"):
+    """CSV text of a 256 x 256 randomized-response channel of an
+    unconstrained policy, whose entries take few distinct values."""
+    from blowfish_privacy import distance_threshold_policy
+    from blowfish_privacy.adjacency import product_distances
+
+    dist = product_distances(distance_threshold_policy([1, 2, 3, 4], 1, n=4))
+    lines = channel_to_csv(channel_mod.randomized_response(dist, 0.1))
+    return "".join(line[:-1] + line_end for line in lines)
+
+
+@pytest.mark.parametrize("as_file", [False, True], ids=["str", "file"])
+def test_csv_reader_holds_one_array_and_no_copy_of_the_text(as_file, tmp_path):
+    text = product_channel_text()
+    path = tmp_path / "k.csv"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            chan = channel_from_csv(handle if as_file else text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    probs = chan.probs
+    assert probs.shape == (256, 256) and len(text) > 2 * probs.nbytes
+    assert probs.base is None and not probs.flags.writeable
+    # The array, validation's block temporaries and one line's fields: less
+    # than a second 512 KiB array or a copy of the 1.4 MB text would add.
+    assert peak < probs.nbytes + 2**18
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["plain-lines", "crlf-lines"])
+def test_csv_reader_parses_each_distinct_field_text_once(line_end):
+    text = product_channel_text(line_end)
+    parse = mock.Mock(wraps=channel_mod._field_number)
+    with mock.patch.object(channel_mod, "_field_number", parse):
+        chan = channel_from_csv(text)
+    parsed = [texts for (texts,), _ in parse.call_args_list]
+    distinct = {field for line in text.splitlines(keepends=True) for field in line.split(",")}
+    assert len(parsed) == len(set(parsed)) == len(distinct) < chan.probs.size // 100
+
+
+def test_csv_reader_forgets_parsed_fields_past_the_cache_size():
+    """Rows of 256 texts of their own: at most ``CSV_CACHE_FIELDS`` of them
+    stay parsed, not all 65,536."""
+    rows = [[i + k / 1000 for k in range(256)] for i in range(256)]
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    with mock.patch.object(channel_mod, "CSV_CACHE_FIELDS", 256), mock.patch.object(
+        channel_mod, "_check"
+    ):
+        tracemalloc.start()
+        try:
+            chan = channel_from_csv(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert chan.probs.tolist() == rows
+    assert peak < chan.probs.nbytes + 2**18
+
+
+def test_csv_reader_sizes_the_array_by_the_text_not_its_lines():
+    """A wide row among many comment lines: the array is sized by the
+    characters the rows could fill, not one row per line."""
+    text = "#\n" * 5000 + ",".join(["0.0"] * 999 + ["1.0"]) + "\n"
+    with mock.patch.object(channel_mod.np, "empty", wraps=np.empty) as empty:
+        chan = channel_from_csv(text)
+    assert chan.probs.shape == (1, 1000)
+    ((shape,), _), = empty.call_args_list
+    assert shape == ((len(text) + 1) // 2000, 1000) and shape[0] < 10
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -559,8 +559,8 @@ def test_library_warnings_are_one_stable_stderr_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "prior",
-    ['["a", "b"]', "[[0.5], [0.5, 0.5]]", "[true, false]"],
-    ids=["strings", "ragged", "bools"],
+    ['["a", "b"]', "[[0.5], [0.5, 0.5]]", "[true, false]", "[1" + "0" * 400 + ", 0.5]"],
+    ids=["strings", "ragged", "bools", "integer-beyond-float"],
 )
 def test_malformed_prior_exits_two_without_output(tmp_path, capsys, prior):
     channel, bad = tmp_path / "k.csv", tmp_path / "prior.json"
@@ -587,6 +587,20 @@ def test_malformed_permissible_file_exits_two_without_output(tmp_path, capsys, p
     )
     assert code == 2
     assert "permissible file must hold a JSON list of label lists" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_policy_value_beyond_the_float_range_exits_two_without_output(tmp_path, capsys):
+    policy = tmp_path / "p.json"
+    policy.write_text(
+        '{"tuples": ["1", "2"], "values": [1' + "0" * 400 + ', 1], '
+        '"secret_edges": [["1", "2"]], "n": 1, "permissible": "all"}'
+    )
+    out = tmp_path / "g.json"
+    assert run("policy", "validate", str(policy)) == 2
+    assert run("adjacency", "induce", str(policy), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.count("'values' must be a list of numbers: an integer is too large") == 2
     assert not out.exists()
 
 
