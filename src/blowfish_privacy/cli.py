@@ -5,9 +5,9 @@ Subcommands: ``policy build|validate``, ``adjacency induce``,
 ``tightness sweep``, ``figure bound-sweep``.
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad input, 3 a
-resource cap was exceeded. Output files are written atomically after all
-computation succeeds, so a non-zero exit never leaves partial files; all
-outputs are deterministic for fixed inputs and ``--seed``.
+resource cap was exceeded or memory ran out. Output files are written
+atomically after all computation succeeds, so a non-zero exit never leaves
+partial files; all outputs are deterministic for fixed inputs and ``--seed``.
 """
 
 from __future__ import annotations
@@ -534,6 +534,9 @@ def main(argv=None) -> int:
             return args.handler(args)
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except MemoryError as exc:  # numpy's _ArrayMemoryError included
+            print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
             return 3
         except InputError as exc:  # SchemaError is an InputError
             print(f"error: {exc}", file=sys.stderr)

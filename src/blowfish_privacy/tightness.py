@@ -97,11 +97,13 @@ def sharpness_ratio(n: int, delta: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SharpnessInstance:
+    """One measured instance. The channel is not kept: it is O(n^2) and
+    :func:`sharpness_channel` rebuilds it; the O(n) graph is kept."""
+
     n: int
     delta: float
     epsilon: float
     graph: Graph
-    channel: ChannelMatrix
     bound_bits: float
     leakage_bits: float
     ratio: float
@@ -111,7 +113,11 @@ class SharpnessInstance:
 
 
 def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
-    """Construct one instance and measure it through the channel machinery."""
+    """Construct one instance and measure it through the channel machinery.
+
+    The dense channel lives only while it is measured and is dropped on
+    return, so a sweep holds one channel at a time.
+    """
     graph = sharpness_graph(n)
     channel = sharpness_channel(n, delta)
     bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)
@@ -122,7 +128,6 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
         delta=float(delta),
         epsilon=math.log1p(delta),
         graph=graph,
-        channel=channel,
         bound_bits=bound_bits,
         leakage_bits=leakage_bits,
         ratio=ratio,

@@ -7,9 +7,14 @@ so they can arbitrate between the library's optimised code paths.
 
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,6 +31,38 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
 from blowfish_privacy.errors import SchemaError
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# ---------------------------------------------------------------------------
+# Child processes
+
+
+def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120):
+    """Run ``blowfish`` with ``argv`` in one child process whose address space
+    is capped at ``limit_bytes`` (``RLIMIT_AS``), so an allocation beyond the
+    cap fails inside the child with ``MemoryError`` instead of taking memory
+    from the machine. One BLAS/OpenMP thread keeps the child's own
+    reservations small. Returns the ``CompletedProcess`` with text output."""
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = limit_bytes if hard == resource.RLIM_INFINITY else min(limit_bytes, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return subprocess.run(
+        [sys.executable, "-m", "blowfish_privacy.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path, **threads},
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 # ---------------------------------------------------------------------------

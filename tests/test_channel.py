@@ -552,6 +552,8 @@ def read_bits(read, source):
         ("0.5,0.5\n1.0\n", False),
         ("", False),
         ("\n# only a comment\n", False),
+        ("\ufeff0.5,0.5\n", False),
+        ("# \u00fcn\u00efc\u00f6d\u00e9 \u2713\n0.5,0.5 # \u2211\n", True),
     ],
     ids=[
         "blank-line", "whitespace-line-after", "whitespace-line-before", "tab-line",
@@ -563,6 +565,7 @@ def read_bits(read, source):
         "trailing-commas", "lone-trailing-comma", "lone-comma", "doubled-trailing-comma",
         "empty-middle-field", "tab-padding",
         "form-feed-vtab-nbsp-padding", "ragged", "empty", "comments-only",
+        "byte-order-mark", "non-ascii-comments",
     ],
 )
 @pytest.mark.parametrize("as_file", [False, True], ids=["str", "file"])
@@ -589,10 +592,15 @@ def test_csv_reader_names_the_empty_field(text):
         channel_from_csv(text)
 
 
-@pytest.mark.parametrize("skip", ["readline", "next"])
-def test_csv_reader_reads_a_file_from_where_it_stands(skip, tmp_path):
+@pytest.mark.parametrize(
+    "skip, line_end",
+    [(skip, end) for end in ["\n", "\r\n", "\r"] for skip in ["readline", "next"]],
+    ids=["readline", "next", "readline-crlf", "next-crlf", "readline-cr", "next-cr"],
+)
+def test_csv_reader_reads_a_file_from_where_it_stands(skip, line_end, tmp_path):
+    """A file's ``\\r`` and ``\\r\\n`` line breaks are lines, as the text reader reads them."""
     path = tmp_path / "k.csv"
-    path.write_text("x,y,z\n0.25,0.75\n# c\n1.0,0.0\n", encoding="utf-8")
+    path.write_bytes(line_end.join(["x,y,z", "0.25,0.75", "# c", "1.0,0.0", ""]).encode("utf-8"))
 
     def outcome(read):
         with open(path, encoding="utf-8") as handle:

@@ -10,6 +10,8 @@ import pytest
 
 from blowfish_privacy.cli import build_parser, main
 
+from helpers import run_cli_with_address_limit
+
 LOG2E = math.log2(math.e)
 
 
@@ -453,6 +455,36 @@ def test_input_that_is_not_utf8_exits_two_without_output(tmp_path, capsys, case)
     assert not out.exists()
     captured = capsys.readouterr()
     assert "codec can't decode" in captured.err
+    assert captured.out == ""
+
+
+def test_allocation_beyond_memory_exits_three_without_output(tmp_path):
+    """n = 20000 asks for a 40,002 x 40,002 float64 channel (11.9 GiB); under
+    a 1 GiB address-space limit the allocation fails in the child alone."""
+    done = run_cli_with_address_limit(
+        ["tightness", "sweep", "--n", "20000", "--delta", "1", "--out", "sweep.csv"],
+        cwd=tmp_path,
+        limit_bytes=2**30,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: out of memory: ")
+    assert done.stderr.count("\n") == 1
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_error_without_a_message_still_names_the_failure(tmp_path, capsys, monkeypatch):
+    from blowfish_privacy import tightness
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(tightness, "sharpness_sweep", exhausted)
+    out = tmp_path / "sweep.csv"
+    assert run("tightness", "sweep", "--n", "4", "--delta", "1", "--out", str(out)) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: allocation failed\n"
     assert captured.out == ""
 
 

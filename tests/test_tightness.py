@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy  # noqa: F401  imported before any tracing, so its own allocations never count
 import pytest
 
 from blowfish_privacy import (
@@ -138,6 +140,20 @@ def test_sweep_rows_and_order():
 def test_sweep_small_deltas_near_one():
     for inst in sharpness_sweep([2, 4, 8], [1e-4]):
         assert abs(inst.ratio - 1.0) <= 1e-3
+
+
+def test_sweep_holds_one_channel_at_a_time():
+    """Four 1,026 x 1,026 channels (8.4 MB each): the sweep's peak stays
+    within one of them plus the measuring temporaries."""
+    tracemalloc.start()
+    try:
+        instances = sharpness_sweep([512], [1.0, 0.1, 0.01, 0.001])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [inst.delta for inst in instances] == [1.0, 0.1, 0.01, 0.001]
+    assert all(inst.closed_form_gap <= 1e-12 for inst in instances)
+    assert peak <= 1.25 * 1026**2 * 8
 
 
 def test_sweep_empty():
