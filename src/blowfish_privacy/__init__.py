@@ -2,12 +2,9 @@
 
 from .adjacency import (
     AdjacencyGraph,
-    DiffTriple,
     embed_graph_as_policy,
     induce_adjacency_graph,
     is_adjacent,
-    secret_difference,
-    total_difference,
 )
 from .bounds import (
     BoundReport,

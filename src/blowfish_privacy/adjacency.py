@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
@@ -25,7 +24,6 @@ from .policy import (
     BlowfishPolicy,
     DEFAULT_DATABASE_CAP,
     Database,
-    SecretGraph,
     capped_permissible_size,
     custom_policy,
     enumerate_permissible,
@@ -35,36 +33,8 @@ from .policy import (
 DIFFERENCE_CHUNK_CELLS = 2**16
 
 
-class DiffTriple(NamedTuple):
-    """One differing record: position, base value, other value."""
-
-    index: int
-    base: str
-    other: str
-
-
 class AdjacencyAsymmetryWarning(UserWarning):
     """The minimally-secretly-different relation disagreed by direction."""
-
-
-def total_difference(base: Database, other: Database) -> frozenset[DiffTriple]:
-    """Triples ``(i, base[i], other[i])`` at every position where the databases differ."""
-    if len(base) != len(other):
-        raise InputError(
-            f"databases have different lengths ({len(base)} vs {len(other)})"
-        )
-    return frozenset(
-        DiffTriple(i, u, v) for i, (u, v) in enumerate(zip(base, other)) if u != v
-    )
-
-
-def secret_difference(
-    base: Database, other: Database, secret_graph: SecretGraph
-) -> frozenset[DiffTriple]:
-    """Subset of the total difference whose value pairs are secret edges."""
-    return frozenset(
-        t for t in total_difference(base, other) if secret_graph.has_edge(t.base, t.other)
-    )
 
 
 def _contains_any(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -174,8 +144,7 @@ def is_adjacent(
     return tuple(other) in {universe_databases[k] for k in adjacent.tolist()}
 
 
-@dataclass(frozen=True)
-class AdjacencyGraph:
+class AdjacencyGraph(NamedTuple):
     """Adjacency graph over permissible databases in canonical order."""
 
     vertices: tuple[Database, ...]

@@ -13,8 +13,7 @@ connected case reads ``n * d * eps * log2(e)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .adjacency import induce_adjacency_graph
 from .channel import ChannelMatrix, LeakageReport, leakage, minimal_epsilon
@@ -52,8 +51,7 @@ def min_entropy_lower_bound(graph: Graph, epsilon: float) -> float:
     return math.log2(graph.vertex_count) - leakage_upper_bound(graph, epsilon)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bound evaluation for a policy, optionally audited against a channel."""
 
     epsilon: float
@@ -201,8 +199,7 @@ def audit(
         measured.leakage_bits <= upper_at + DOMINANCE_TOLERANCE
         and measured.conditional_min_entropy_bits >= lower_at - DOMINANCE_TOLERANCE
     )
-    return replace(
-        report,
+    return report._replace(
         measured_epsilon=measured_eps,
         measured_leakage_bits=measured.leakage_bits,
         measured_cond_min_entropy_bits=measured.conditional_min_entropy_bits,

@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
+from ._frozen import Frozen
 from ._numpy import np
 from .errors import InputError, SchemaError
 from .graphcore import Graph, distances
@@ -130,8 +130,7 @@ def _check(arr: np.ndarray, what: str) -> None:
         raise InputError(f"invalid {what} ({len(problems)} violation(s): {head})")
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
+class ChannelMatrix(Frozen):
     """Validated row-stochastic matrix; the backing array is read-only.
 
     The input is copied unless it is a read-only float64 array that owns its
@@ -142,8 +141,8 @@ class ChannelMatrix:
 
     probs: np.ndarray
 
-    def __post_init__(self):
-        arr = self.probs
+    def __init__(self, probs):
+        arr = probs
         handed_over = (
             isinstance(arr, np.ndarray)
             and arr.dtype == np.float64
@@ -154,7 +153,7 @@ class ChannelMatrix:
             arr = np.array(arr, dtype=float, copy=True)
         _check(arr, "channel matrix")
         arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        self._set(probs=arr)
 
     @property
     def rows(self) -> int:
@@ -165,19 +164,18 @@ class ChannelMatrix:
         return self.probs.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Prior:
+class Prior(Frozen):
     """Probability vector over channel inputs."""
 
     probabilities: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.probabilities, dtype=float, copy=True)
+    def __init__(self, probabilities):
+        arr = np.array(probabilities, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("prior must be a non-empty vector")
         _check(arr[None, :], "prior")
         arr.setflags(write=False)
-        object.__setattr__(self, "probabilities", arr)
+        self._set(probabilities=arr)
 
     @classmethod
     def uniform(cls, length: int) -> "Prior":
@@ -187,8 +185,7 @@ class Prior:
         return int(self.probabilities.shape[0])
 
 
-@dataclass(frozen=True)
-class LeakageReport:
+class LeakageReport(NamedTuple):
     """Vulnerabilities, min-entropies (bits), and min-entropy leakage (bits)."""
 
     vulnerability: float
@@ -282,8 +279,10 @@ def randomized_response(dist: np.ndarray, epsilon: float) -> ChannelMatrix:
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     # One weight per distance; distance -1 (unreachable) indexes the trailing 0.
+    # Distance 0 weighs 1 also at epsilon = inf, where exp(-inf * 0) is NaN,
+    # so that limit is the identity channel.
     longest = int(dist.max())
-    table = [math.exp(-0.5 * epsilon * d) for d in range(longest + 1)] + [0.0]
+    table = [1.0] + [math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)] + [0.0]
     weights = np.array(table)[dist]
     for row in weights:
         row /= math.fsum(memoryview(row))

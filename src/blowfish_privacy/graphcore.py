@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
 
+from ._frozen import Frozen, Value
 from ._numpy import np
 from .errors import CapExceededError, InputError, UnsupportedLiftError
 
@@ -32,19 +32,19 @@ DEFAULT_VERTEX_CAP = 16
 # Graphs
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Simple undirected graph on vertices ``0 .. vertex_count - 1``."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: frozenset[tuple[int, int]]):
+        if vertex_count < 1:
             raise InputError("graph needs at least one vertex")
-        for a, b in self.edges:
-            if not (0 <= a < b < self.vertex_count):
+        for a, b in edges:
+            if not (0 <= a < b < vertex_count):
                 raise InputError(f"edge ({a}, {b}) is not a sorted pair of distinct vertex indices")
+        self._set(vertex_count=vertex_count, edges=edges)
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]]) -> "Graph":
@@ -69,9 +69,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(n) for n in self.neighbors))
-
 
 def distances(graph: Graph) -> list[list[int]]:
     """All-pairs hop counts by repeated BFS; unreachable pairs are ``UNREACHABLE``."""
@@ -92,8 +89,7 @@ def distances(graph: Graph) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class Components:
+class Components(NamedTuple):
     count: int
     assignment: tuple[int, ...]
     diameters: tuple[int, ...]
@@ -158,8 +154,7 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
 # Permutation groups
 
 
-@dataclass(frozen=True)
-class StabiliserChain:
+class StabiliserChain(NamedTuple):
     """Base and transversals of a permutation group.
 
     ``transversals[i]`` stacks one element per point of the orbit of
@@ -312,8 +307,7 @@ def _schreier_sims(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class PermutationGroup:
+class PermutationGroup(Frozen):
     """A permutation group given by its generators.
 
     The generators are the group's only input: orbits are read from them,
@@ -326,17 +320,22 @@ class PermutationGroup:
     """
 
     degree: int
-    generators: tuple[Permutation, ...] = ()
-    cap: int = DEFAULT_GROUP_CAP
+    generators: tuple[Permutation, ...]
+    cap: int
 
-    def __post_init__(self):
-        gens = [tuple(g) for g in self.generators]
+    def __init__(
+        self,
+        degree: int,
+        generators: Iterable[Sequence[int]] = (),
+        cap: int = DEFAULT_GROUP_CAP,
+    ):
+        gens = [tuple(g) for g in generators]
         for g in gens:
-            if not is_valid_permutation(g, self.degree):
-                raise InputError(f"{g!r} is not a permutation of degree {self.degree}")
-        ident = identity_permutation(self.degree)
+            if not is_valid_permutation(g, degree):
+                raise InputError(f"{g!r} is not a permutation of degree {degree}")
+        ident = identity_permutation(degree)
         kept = tuple(g for g in dict.fromkeys(gens) if g != ident)
-        object.__setattr__(self, "generators", kept)
+        self._set(degree=degree, generators=kept, cap=cap)
 
     @cached_property
     def chain(self) -> StabiliserChain:
@@ -467,8 +466,7 @@ def automorphism_group(
 # Orbits, stabilisers, transporters
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     orbit_index: tuple[int, ...]
     orbits: tuple[tuple[int, ...], ...]
 

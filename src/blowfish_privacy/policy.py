@@ -10,11 +10,11 @@ every downstream matrix row or vertex index uses that order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
+from ._frozen import Value
 from .errors import CapExceededError, InputError, SchemaError
 from .graphcore import Graph
 
@@ -25,20 +25,20 @@ DEFAULT_DATABASE_CAP = 100_000
 _DOCUMENT_KEYS = {"tuples", "values", "secret_edges", "n", "permissible"}
 
 
-@dataclass(frozen=True)
-class TupleUniverse:
+class TupleUniverse(Value):
     """Ordered universe of distinct tuple labels, with optional numeric values."""
 
     labels: tuple[str, ...]
-    values: tuple[float, ...] | None = None
+    values: tuple[float, ...] | None
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...], values: tuple[float, ...] | None = None):
+        if not labels:
             raise InputError("tuple universe must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise InputError("duplicate labels in tuple universe")
-        if self.values is not None and len(self.values) != len(self.labels):
+        if values is not None and len(values) != len(labels):
             raise InputError("values must align one-to-one with labels")
+        self._set(labels=labels, values=values)
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -62,20 +62,20 @@ class TupleUniverse:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class SecretGraph:
+class SecretGraph(Value):
     """Simple graph on universe labels; edges mark value pairs kept secret."""
 
     universe: TupleUniverse
     edges: frozenset[tuple[str, str]]
 
-    def __post_init__(self):
-        for a, b in self.edges:
+    def __init__(self, universe: TupleUniverse, edges: frozenset[tuple[str, str]]):
+        for a, b in edges:
             if a == b:
                 raise InputError(f"self-loop on label {a!r} is not a valid secret edge")
-            ia, ib = self.universe.index(a), self.universe.index(b)
+            ia, ib = universe.index(a), universe.index(b)
             if ia > ib:
                 raise InputError("secret edges must be stored in universe order")
+        self._set(universe=universe, edges=edges)
 
     @classmethod
     def from_pairs(
@@ -131,24 +131,28 @@ def database_sort_key(universe: TupleUniverse):
     return key
 
 
-@dataclass(frozen=True)
-class BlowfishPolicy:
+class BlowfishPolicy(Value):
     """Secret graph + record count + permissible databases (None = all)."""
 
     secret_graph: SecretGraph
     n: int
-    permissible: tuple[Database, ...] | None = None
+    permissible: tuple[Database, ...] | None
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(
+        self,
+        secret_graph: SecretGraph,
+        n: int,
+        permissible: Iterable[Database] | None = None,
+    ):
+        if n < 1:
             raise InputError("record count n must be at least 1")
-        if self.permissible is not None:
-            universe = self.secret_graph.universe
+        if permissible is not None:
+            universe = secret_graph.universe
             seen = set()
-            for db in self.permissible:
-                if len(db) != self.n:
+            for db in permissible:
+                if len(db) != n:
                     raise InputError(
-                        f"database {db!r} has {len(db)} records, expected n={self.n}"
+                        f"database {db!r} has {len(db)} records, expected n={n}"
                     )
                 for lab in db:
                     universe.index(lab)
@@ -157,8 +161,8 @@ class BlowfishPolicy:
                 seen.add(db)
             if not seen:
                 raise InputError("explicit permissible set must be non-empty")
-            ordered = tuple(sorted(seen, key=database_sort_key(universe)))
-            object.__setattr__(self, "permissible", ordered)
+            permissible = tuple(sorted(seen, key=database_sort_key(universe)))
+        self._set(secret_graph=secret_graph, n=n, permissible=permissible)
 
     @property
     def unconstrained(self) -> bool:

@@ -14,7 +14,7 @@ Two square transforms with well-understood effects on privacy and leakage:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .channel import ChannelMatrix, minimal_epsilon
@@ -134,15 +134,13 @@ def group_average(
     return ChannelMatrix(results[strategy])
 
 
-@dataclass(frozen=True)
-class PropertyCheck:
+class PropertyCheck(NamedTuple):
     name: str
     passed: bool
     magnitude: float
 
 
-@dataclass(frozen=True)
-class SymmetrisationReport:
+class SymmetrisationReport(NamedTuple):
     """Privacy levels, diagonal sums, and per-property outcomes of the pipeline."""
 
     epsilon_input: float

@@ -12,14 +12,15 @@ import resource
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from itertools import combinations, permutations, product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from blowfish_privacy import (
+    BlowfishPolicy,
     CapExceededError,
     ChannelMatrix,
     Graph,
@@ -30,7 +31,7 @@ from blowfish_privacy import (
     induce_adjacency_graph,
 )
 from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
-from blowfish_privacy.errors import SchemaError
+from blowfish_privacy.errors import InputError, SchemaError
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,13 +70,36 @@ def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120):
 # Independent oracles
 
 
-def oracle_tdiff(d1, d2):
-    return {(i, d1[i], d2[i]) for i in range(len(d1)) if d1[i] != d2[i]}
+class DiffTriple(NamedTuple):
+    """One differing record: position, base value, other value."""
+
+    index: int
+    base: str
+    other: str
+
+
+def total_difference(base, other):
+    """Triples ``(i, base[i], other[i])`` at every position where the databases differ."""
+    if len(base) != len(other):
+        raise InputError(
+            f"databases have different lengths ({len(base)} vs {len(other)})"
+        )
+    return frozenset(
+        DiffTriple(i, u, v) for i, (u, v) in enumerate(zip(base, other)) if u != v
+    )
+
+
+def secret_difference(base, other, secret_graph):
+    """Subset of the total difference whose value pairs are edges of the
+    policy's ``SecretGraph``."""
+    return frozenset(
+        t for t in total_difference(base, other) if secret_graph.has_edge(t.base, t.other)
+    )
 
 
 def oracle_sdiff(d1, d2, edge_set):
     sym = {(a, b) for a, b in edge_set} | {(b, a) for a, b in edge_set}
-    return {t for t in oracle_tdiff(d1, d2) if (t[1], t[2]) in sym}
+    return {t for t in total_difference(d1, d2) if (t.base, t.other) in sym}
 
 
 def oracle_minimally_secretly_different(d1, d2, edge_set, universe_dbs):
@@ -83,14 +107,14 @@ def oracle_minimally_secretly_different(d1, d2, edge_set, universe_dbs):
     s_target = oracle_sdiff(d1, d2, edge_set)
     if not s_target:
         return False
-    t_target = oracle_tdiff(d1, d2)
+    t_target = total_difference(d1, d2)
     for mid in universe_dbs:
         s_mid = oracle_sdiff(d1, mid, edge_set)
         if not s_mid:
             continue
         if s_mid < s_target:
             return False
-        if s_mid == s_target and oracle_tdiff(d1, mid) < t_target:
+        if s_mid == s_target and total_difference(d1, mid) < t_target:
             return False
     return True
 
@@ -129,8 +153,13 @@ def induce_by_definition(policy):
     policy: it is restated with every database listed explicitly."""
     if policy.unconstrained:
         every = tuple(product(policy.universe.labels, repeat=policy.n))
-        policy = replace(policy, permissible=every)
+        policy = BlowfishPolicy(policy.secret_graph, policy.n, every)
     return induce_adjacency_graph(policy)
+
+
+def degree_sequence(graph):
+    """The vertex degrees of ``graph``, ascending."""
+    return tuple(sorted(len(n) for n in graph.neighbors))
 
 
 def oracle_components(graph):

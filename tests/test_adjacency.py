@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import (
     CapExceededError,
-    DiffTriple,
     InputError,
     complete_policy,
     custom_policy,
@@ -19,8 +18,6 @@ from blowfish_privacy import (
     enumerate_permissible,
     induce_adjacency_graph,
     is_adjacent,
-    secret_difference,
-    total_difference,
 )
 from blowfish_privacy import adjacency as adjacency_mod
 from blowfish_privacy.adjacency import (
@@ -33,12 +30,15 @@ from blowfish_privacy.adjacency import (
 from blowfish_privacy.graphcore import components_and_diameters, distances
 
 from helpers import (
+    DiffTriple,
     graphs,
     induce_by_definition,
     oracle_adjacency_edges,
     oracle_asymmetric_pairs,
     oracle_minimally_secretly_different,
+    secret_difference,
     small_policies,
+    total_difference,
 )
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from blowfish_privacy.cli import build_parser, main
@@ -552,6 +553,24 @@ def test_unconstrained_generate_refuses_a_bad_epsilon(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--policy", "--graph"])
+def test_generate_at_infinite_epsilon_is_the_identity_channel(tmp_path, capsys, source):
+    """epsilon = inf is the epsilon -> inf limit of the weights: the identity
+    channel, which verify reports private at that level."""
+    policy, graph = build_path_policy(tmp_path), tmp_path / "graph.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    target = {"--policy": policy, "--graph": graph}[source]
+    out = tmp_path / "k.csv"
+    assert run("channel", "generate", source, str(target), "--epsilon", "inf",
+               "--out", str(out)) == 0
+    rows = [[float(x) for x in line.split(",")] for line in out.read_text().splitlines()]
+    assert rows == np.eye(16).tolist()
+    assert run("channel", "verify", str(out), source, str(target), "--epsilon", "inf") == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["minimal_epsilon"] == "inf"
+    assert report["private_at_target"] == "true"
+
+
 def test_streamed_output_that_fails_midway_leaves_no_file(tmp_path):
     from blowfish_privacy.cli import _write_output
 
@@ -646,13 +665,15 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:  # --help
             code = exc.code
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code] + [name in sys.modules for name in ("numpy", "dataclasses", "fractions")])
 print(json.dumps(seen))
 """
 
 
 def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
-    """Commands with no array never import numpy; channel leakage does."""
+    """Commands with no array never import numpy; channel leakage and the
+    sweep do. No command imports dataclasses, and only the sweep imports
+    fractions."""
     (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
     calls = [
         ["--help"],
@@ -663,6 +684,7 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["bound", "compute", "p.json", "--epsilon", "0.5"],
         ["figure", "bound-sweep", "--n-max", "3"],
         ["channel", "leakage", "k.csv"],
+        ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -672,4 +694,7 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == [[0, False]] * (len(calls) - 1) + [[0, True]]
+    assert seen == [[0, False, False, False]] * (len(calls) - 2) + [
+        [0, True, False, False],
+        [0, True, False, True],
+    ]

@@ -19,6 +19,8 @@ from blowfish_privacy import (
 from blowfish_privacy.graphcore import components_and_diameters
 from blowfish_privacy.tightness import closed_form_leakage_bits, sweep_to_csv
 
+from helpers import degree_sequence
+
 
 def closed_form_fraction(n, delta):
     d = Fraction(delta)
@@ -37,12 +39,12 @@ def test_graph_n2_shape():
 def test_graph_n5_degree_sequence():
     graph = sharpness_graph(5)
     assert graph.vertex_count == 12
-    assert graph.degree_sequence() == (1,) * 8 + (3,) * 4
+    assert degree_sequence(graph) == (1,) * 8 + (3,) * 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_graph_never_regular(n):
-    degrees = set(sharpness_graph(n).degree_sequence())
+    degrees = set(degree_sequence(sharpness_graph(n)))
     assert degrees == {1, 3}
 
 
@@ -109,6 +111,16 @@ def test_ratio_tends_to_one():
         previous = ratio
 
 
+@pytest.mark.parametrize("n", [2, 512])
+@pytest.mark.parametrize("delta", [1e306, 9e307, 1e308])
+def test_bound_stays_finite_where_the_product_overflows(n, delta):
+    """``n * (1 + delta)`` can pass the float range; the log2 of that exact
+    integer cannot."""
+    bound, leak, ratio = sharpness_ratio(n, delta)
+    assert bound == pytest.approx(math.log2(n * (1 + int(delta))), rel=1e-15)
+    assert math.isfinite(ratio) and ratio == bound / leak
+
+
 def test_bound_dominates_leakage_each_instance():
     for n in (2, 3, 5):
         for delta in (2.0, 0.5, 1e-3):
@@ -154,6 +166,22 @@ def test_sweep_holds_one_channel_at_a_time():
     assert [inst.delta for inst in instances] == [1.0, 0.1, 0.01, 0.001]
     assert all(inst.closed_form_gap <= 1e-12 for inst in instances)
     assert peak <= 1.25 * 1026**2 * 8
+
+
+def test_sweep_keeps_input_order_and_checks_before_building(monkeypatch):
+    instances = sharpness_sweep([4, 2, 4], [1.0, 0.5])
+    assert [(i.n, i.delta) for i in instances] == [
+        (4, 1.0), (4, 0.5), (2, 1.0), (2, 0.5), (4, 1.0), (4, 0.5)
+    ]
+    assert instances == [build_sharpness_instance(i.n, i.delta) for i in instances]
+    built = []
+    monkeypatch.setattr(
+        "blowfish_privacy.tightness.build_sharpness_instance",
+        lambda n, delta: built.append(n),
+    )
+    with pytest.raises(InputError, match="got 1"):
+        sharpness_sweep([512, 1, 0], [0.5])
+    assert built == []
 
 
 def test_sweep_empty():
