@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 from ._frozen import Frozen
 from ._numpy import np
 from .errors import InputError, SchemaError
-from .graphcore import Graph, distances
+from .graphcore import Graph, distance_matrix
 from .reporting import render_kv
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -296,7 +296,7 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
     Outputs coincide with inputs; entries across components are zero, so the
     matrix is block-diagonal over the components.
     """
-    return randomized_response(np.array(distances(graph)), epsilon)
+    return randomized_response(distance_matrix(graph), epsilon)
 
 
 # ---------------------------------------------------------------------------

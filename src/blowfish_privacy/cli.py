@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import tempfile
 import warnings
@@ -120,6 +121,17 @@ def _float_arg(text: str) -> float:
         value = math.nan
     if math.isnan(value):
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    return value
+
+
+def _seed_arg(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative integer value: {text!r}")
     return value
 
 
@@ -301,16 +313,17 @@ def _cmd_channel_generate(args) -> int:
         # The adjacency graph is the secret graph's n-fold Cartesian product:
         # its distances are sums over records, with no graph induced.
         dist = adjacency_mod.product_distances(source, cap)
-        chan = channel_mod.randomized_response(dist, args.epsilon)
     else:
-        graph = _induced(source, cap).to_graph()
-        chan = channel_mod.graph_randomized_response(graph, args.epsilon)
+        dist = graphcore.distance_matrix(_induced(source, cap).to_graph())
     if args.shuffle_outputs:
-        rng = np.random.default_rng(args.seed)
-        order = rng.permutation(chan.cols)
-        shuffled = np.take(chan.probs, order, axis=1)
-        shuffled.setflags(write=False)
-        chan = channel_mod.ChannelMatrix(shuffled)
+        # Shuffling the distances' columns shuffles the channel's the same way:
+        # each row is divided by its correctly rounded sum, which no column
+        # order changes. np.take keeps the result C-contiguous; dist[:, order]
+        # would not, and the CSV writer would copy the whole channel.
+        order = list(range(dist.shape[1]))
+        random.Random(args.seed).shuffle(order)
+        dist = np.take(dist, order, axis=1)
+    chan = channel_mod.randomized_response(dist, args.epsilon)
     _write_output(args.out, channel_mod.channel_to_csv(chan))
     return 0
 
@@ -471,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="apply a seeded random permutation of output columns",
     )
-    generate.add_argument("--seed", type=int, default=0, help="seed for --shuffle-outputs")
+    generate.add_argument(
+        "--seed", type=_seed_arg, default=0, help="non-negative seed for --shuffle-outputs"
+    )
     generate.add_argument("--out", help="channel CSV output path")
     generate.set_defaults(handler=_cmd_channel_generate)
 

@@ -89,6 +89,12 @@ def distances(graph: Graph) -> list[list[int]]:
     return out
 
 
+def distance_matrix(graph: Graph) -> np.ndarray:
+    """:func:`distances` as an array of the smallest signed dtype that holds
+    ``UNREACHABLE`` and every hop count (at most ``vertex_count - 1``)."""
+    return np.array(distances(graph), dtype=np.min_scalar_type(-graph.vertex_count))
+
+
 class Components(NamedTuple):
     count: int
     assignment: tuple[int, ...]

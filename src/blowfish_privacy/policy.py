@@ -98,13 +98,6 @@ class SecretGraph(Value):
         key = self.universe.index
         return {lab: tuple(sorted(vals, key=key)) for lab, vals in adj.items()}
 
-    def has_edge(self, a: str, b: str) -> bool:
-        if a == b:
-            return False
-        ia, ib = self.universe.index(a), self.universe.index(b)
-        pair = (a, b) if ia < ib else (b, a)
-        return pair in self.edges
-
     @cached_property
     def index_graph(self) -> Graph:
         """This graph on universe indices, as used by the graph machinery."""

@@ -89,11 +89,16 @@ def total_difference(base, other):
     )
 
 
+def has_edge(secret_graph, a, b):
+    """Whether labels ``a`` and ``b`` are joined in the policy's ``SecretGraph``."""
+    return (a, b) in secret_graph.edges or (b, a) in secret_graph.edges
+
+
 def secret_difference(base, other, secret_graph):
     """Subset of the total difference whose value pairs are edges of the
     policy's ``SecretGraph``."""
     return frozenset(
-        t for t in total_difference(base, other) if secret_graph.has_edge(t.base, t.other)
+        t for t in total_difference(base, other) if has_edge(secret_graph, t.base, t.other)
     )
 
 

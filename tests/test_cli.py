@@ -4,12 +4,16 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blowfish_privacy.adjacency import adjacency_from_json
+from blowfish_privacy.channel import channel_to_csv, randomized_response
 from blowfish_privacy.cli import build_parser, main
+from blowfish_privacy.graphcore import distances
 
 from helpers import run_cli_with_address_limit
 
@@ -283,6 +287,69 @@ def test_channel_generate_shuffle_outputs_is_seeded(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
     assert a.read_bytes() != base.read_bytes()
+
+
+def test_channel_generate_refuses_a_negative_seed(tmp_path, capsys):
+    policy = build_path_policy(tmp_path)
+    out = tmp_path / "k.csv"
+    assert exit_code(
+        "channel", "generate", "--policy", str(policy), "--epsilon", "0.4",
+        "--shuffle-outputs", "--seed", "-5", "--out", str(out),
+    ) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: blowfish channel generate")
+    assert err.endswith("error: argument --seed: invalid non-negative integer value: '-5'\n")
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("source", ["--policy", "--graph"])
+def test_shuffled_channel_is_the_channel_with_its_columns_permuted(tmp_path, source):
+    """Each seed writes the unshuffled channel's entries, as text, with one
+    permutation of its columns; the unshuffled channel is the one the plain
+    int64 BFS distances give."""
+    policy, graph = build_path_policy(tmp_path, n=3), tmp_path / "graph.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    target = {"--policy": policy, "--graph": graph}[source]
+    base = tmp_path / "base.csv"
+    assert run("channel", "generate", source, str(target), "--epsilon", "0.4",
+               "--out", str(base)) == 0
+    adjacency = adjacency_from_json(graph.read_text())
+    unpacked = randomized_response(np.array(distances(adjacency.to_graph())), 0.4)
+    assert base.read_text() == "".join(channel_to_csv(unpacked))
+    base_rows = csv_rows(base)
+    base_columns = sorted(zip(*base_rows))
+    for seed in ("0", "5", "424242"):
+        out = tmp_path / f"shuffled-{seed}.csv"
+        assert run("channel", "generate", source, str(target), "--epsilon", "0.4",
+                   "--shuffle-outputs", "--seed", seed, "--out", str(out)) == 0
+        rows = csv_rows(out)
+        assert len(rows) == len(base_rows) and rows != base_rows
+        # A bijection pi with rows[i][j] == base_rows[i][pi(j)] for every row i
+        # exists exactly when the two channels have the same multiset of columns.
+        assert sorted(zip(*rows)) == base_columns
+
+
+@pytest.mark.parametrize("source,channels", [("--policy", 1.5), ("--graph", 1.75)])
+def test_shuffled_generate_holds_one_channel(tmp_path, source, channels):
+    """n = 5: 1,024 databases, an 8 MiB channel. The shuffle permutes the
+    distances, so the only dense float array is the channel itself."""
+    policy, graph = build_path_policy(tmp_path, n=5), tmp_path / "graph.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    target = {"--policy": policy, "--graph": graph}[source]
+    out = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        assert run("channel", "generate", source, str(target), "--epsilon", "0.5",
+                   "--shuffle-outputs", "--seed", "3", "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == 1024
+    assert peak < channels * 1024**2 * 8
 
 
 def test_tightness_sweep_csv(tmp_path):
@@ -665,15 +732,16 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:  # --help
             code = exc.code
-    seen.append([code] + [name in sys.modules for name in ("numpy", "dataclasses", "fractions")])
+    loaded = ("numpy", "numpy.random", "dataclasses", "fractions")
+    seen.append([code] + [name in sys.modules for name in loaded])
 print(json.dumps(seen))
 """
 
 
 def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
-    """Commands with no array never import numpy; channel leakage and the
-    sweep do. No command imports dataclasses, and only the sweep imports
-    fractions."""
+    """Commands with no array never import numpy; channel leakage, channel
+    generate and the sweep do. No command imports numpy.random (not even a
+    shuffled generate) or dataclasses, and only the sweep imports fractions."""
     (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
     calls = [
         ["--help"],
@@ -684,6 +752,8 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["bound", "compute", "p.json", "--epsilon", "0.5"],
         ["figure", "bound-sweep", "--n-max", "3"],
         ["channel", "leakage", "k.csv"],
+        ["channel", "generate", "--policy", "p.json", "--epsilon", "0.5",
+         "--shuffle-outputs", "--seed", "1"],
         ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -694,7 +764,8 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == [[0, False, False, False]] * (len(calls) - 2) + [
-        [0, True, False, False],
-        [0, True, False, True],
+    assert seen == [[0, False, False, False, False]] * (len(calls) - 3) + [
+        [0, True, False, False, False],
+        [0, True, False, False, False],
+        [0, True, False, False, True],
     ]
