@@ -27,6 +27,7 @@ from .policy import (
     capped_permissible_size,
     custom_policy,
     enumerate_permissible,
+    label_lists,
 )
 
 # Entries that one block of the pairwise difference comparisons holds at once.
@@ -159,16 +160,17 @@ def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> froz
     # Unconstrained sets only: adjacency is exactly one differing position
     # whose value pair is a secret edge.
     universe = policy.universe
-    neighbor_map = policy.secret_graph.neighbor_map
+    labels = universe.labels
+    neighbors = policy.secret_graph.index_graph.neighbors
     index_of = {db: k for k, db in enumerate(vertices)}
     edges = set()
     for idx, db in enumerate(vertices):
         for pos, lab in enumerate(db):
             base_rank = universe.index(lab)
-            for other_lab in neighbor_map[lab]:
-                if universe.index(other_lab) <= base_rank:
+            for other_rank in neighbors[base_rank]:
+                if other_rank <= base_rank:
                     continue
-                other = db[:pos] + (other_lab,) + db[pos + 1 :]
+                other = db[:pos] + (labels[other_rank],) + db[pos + 1 :]
                 edges.add((idx, index_of[other]))
     return frozenset(edges)
 
@@ -285,20 +287,19 @@ def adjacency_to_json(adjacency: AdjacencyGraph) -> str:
 def adjacency_from_document(doc) -> AdjacencyGraph:
     if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
         raise SchemaError("graph document must contain exactly 'vertices' and 'edges'")
-    vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not all(
-        isinstance(v, list) and all(isinstance(x, str) for x in v) for v in vertices
-    ):
-        raise SchemaError("'vertices' must be a list of label lists")
+    vertices = label_lists(doc["vertices"], "'vertices' must be a list of label lists")
+    if len(set(vertices)) != len(vertices):
+        raise SchemaError("'vertices' must not list a database twice")
+    if len({len(v) for v in vertices}) > 1:
+        raise SchemaError("'vertices' must all have the same number of records")
     edges = doc["edges"]
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
         for e in edges
     ):
         raise SchemaError("'edges' must be a list of vertex index pairs")
-    vertex_tuples = tuple(tuple(v) for v in vertices)
-    graph = Graph.from_edges(len(vertex_tuples), edges)
-    return AdjacencyGraph(vertex_tuples, graph.edges)
+    graph = Graph.from_edges(len(vertices), edges)
+    return AdjacencyGraph(vertices, graph.edges)
 
 
 def adjacency_from_json(text: str) -> AdjacencyGraph:

@@ -20,7 +20,6 @@ from .channel import ChannelMatrix, LeakageReport, leakage, minimal_epsilon
 from .errors import InputError
 from .graphcore import Graph, components_and_diameters
 from .policy import BlowfishPolicy, DEFAULT_DATABASE_CAP, permissible_size
-from .reporting import render_kv
 
 DOMINANCE_TOLERANCE = 1e-9
 
@@ -73,45 +72,6 @@ class BoundReport(NamedTuple):
     @property
     def finite(self) -> bool:
         return math.isfinite(self.leakage_upper_bits)
-
-    def to_items(self) -> list[tuple[str, object]]:
-        def fmt_bound(value):
-            if value is None:
-                return None
-            return value if math.isfinite(value) else "unbounded"
-
-        items: list[tuple[str, object]] = [
-            ("epsilon", self.epsilon),
-            ("input_count", self.input_count),
-            ("component_count", self.component_count),
-            ("max_diameter", self.max_diameter),
-            ("min_entropy_lower_bits", fmt_bound(self.min_entropy_lower_bits)),
-            ("leakage_upper_bits", fmt_bound(self.leakage_upper_bits)),
-        ]
-        if self.measured_epsilon is not None:
-            items += [
-                ("measured_epsilon", self.measured_epsilon),
-                ("measured_leakage_bits", self.measured_leakage_bits),
-                (
-                    "measured_cond_min_entropy_bits",
-                    self.measured_cond_min_entropy_bits,
-                ),
-                (
-                    "leakage_upper_bits_at_measured",
-                    fmt_bound(self.leakage_upper_bits_at_measured),
-                ),
-                (
-                    "min_entropy_lower_bits_at_measured",
-                    fmt_bound(self.min_entropy_lower_bits_at_measured),
-                ),
-                ("leakage_margin_bits", self.leakage_margin_bits),
-                ("min_entropy_margin_bits", self.min_entropy_margin_bits),
-                ("bounds_hold", self.bounds_hold),
-            ]
-        return items
-
-    def to_text(self) -> str:
-        return render_kv(self.to_items())
 
 
 def unconstrained_audit(policy: BlowfishPolicy, epsilon: float) -> BoundReport:

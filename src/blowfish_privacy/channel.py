@@ -18,7 +18,6 @@ from ._frozen import Frozen
 from ._numpy import np
 from .errors import InputError, SchemaError
 from .graphcore import Graph, distance_matrix
-from .reporting import render_kv
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
@@ -193,18 +192,6 @@ class LeakageReport(NamedTuple):
     min_entropy_bits: float
     conditional_min_entropy_bits: float
     leakage_bits: float
-
-    def to_items(self) -> list[tuple[str, object]]:
-        return [
-            ("vulnerability", self.vulnerability),
-            ("conditional_vulnerability", self.conditional_vulnerability),
-            ("min_entropy_bits", self.min_entropy_bits),
-            ("conditional_min_entropy_bits", self.conditional_min_entropy_bits),
-            ("leakage_bits", self.leakage_bits),
-        ]
-
-    def to_text(self) -> str:
-        return render_kv(self.to_items())
 
 
 def _neg_log2(value: float) -> float:

@@ -32,7 +32,7 @@ from . import symmetrise as symmetrise_mod
 from . import tightness as tightness_mod
 from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
-from .reporting import render_csv, render_kv
+from .reporting import render_csv, render_kv, render_report
 
 ENV_MAX_DATABASES = "BLOWFISH_MAX_DATABASES"
 EPSILON_SLACK = 1e-12
@@ -189,11 +189,6 @@ def _induced(source, cap: int) -> adjacency_mod.AdjacencyGraph:
     return source
 
 
-def _resolve_graph(args, cap: int) -> adjacency_mod.AdjacencyGraph:
-    """Adjacency graph from --graph, or induced from --policy."""
-    return _induced(_resolve_source(args, cap), cap)
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 
@@ -216,7 +211,7 @@ def _cmd_policy_build(args) -> int:
         if args.m is None:
             raise InputError(f"{args.kind} policies need --m")
         params = {"m": args.m}
-    elif kind == "custom":
+    else:  # custom: argparse's choices refuse any other kind
         if args.tuples is None:
             raise InputError("custom policies need --tuples")
         params = {
@@ -225,8 +220,6 @@ def _cmd_policy_build(args) -> int:
         }
         if args.values is not None:
             params["values"] = _parse_floats(args.values, "--values")
-    else:
-        raise InputError(f"unknown policy kind {args.kind!r}")
 
     built = policy_mod.build_policy(kind, n=args.n, permissible=permissible, **params)
     _write_output(args.out, policy_mod.policy_to_json(built))
@@ -269,12 +262,13 @@ def _cmd_bound_compute(args) -> int:
     report = bounds_mod.audit(
         built, args.epsilon, channel=chan, cap=_max_databases(args)
     )
-    _write_output(args.out, report.to_text())
+    _write_output(args.out, render_report(report))
     return 0 if report.bounds_hold in (None, True) else 1
 
 
 def _cmd_channel_verify(args) -> int:
-    graph = _resolve_graph(args, _max_databases(args)).to_graph()
+    cap = _max_databases(args)
+    graph = _induced(_resolve_source(args, cap), cap).to_graph()
     chan = _load_channel(args.channel)
     epsilon_star = channel_mod.minimal_epsilon(chan, graph)
     items = [
@@ -302,7 +296,7 @@ def _cmd_channel_leakage(args) -> int:
             policy_mod.numbers(doc, "prior file must hold a JSON list of probabilities")
         )
     report = channel_mod.leakage(chan, prior)
-    _write_output(args.out, report.to_text())
+    _write_output(args.out, render_report(report))
     return 0
 
 
@@ -329,7 +323,9 @@ def _cmd_channel_generate(args) -> int:
 
 
 def _cmd_symmetrise_run(args) -> int:
-    adjacency = _resolve_graph(args, _max_databases(args))
+    cap = _max_databases(args)
+    source = _resolve_source(args, cap)
+    adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
     chan = _load_channel(args.channel)
 
@@ -338,7 +334,9 @@ def _cmd_symmetrise_run(args) -> int:
     elif args.group == "lifted":
         if not args.policy:
             raise InputError("--group lifted requires --policy")
-        built = _load_policy(args.policy)
+        built = source  # the policy, parsed once, unless --graph gave the graph
+        if not isinstance(built, policy_mod.BlowfishPolicy):
+            built = _load_policy(args.policy)
         generators = graphcore.lift_policy_automorphisms(built, adjacency)
         group = graphcore.generate_group(
             generators, cap=args.max_group, degree=graph.vertex_count
@@ -359,8 +357,7 @@ def _cmd_symmetrise_run(args) -> int:
         _write_output(args.out_grouped, channel_mod.channel_to_csv(grouped))
     if args.out_averaged:
         _write_output(args.out_averaged, channel_mod.channel_to_csv(averaged))
-    items = [("group_order", order)] + report.to_items()
-    _write_output(args.out, render_kv(items))
+    _write_output(args.out, render_kv([("group_order", order)]) + render_report(report))
     return 0 if report.all_passed else 1
 
 

@@ -560,7 +560,6 @@ def pair_orbits(
 def lift_policy_automorphisms(
     policy: "BlowfishPolicy",
     adjacency: "AdjacencyGraph",
-    secret_vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> tuple[Permutation, ...]:
     """Generators of an automorphism subgroup of the database adjacency graph.
 
@@ -569,8 +568,10 @@ def lift_policy_automorphisms(
     automorphism applied at one record position), and record-index swaps of
     adjacent positions. Only a generating subset of the secret graph's
     automorphism group is lifted per record; lifting at a fixed record is a
-    homomorphism, so the generated subgroup is unchanged. Every returned
-    permutation is verified to preserve adjacency on ``adjacency``.
+    homomorphism, so the generated subgroup is unchanged. ``adjacency`` must
+    list each of the policy's databases exactly once, in any order, or
+    :class:`InputError` is raised. Every returned permutation is verified to
+    preserve adjacency on ``adjacency``.
     """
     if not policy.unconstrained:
         raise UnsupportedLiftError(
@@ -579,17 +580,23 @@ def lift_policy_automorphisms(
         )
     universe = policy.secret_graph.universe
     labels = universe.labels
-    secret_aut = automorphism_group(
-        policy.secret_graph.index_graph, vertex_cap=secret_vertex_cap
-    )
+    secret_aut = automorphism_group(policy.secret_graph.index_graph)
 
     vertices = adjacency.vertices
-    if len(vertices) != len(labels) ** policy.n:
+    n = policy.n
+    index_of = {db: k for k, db in enumerate(vertices)}
+    # Distinct n-record databases over the labels, as many as there are such
+    # databases, are exactly the database set. The per-vertex test runs
+    # first, so the power is only taken for an n no longer than a vertex.
+    label_set = set(labels)
+    if (
+        len(index_of) != len(vertices)
+        or any(len(db) != n or not label_set.issuperset(db) for db in vertices)
+        or len(vertices) != len(labels) ** n
+    ):
         raise InputError(
             "adjacency graph does not cover the policy's full database set"
         )
-    index_of = {db: k for k, db in enumerate(vertices)}
-    n = policy.n
 
     gens: list[Permutation] = []
     for record in range(n):

@@ -90,15 +90,6 @@ class SecretGraph(Value):
         return cls(universe, frozenset(edges))
 
     @cached_property
-    def neighbor_map(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, set[str]] = {lab: set() for lab in self.universe.labels}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        key = self.universe.index
-        return {lab: tuple(sorted(vals, key=key)) for lab, vals in adj.items()}
-
-    @cached_property
     def index_graph(self) -> Graph:
         """This graph on universe indices, as used by the graph machinery."""
         index = self.universe.index

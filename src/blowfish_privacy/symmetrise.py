@@ -20,7 +20,6 @@ from ._numpy import np
 from .channel import ChannelMatrix, minimal_epsilon
 from .errors import BlowfishError, InputError
 from .graphcore import Graph, PermutationGroup, is_automorphism, orbit_labels, orbit_slices, orbits
-from .reporting import render_kv
 
 EQUALITY_TOLERANCE = 1e-12
 # Entries of the channel that one block of diagonal_maximise's column adds covers.
@@ -154,24 +153,6 @@ class SymmetrisationReport(NamedTuple):
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_items(self) -> list[tuple[str, object]]:
-        items: list[tuple[str, object]] = [
-            ("epsilon_input", self.epsilon_input),
-            ("epsilon_grouped", self.epsilon_grouped),
-            ("epsilon_averaged", self.epsilon_averaged),
-            ("column_maxima_sum_input", self.column_maxima_sum_input),
-            ("diagonal_sum_grouped", self.diagonal_sum_grouped),
-            ("diagonal_sum_averaged", self.diagonal_sum_averaged),
-        ]
-        for check in self.checks:
-            items.append((f"check_{check.name}", "pass" if check.passed else "fail"))
-            items.append((f"check_{check.name}_magnitude", check.magnitude))
-        items.append(("all_passed", self.all_passed))
-        return items
-
-    def to_text(self) -> str:
-        return render_kv(self.to_items())
 
 
 def _column_maxima_sum(matrix: np.ndarray) -> float:

@@ -10,6 +10,7 @@ upper bound to the realised leakage tends to 1 as delta tends to 0.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
@@ -166,16 +167,4 @@ def sharpness_sweep(
 
 
 def sweep_to_csv(instances: Sequence[SharpnessInstance]) -> str:
-    rows = [
-        (
-            inst.n,
-            inst.delta,
-            inst.epsilon,
-            inst.bound_bits,
-            inst.leakage_bits,
-            inst.ratio,
-            inst.closed_form_gap,
-        )
-        for inst in instances
-    ]
-    return render_csv(SWEEP_COLUMNS, rows)
+    return render_csv(SWEEP_COLUMNS, map(attrgetter(*SWEEP_COLUMNS), instances))

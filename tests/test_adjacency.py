@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 import warnings
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from blowfish_privacy import (
     CapExceededError,
     InputError,
+    SchemaError,
     complete_policy,
     custom_policy,
     distance_threshold_policy,
@@ -364,10 +366,31 @@ def test_graph_document_round_trip(path_policy):
     assert again.edges == ag.edges
 
 
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[["1", "2"], ["2", "1"], ["1", "2"]], [["1", "2"], ["2", "1"], ["3"]]],
+    ids=["repeated_vertex", "mixed_record_counts"],
+)
+def test_graph_document_with_bad_vertices_is_a_schema_error(vertices):
+    with pytest.raises(SchemaError):
+        adjacency_from_json(json.dumps({"vertices": vertices, "edges": [[0, 1]]}))
+
+
 @given(graphs(max_vertices=6), st.data())
 def test_graph_document_round_trip_property(graph, data):
-    label_lists = st.lists(st.text(max_size=3), min_size=1, max_size=2)
-    vertices = tuple(tuple(data.draw(label_lists)) for _ in range(graph.vertex_count))
+    # A document lists distinct vertices of one record count.
+    records = data.draw(st.integers(1, 2))
+    vertices = tuple(
+        data.draw(
+            st.lists(
+                st.tuples(*[st.text(max_size=3)] * records),
+                min_size=graph.vertex_count,
+                max_size=graph.vertex_count,
+                unique=True,
+            )
+        )
+    )
     ag = AdjacencyGraph(vertices, graph.edges)
     text = adjacency_to_json(ag)
     again = adjacency_from_json(text)

@@ -22,6 +22,7 @@ from blowfish_privacy import (
 )
 from blowfish_privacy.bounds import component_bound_bits
 from blowfish_privacy.graphcore import components_and_diameters
+from blowfish_privacy.reporting import render_report
 
 from helpers import small_policies
 
@@ -129,7 +130,7 @@ def test_audit_without_channel():
     assert report.max_diameter == 6
     assert report.leakage_upper_bits == pytest.approx(0.6 * LOG2E, abs=1e-12)
     assert report.bounds_hold is None
-    assert "leakage_upper_bits: 0.865617" in report.to_text()
+    assert "leakage_upper_bits: 0.865617" in render_report(report)
 
 
 def test_audit_with_channel_margins():
@@ -156,7 +157,26 @@ def test_audit_reports_unbounded_for_non_private_channel():
     assert math.isinf(report.measured_epsilon)
     assert report.bounds_hold is True
     assert not report.finite or math.isinf(report.leakage_upper_bits_at_measured)
-    assert "unbounded" in report.to_text()
+    assert "unbounded" in render_report(report)
+
+    path = distance_threshold_policy([1, 2, 3, 4], 1, n=2)
+    report = audit(path, 0.5, channel=ChannelMatrix(np.eye(16)))
+    assert render_report(report) == (
+        "epsilon: 0.5\n"
+        "input_count: 16\n"
+        "component_count: 1\n"
+        "max_diameter: 6\n"
+        "min_entropy_lower_bits: -0.3280851226668906\n"
+        "leakage_upper_bits: 4.328085122666891\n"
+        "measured_epsilon: inf\n"
+        "measured_leakage_bits: 4.0\n"
+        "measured_cond_min_entropy_bits: 0.0\n"
+        "leakage_upper_bits_at_measured: unbounded\n"
+        "min_entropy_lower_bits_at_measured: unbounded\n"
+        "leakage_margin_bits: inf\n"
+        "min_entropy_margin_bits: inf\n"
+        "bounds_hold: true\n"
+    )
 
 
 def test_single_record_complete_policy_is_dp_case():

@@ -21,6 +21,7 @@ from blowfish_privacy import (
 from blowfish_privacy import channel as channel_mod
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
 from blowfish_privacy.errors import SchemaError
+from blowfish_privacy.reporting import render_report
 
 from helpers import (
     graphs,
@@ -290,6 +291,18 @@ def test_leakage_identity_one_bit():
     assert report.leakage_bits == 1.0
     assert report.min_entropy_bits == 1.0
     assert report.conditional_min_entropy_bits == 0.0
+
+
+def test_leakage_report_text_under_a_prior():
+    chan = ChannelMatrix(np.array([[0.75, 0.25], [0.25, 0.75]]))
+    report = leakage(chan, Prior(np.array([0.6, 0.4])))
+    assert render_report(report) == (
+        "vulnerability: 0.6\n"
+        "conditional_vulnerability: 0.75\n"
+        "min_entropy_bits: 0.7369655941662062\n"
+        "conditional_min_entropy_bits: 0.4150374992788438\n"
+        "leakage_bits: 0.3219280948873624\n"
+    )
 
 
 def test_leakage_constant_channel_zero_bits():

@@ -157,6 +157,53 @@ def test_loaded_graph_is_capped(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "never").exists()
 
 
+def _hamming_graph(vertices):
+    """Graph document joining the vertices that differ in exactly one record."""
+    edges = [
+        [i, j]
+        for i in range(len(vertices))
+        for j in range(i + 1, len(vertices))
+        if len(vertices[i]) == len(vertices[j])
+        and sum(a != b for a, b in zip(vertices[i], vertices[j])) == 1
+    ]
+    return json.dumps({"vertices": vertices, "edges": edges})
+
+
+LABELS_3 = ("1", "2", "3")
+ALL_PAIRS_3 = [[a, b] for a in LABELS_3 for b in LABELS_3]
+BAD_GRAPH_CASES = {  # vertex list, and the n written into the policy
+    "duplicate": (ALL_PAIRS_3[:-1] + [ALL_PAIRS_3[0]], 2),
+    "unequal_lengths": (ALL_PAIRS_3[:-1] + [["3"]], 2),
+    "wrong_record_count": ([[a, "1", b] for a in LABELS_3 for b in LABELS_3], 2),
+    "policy_n_far_larger": (ALL_PAIRS_3, 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPH_CASES))
+def test_graph_document_that_is_not_the_policy_database_set_exits_two(
+    tmp_path, monkeypatch, capsys, case
+):
+    """Nine vertices against a complete m = 3 policy: each list has the
+    count of the n = 2 databases but does not name the policy's databases.
+    With n = 40 the 3**40 databases must not be built to find that out."""
+    monkeypatch.chdir(tmp_path)
+    vertices, n = BAD_GRAPH_CASES[case]
+    assert run("policy", "build", "--kind", "complete", "--m", "3", "--n", "2",
+               "--out", "p.json") == 0
+    doc = json.loads((tmp_path / "p.json").read_text())
+    (tmp_path / "p.json").write_text(json.dumps({**doc, "n": n}))
+    (tmp_path / "g.json").write_text(_hamming_graph(vertices))
+    (tmp_path / "k.csv").write_text("0.5,0.5\n" * 9)
+    capsys.readouterr()
+    code = run("symmetrise", "run", "k.csv", "--graph", "g.json", "--policy", "p.json",
+               "--group", "lifted", "--out", "never")
+    assert code == 2
+    assert not (tmp_path / "never").exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_max_databases_env_mirror(tmp_path, monkeypatch):
     policy = build_path_policy(tmp_path, n=20)
     monkeypatch.setenv("BLOWFISH_MAX_DATABASES", "1000000")

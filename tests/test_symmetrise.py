@@ -26,6 +26,8 @@ from blowfish_privacy import (
 from blowfish_privacy import symmetrise as symmetrise_mod
 from blowfish_privacy.errors import BlowfishError
 from blowfish_privacy.graphcore import lift_policy_automorphisms
+from blowfish_privacy.reporting import render_kv, render_report
+from blowfish_privacy.symmetrise import PropertyCheck, SymmetrisationReport
 
 from helpers import (
     oracle_diagonal_maximise,
@@ -307,7 +309,31 @@ def test_check_symmetrisation_valid_pipeline_passes():
     assert report.diagonal_sum_averaged == pytest.approx(
         report.diagonal_sum_grouped, abs=1e-12
     )
-    assert "all_passed: true" in report.to_text()
+    assert "all_passed: true" in render_report(report)
+
+
+def test_symmetrisation_report_text_with_a_failing_check():
+    report = SymmetrisationReport(
+        0.5, 0.25, 0.125, 1.5, 1.5, 1.25,
+        (
+            PropertyCheck("epsilon_non_increasing", True, 0.0),
+            PropertyCheck("diagonal_constant_on_orbits", False, 0.001),
+        ),
+    )
+    assert render_kv([("group_order", 2)]) + render_report(report) == (
+        "group_order: 2\n"
+        "epsilon_input: 0.5\n"
+        "epsilon_grouped: 0.25\n"
+        "epsilon_averaged: 0.125\n"
+        "column_maxima_sum_input: 1.5\n"
+        "diagonal_sum_grouped: 1.5\n"
+        "diagonal_sum_averaged: 1.25\n"
+        "check_epsilon_non_increasing: pass\n"
+        "check_epsilon_non_increasing_magnitude: 0.0\n"
+        "check_diagonal_constant_on_orbits: fail\n"
+        "check_diagonal_constant_on_orbits_magnitude: 0.001\n"
+        "all_passed: false\n"
+    )
 
 
 def test_check_symmetrisation_trivial_group_passes():
