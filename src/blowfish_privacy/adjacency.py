@@ -191,15 +191,14 @@ def product_distances(
     if not policy.unconstrained:
         raise InputError("product distances need an unconstrained policy")
     capped_permissible_size(policy, cap)
-    secret = np.array(distances(policy.secret_graph.index_graph))
+    secret = distances(policy.secret_graph.index_graph)
     m, n = len(secret), policy.n
     # An unreachable record pair counts as more than any sum of finite ones.
     # The dtype is the smallest signed one that holds the largest sum,
     # n * beyond (the negated bound minus one keeps e.g. 128 out of int8).
     beyond = n * (m - 1) + 1
-    per_record = np.where(secret == UNREACHABLE, beyond, secret).astype(
-        np.min_scalar_type(-n * beyond - 1)
-    )
+    per_record = secret.astype(np.min_scalar_type(-n * beyond - 1))
+    per_record[secret == UNREACHABLE] = beyond
     total = per_record
     for _ in range(n - 1):
         size = len(total) * m
@@ -294,7 +293,9 @@ def adjacency_from_document(doc) -> AdjacencyGraph:
         raise SchemaError("'vertices' must all have the same number of records")
     edges = doc["edges"]
     if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)
+        isinstance(e, list)
+        and len(e) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in e)
         for e in edges
     ):
         raise SchemaError("'edges' must be a list of vertex index pairs")

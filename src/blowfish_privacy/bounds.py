@@ -69,10 +69,6 @@ class BoundReport(NamedTuple):
     min_entropy_margin_bits: float | None = None
     bounds_hold: bool | None = None
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.leakage_upper_bits)
-
 
 def unconstrained_audit(policy: BlowfishPolicy, epsilon: float) -> BoundReport:
     """Closed-form bound for unconstrained policies, without inducing the graph.

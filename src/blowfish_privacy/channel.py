@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 from ._frozen import Frozen
 from ._numpy import np
 from .errors import InputError, SchemaError
-from .graphcore import Graph, distance_matrix
+from .graphcore import Graph, distances
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
@@ -278,12 +278,13 @@ def randomized_response(dist: np.ndarray, epsilon: float) -> ChannelMatrix:
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
-    """:func:`randomized_response` over the all-pairs BFS distances of ``graph``.
+    """:func:`randomized_response` over the all-pairs hop counts of ``graph``
+    (:func:`graphcore.distances`, one bitset BFS from every vertex at once).
 
     Outputs coincide with inputs; entries across components are zero, so the
     matrix is block-diagonal over the components.
     """
-    return randomized_response(distance_matrix(graph), epsilon)
+    return randomized_response(distances(graph), epsilon)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def _cmd_channel_generate(args) -> int:
         # its distances are sums over records, with no graph induced.
         dist = adjacency_mod.product_distances(source, cap)
     else:
-        dist = graphcore.distance_matrix(_induced(source, cap).to_graph())
+        dist = graphcore.distances(_induced(source, cap).to_graph())
     if args.shuffle_outputs:
         # Shuffling the distances' columns shuffles the channel's the same way:
         # each row is divided by its correctly rounded sum, which no column

@@ -9,9 +9,8 @@ this convention is used everywhere (cosets are order-sensitive).
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, TYPE_CHECKING
+from typing import Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from ._frozen import Frozen, Value
 from ._numpy import np
@@ -58,41 +57,89 @@ class Graph(Value):
         return cls(vertex_count, frozenset(normalised))
 
     @cached_property
-    def neighbors(self) -> tuple[frozenset[int], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return tuple(frozenset(s) for s in adj)
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, ascending."""
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for a, b in sorted(self.edges):
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(map(tuple, adj))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
-def distances(graph: Graph) -> list[list[int]]:
-    """All-pairs hop counts by repeated BFS; unreachable pairs are ``UNREACHABLE``."""
-    n = graph.vertex_count
+def _levels(graph: Graph, sources: range) -> Iterator[tuple[list[int], list[int]]]:
+    """Breadth-first search from every vertex of ``sources`` at once, over
+    bitsets of sources.
+
+    The multi-source BFS of Then et al., "The More the Merrier: Efficient
+    Multi-Source Graph Traversal", PVLDB 8(4), 2014, with Python ints as
+    bitsets: bit ``k`` stands for source ``sources[k]``. Yields ``(new,
+    seen)`` for levels 0, 1, 2, ... while some source still spreads. Bit
+    ``k`` of ``new[v]`` is set iff ``v`` is exactly the level's hop count
+    from ``sources[k]``; ``seen[v]`` is the OR of the levels so far, one list
+    updated in place between yields. A level's ``new[v]`` is the OR of the
+    previous level's bitsets over ``v``'s neighbours, minus ``seen[v]``. The
+    state is three lists of ``vertex_count`` bitsets of ``len(sources)`` bits.
+    """
     adj = graph.neighbors
-    out = []
-    for source in range(n):
-        row = [UNREACHABLE] * n
-        row[source] = 0
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if row[w] == UNREACHABLE:
-                    row[w] = row[v] + 1
-                    queue.append(w)
-        out.append(row)
+    seen = [0] * graph.vertex_count
+    for k, s in enumerate(sources):
+        seen[s] = 1 << k
+    new = seen[:]
+    while any(new):
+        yield new, seen
+        frontier, new = new, []
+        for v, ws in enumerate(adj):
+            reached = 0
+            for w in ws:
+                reached |= frontier[w]
+            if reached:
+                reached &= ~seen[v]
+                seen[v] |= reached
+            new.append(reached)
+
+
+# Sources per traversal in :func:`distances`. A bitset of 2,048 bits is a
+# 300-byte int, which Python allocates from its small-object arenas and
+# returns to the system once the traversal ends; a wider one comes from
+# malloc, whose freed heap stays resident (7 MB at 4,096 vertices).
+_SOURCE_BLOCK = 2048
+# Distance cells unpacked per block of rows (bounds the unpack's temporaries).
+_UNPACK_CELLS = 1 << 16
+
+
+def distances(graph: Graph) -> np.ndarray:
+    """All-pairs hop counts, ``UNREACHABLE`` across components, as a V x V
+    array of the smallest signed dtype that holds ``UNREACHABLE`` and every
+    hop count (at most V - 1).
+
+    One :func:`_levels` traversal per block of ``_SOURCE_BLOCK`` sources
+    fills those sources' columns; each level is unpacked into them a block
+    of rows at a time. Besides the result, the traversal holds three lists
+    of V bitsets of at most ``_SOURCE_BLOCK`` bits, and no other temporary
+    holds more than ``_UNPACK_CELLS`` bytes.
+    """
+    n = graph.vertex_count
+    out = np.full((n, n), UNREACHABLE, dtype=np.min_scalar_type(-n))
+    for lo in range(0, n, _SOURCE_BLOCK):
+        sources = range(lo, min(n, lo + _SOURCE_BLOCK))
+        width = (len(sources) + 7) // 8
+        rows = max(1, _UNPACK_CELLS // len(sources))
+        for level, (new, _) in enumerate(_levels(graph, sources)):
+            for r in range(0, n, rows):
+                block = new[r : r + rows]
+                if not any(block):
+                    continue
+                packed = b"".join([bits.to_bytes(width, "little") for bits in block])
+                reached = np.unpackbits(
+                    np.frombuffer(packed, np.uint8).reshape(len(block), width),
+                    axis=1, count=len(sources), bitorder="little",
+                )
+                np.copyto(out[r : r + rows, lo : sources.stop], level, where=reached.view(bool))
     return out
-
-
-def distance_matrix(graph: Graph) -> np.ndarray:
-    """:func:`distances` as an array of the smallest signed dtype that holds
-    ``UNREACHABLE`` and every hop count (at most ``vertex_count - 1``)."""
-    return np.array(distances(graph), dtype=np.min_scalar_type(-graph.vertex_count))
 
 
 class Components(NamedTuple):
@@ -104,21 +151,23 @@ class Components(NamedTuple):
 def components_and_diameters(graph: Graph) -> Components:
     """Connected components and per-component diameters (isolated vertex: 0).
 
-    Each component is the reachable set of its smallest vertex's distance
-    row; components are numbered in the order of their smallest vertices.
+    One :func:`_levels` traversal, with no array and no numpy: a vertex's
+    final ``seen`` bitset is its component, its eccentricity is the last
+    level that added a bit to it, and a component's diameter is its members'
+    largest eccentricity. Components are numbered in the order of their
+    smallest vertices.
     """
-    dist = distances(graph)
-    assignment = [-1] * graph.vertex_count
-    diameters = []
-    for start, row in enumerate(dist):
-        if assignment[start] != -1:
-            continue
-        members = [v for v, d in enumerate(row) if d != UNREACHABLE]
-        for v in members:
-            assignment[v] = len(diameters)
-        # Unreachable entries are -1, so a member's row peaks inside the component.
-        diameters.append(max(max(dist[v]) for v in members))
-    return Components(len(diameters), tuple(assignment), tuple(diameters))
+    eccentricity = [0] * graph.vertex_count
+    for level, (new, seen) in enumerate(_levels(graph, range(graph.vertex_count))):
+        for v, bits in enumerate(new):
+            if bits:
+                eccentricity[v] = level
+    number: dict[int, int] = {}
+    assignment = tuple(number.setdefault(members, len(number)) for members in seen)
+    diameters = [0] * len(number)
+    for c, e in zip(assignment, eccentricity):
+        diameters[c] = max(diameters[c], e)
+    return Components(len(number), assignment, tuple(diameters))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +461,7 @@ def automorphism_group(
         raise CapExceededError(
             f"automorphism search limited to {vertex_cap} vertices, got {n}"
         )
-    dist = distances(graph)
+    dist = distances(graph).tolist()
     adj = graph.neighbors
     profiles = []
     for v in range(n):

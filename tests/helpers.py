@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from collections import deque
 from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import NamedTuple
@@ -208,6 +209,45 @@ def oracle_components(graph):
     return count, tuple(assignment), tuple(diameters)
 
 
+def oracle_distances(graph):
+    """All-pairs hop counts as a list of lists, by one queue BFS per source;
+    unreachable pairs are -1."""
+    n = graph.vertex_count
+    neighbours = [[] for _ in range(n)]
+    for a, b in graph.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    out = []
+    for source in range(n):
+        row = [-1] * n
+        row[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w in neighbours[v]:
+                if row[w] == -1:
+                    row[w] = row[v] + 1
+                    queue.append(w)
+        out.append(row)
+    return out
+
+
+def components_from_distances(dist):
+    """``(count, assignment, diameters)`` read off an all-pairs distance table
+    (-1 unreachable), numbered like :func:`oracle_components`: a component is
+    the reachable set of its smallest vertex, its diameter the largest entry
+    of its members' rows."""
+    assignment = [-1] * len(dist)
+    diameters = []
+    for start, row in enumerate(dist):
+        if assignment[start] == -1:
+            members = [v for v, d in enumerate(row) if d != -1]
+            for v in members:
+                assignment[v] = len(diameters)
+            diameters.append(max(max(dist[v]) for v in members))
+    return len(diameters), tuple(assignment), tuple(diameters)
+
+
 def oracle_violations(matrix):
     """Channel violations ``(kind, row, column, magnitude)`` by a per-entry scan.
 
@@ -397,6 +437,16 @@ def graphs(draw, min_vertices=1, max_vertices=6):
         else []
     )
     return Graph.from_edges(n, edges)
+
+
+@st.composite
+def sparse_graphs(draw, max_vertices=140):
+    """Graphs with at most as many edges as vertices, so that most draws have
+    several components and isolated vertices."""
+    n = draw(st.integers(1, max_vertices))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+    return Graph.from_edges(n, [(a, b) for a, b in pairs if a != b])
 
 
 @st.composite

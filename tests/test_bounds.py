@@ -156,7 +156,9 @@ def test_audit_reports_unbounded_for_non_private_channel():
     report = audit(pol, 0.5, channel=ChannelMatrix(np.eye(2)))
     assert math.isinf(report.measured_epsilon)
     assert report.bounds_hold is True
-    assert not report.finite or math.isinf(report.leakage_upper_bits_at_measured)
+    assert not math.isfinite(report.leakage_upper_bits) or math.isinf(
+        report.leakage_upper_bits_at_measured
+    )
     assert "unbounded" in render_report(report)
 
     path = distance_threshold_policy([1, 2, 3, 4], 1, n=2)

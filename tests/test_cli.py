@@ -13,9 +13,8 @@ import pytest
 from blowfish_privacy.adjacency import adjacency_from_json
 from blowfish_privacy.channel import channel_to_csv, randomized_response
 from blowfish_privacy.cli import build_parser, main
-from blowfish_privacy.graphcore import distances
 
-from helpers import run_cli_with_address_limit
+from helpers import oracle_distances, run_cli_with_address_limit
 
 LOG2E = math.log2(math.e)
 
@@ -204,6 +203,25 @@ def test_graph_document_that_is_not_the_policy_database_set_exits_two(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_graph_document_with_boolean_edge_indices_exits_two(
+    tmp_path, monkeypatch, capsys, command
+):
+    """JSON true and false are not vertex indices, though Python's bool is an int."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(
+        json.dumps({"vertices": [["1"], ["2"]], "edges": [[True, False]]})
+    )
+    (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    argv = {"generate": ["channel", "generate"], "verify": ["channel", "verify", "k.csv"]}
+    capsys.readouterr()
+    code = run(*argv[command], "--graph", "g.json", "--epsilon", "1", "--out", "never")
+    assert code == 2
+    assert not (tmp_path / "never").exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_max_databases_env_mirror(tmp_path, monkeypatch):
     policy = build_path_policy(tmp_path, n=20)
     monkeypatch.setenv("BLOWFISH_MAX_DATABASES", "1000000")
@@ -365,7 +383,7 @@ def test_shuffled_channel_is_the_channel_with_its_columns_permuted(tmp_path, sou
     assert run("channel", "generate", source, str(target), "--epsilon", "0.4",
                "--out", str(base)) == 0
     adjacency = adjacency_from_json(graph.read_text())
-    unpacked = randomized_response(np.array(distances(adjacency.to_graph())), 0.4)
+    unpacked = randomized_response(np.array(oracle_distances(adjacency.to_graph())), 0.4)
     assert base.read_text() == "".join(channel_to_csv(unpacked))
     base_rows = csv_rows(base)
     base_columns = sorted(zip(*base_rows))

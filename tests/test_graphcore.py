@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
 from itertools import combinations
 
-import time
-
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -25,6 +29,7 @@ from blowfish_privacy import (
     stabiliser,
     transporter,
 )
+from blowfish_privacy import graphcore
 from blowfish_privacy.graphcore import (
     UNREACHABLE,
     identity_permutation,
@@ -33,13 +38,17 @@ from blowfish_privacy.graphcore import (
 )
 
 from helpers import (
+    SRC,
+    components_from_distances,
     graphs,
     oracle_automorphisms,
     oracle_components,
+    oracle_distances,
     oracle_elements,
     oracle_orbits,
     oracle_pair_orbits,
     permutation_sets,
+    sparse_graphs,
 )
 
 
@@ -97,6 +106,87 @@ def test_components_edgeless():
 def test_components_match_bfs_floyd_warshall_oracle(graph):
     comps = components_and_diameters(graph)
     assert (comps.count, comps.assignment, comps.diameters) == oracle_components(graph)
+
+
+def check_traversal(graph):
+    """Distances against the queue-BFS oracle, value and dtype, and components
+    against Floyd-Warshall where it is quick, else against the oracle's table."""
+    dist = distances(graph)
+    expected = oracle_distances(graph)
+    assert dist.dtype == np.min_scalar_type(-graph.vertex_count)
+    assert dist.tolist() == expected
+    comps = tuple(components_and_diameters(graph))
+    assert comps == components_from_distances(expected)
+    if graph.vertex_count <= 30:
+        assert comps == oracle_components(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs())
+@example(Graph.from_edges(1, []))
+@example(Graph.from_edges(70, [(0, 69), (3, 4)]))
+def test_traversal_matches_oracles_property(graph):
+    check_traversal(graph)
+
+
+def pieces_graph(n):
+    """A cycle on the first third, a path on the rest but the last vertex,
+    and the last vertex isolated (as many pieces as ``n`` allows)."""
+    third = n // 3
+    cycle = [(i, (i + 1) % third) for i in range(third)] if third >= 3 else []
+    path = [(i, i + 1) for i in range(third, n - 2)]
+    return Graph.from_edges(n, cycle + path)
+
+
+# Bitset byte and 30-bit digit edges, the int8/int16 switch at 129 vertices,
+# and at 300 vertices more than one block of rows per unpack.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("shape", [path_graph, pieces_graph])
+def test_traversal_matches_oracles_at_word_and_block_edges(n, shape):
+    check_traversal(shape(n))
+
+
+@pytest.mark.parametrize("n", [64, 129, 300])
+@pytest.mark.parametrize("shape", [path_graph, pieces_graph])
+def test_traversal_matches_oracles_across_source_blocks(monkeypatch, n, shape):
+    """Narrow source and row blocks, whose last ones are partial."""
+    monkeypatch.setattr(graphcore, "_SOURCE_BLOCK", 48)
+    monkeypatch.setattr(graphcore, "_UNPACK_CELLS", 700)
+    check_traversal(shape(n))
+
+
+def test_components_and_diameters_import_no_numpy():
+    """The bound path reads components without building an array."""
+    script = (
+        "import sys\n"
+        "from blowfish_privacy import Graph, components_and_diameters\n"
+        "edges = [(i, i + 1) for i in range(149)]\n"
+        "edges += [(150 + i, 150 + (i + 1) % 149) for i in range(149)]\n"
+        "comps = components_and_diameters(Graph.from_edges(300, edges))\n"
+        "print(comps.count, comps.diameters, 'numpy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split("\n")[0] == "3 (149, 74, 0) False"
+
+
+def test_distances_peak_memory_is_the_result_and_a_block():
+    """At n = 5 (1,024 vertices), the traversal's bitsets and one block of
+    unpacked rows stay below 1 MiB beside the 2 MiB int16 result."""
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
+    graph = induce_adjacency_graph(policy).to_graph()
+    distances(path_graph(2))  # numpy's first use, which imports and binds it
+    tracemalloc.start()
+    try:
+        dist = distances(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dist.shape == (1024, 1024) and dist.dtype == np.int16
+    assert peak < dist.nbytes + 2**20
 
 
 # ---------------------------------------------------------------------------
