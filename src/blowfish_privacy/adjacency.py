@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .errors import InputError, SchemaError
@@ -30,101 +30,97 @@ from .policy import (
     label_lists,
 )
 
-# Entries that one block of the pairwise difference comparisons holds at once.
-DIFFERENCE_CHUNK_CELLS = 2**16
-
 
 class AdjacencyAsymmetryWarning(UserWarning):
     """The minimally-secretly-different relation disagreed by direction."""
 
 
-def _contains_any(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Mask of the coded ``rows`` whose set contains at least one of ``subsets``.
-
-    Rows and subsets are compared a block of each at a time, each block pair
-    holding at most ``DIFFERENCE_CHUNK_CELLS`` entries (one row against one
-    subset when a single row is longer).
-    """
-    width = max(1, rows.shape[1])
-    subset_step = max(1, min(len(subsets), DIFFERENCE_CHUNK_CELLS // width))
-    row_step = max(1, DIFFERENCE_CHUNK_CELLS // (subset_step * width))
-    found = np.zeros(len(rows), dtype=bool)
-    for k in range(0, len(subsets), subset_step):
-        block = subsets[k : k + subset_step]
-        absent = block < 0
-        for r in range(0, len(rows), row_step):
-            inside = absent | (block == rows[r : r + row_step, None, :])
-            found[r : r + row_step] |= inside.all(axis=2).any(axis=1)
-    return found
-
-
-def _minimal_rows(codes: np.ndarray) -> np.ndarray:
-    """Mask of the coded rows whose set strictly contains no other row's set.
-
-    Row ``r`` codes the set of pairs ``(p, codes[r, p])`` with
-    ``codes[r, p] >= 0``. Only a smaller set can lie strictly inside another,
-    and strict containment is transitive, so the rows are visited one size at
-    a time and each is tested only against the minimal rows of smaller sizes.
-    """
-    sizes = (codes >= 0).sum(axis=1)
-    minimal = np.zeros(len(codes), dtype=bool)
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        level = np.flatnonzero(sizes == size)
-        if minimal.any():
-            level = level[~_contains_any(codes[level], codes[minimal])]
-        minimal[level] = True
-    return minimal
-
-
-def _adjacent_from(rows: np.ndarray, base: np.ndarray, secret: np.ndarray) -> np.ndarray:
-    """Indices of the ``rows`` minimally secretly different from ``base``.
-
-    Databases are rows of universe indices and ``secret`` is the secret graph
-    as a boolean table. From a fixed base, a differing record is fixed by its
-    position and its other value, so a difference is coded as a row that
-    holds the other database's value at each position in the difference and
-    -1 elsewhere. The rows are grouped exactly by their secret-difference
-    code. A row qualifies when its group is non-empty, no non-empty group
-    lies strictly inside it, and no member of its group has a strictly
-    smaller total difference.
-    """
-    secret_code = np.where(secret[base, rows], rows, -1)
-    candidates = np.flatnonzero((secret_code >= 0).any(axis=1))
-    if not len(candidates):
-        return candidates
-    codes = secret_code[candidates]
-    # Sort the codes, then cut wherever a row differs from the one before it
-    # (np.unique over rows sorts raw bytes and is several times slower here).
-    order = np.lexsort(codes.T)
-    ordered = codes[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group_of = np.empty(len(order), dtype=np.intp)
-    group_of[order] = np.cumsum(first) - 1
-    members = candidates[_minimal_rows(ordered[first])[group_of]]
-    # Nested total differences have nested secret differences, so members of
-    # two different minimal groups never nest and all groups are done at once.
-    member_rows = rows[members]
-    total_code = np.where(member_rows != base, member_rows, -1)
-    return members[_minimal_rows(total_code)]
-
-
-def _encode(policy: BlowfishPolicy, databases: Sequence[Database], n: int) -> np.ndarray:
-    """The databases as a ``len(databases) x n`` array of universe indices."""
+def _index_rows(
+    policy: BlowfishPolicy, databases: Sequence[Database], n: int
+) -> list[tuple[int, ...]]:
+    """The databases as tuples of universe indices."""
     if any(len(db) != n for db in databases):
         raise InputError(f"databases must all have {n} records")
     index = policy.universe.index
-    codes = [index(label) for db in databases for label in db]
-    return np.array(codes, dtype=np.intp).reshape(len(databases), n)
+    return [tuple(map(index, db)) for db in databases]
 
 
-def _secret_table(policy: BlowfishPolicy) -> np.ndarray:
-    """The secret graph as a symmetric boolean table over universe indices."""
-    m = len(policy.universe)
-    ends = np.array(list(policy.secret_graph.index_graph.edges), dtype=np.intp).reshape(-1, 2)
-    table = np.zeros((m, m), dtype=bool)
-    table[ends[:, 0], ends[:, 1]] = table[ends[:, 1], ends[:, 0]] = True
-    return table
+def _value_sets(rows: list[tuple[int, ...]], n: int, m: int) -> list[list[int]]:
+    """``sets[p][v]``: the bitset of the rows that hold value ``v`` at record
+    ``p`` (bit ``k`` stands for ``rows[k]``)."""
+    sets = []
+    for p in range(n):
+        holders: dict[int, list[int]] = {}
+        for k, row in enumerate(rows):
+            holders.setdefault(row[p], []).append(k)
+        at_p = [0] * m
+        for v, ks in holders.items():
+            buf = bytearray((len(rows) + 7) // 8)
+            for k in ks:
+                buf[k >> 3] |= 1 << (k & 7)
+            at_p[v] = int.from_bytes(buf, "little")
+        sets.append(at_p)
+    return sets
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _adjacent_from(
+    base: tuple[int, ...],
+    rows: list[tuple[int, ...]],
+    sets: list[list[int]],
+    neighbors: tuple[tuple[int, ...], ...],
+) -> int:
+    """Bitset of the ``rows`` minimally secretly different from ``base``.
+
+    From a fixed base, a secret difference is fixed by the records where it
+    lies and the other value at each, its code. The candidates (rows with a
+    non-empty code) are refined depth first, one record ``p`` at a time:
+    a group splits into the rows not secretly different from the base at
+    ``p`` (``keep``) and, for each secret neighbour ``v`` of the base's
+    value, the rows holding ``v``. Each node also carries ``inside``, the
+    candidates whose code, on the records so far, lies inside the node's;
+    at a leaf these are the candidates whose code lies inside the group's,
+    so the group is minimal when ``inside`` is the group itself. Within a
+    minimal group, a row qualifies when no other member's total difference
+    lies inside its own. Nested total differences have nested secret
+    differences, so members of other minimal groups never need checking.
+    The stack holds at most ``n * (1 + max secret degree)`` nodes.
+    """
+    n = len(base)
+    everything = (1 << len(rows)) - 1
+    equal = [sets[p][u] for p, u in enumerate(base)]
+    branches = []  # per record: (rows taking the branch, rows inside it)
+    candidates = 0
+    for p, u in enumerate(base):
+        secret = [s for v in neighbors[u] if (s := sets[p][v])]
+        keep = everything
+        for s in secret:
+            keep ^= s
+        branches.append([(keep, keep)] + [(s, keep | s) for s in secret])
+        candidates |= everything ^ keep
+    adjacent = 0
+    stack = [(0, candidates, candidates)] if candidates else []
+    while stack:
+        p, group, inside = stack.pop()
+        if p < n:
+            for select, within in branches[p]:
+                if part := group & select:
+                    stack.append((p + 1, part, inside & within))
+        elif inside == group:  # no other candidate's secret difference lies inside
+            for y in _members(group):
+                smaller = group
+                for p, v in enumerate(rows[y]):
+                    smaller &= equal[p] | sets[p][v]
+                if smaller == 1 << y:
+                    adjacent |= smaller
+    return adjacent
 
 
 def is_adjacent(
@@ -134,15 +130,17 @@ def is_adjacent(
     universe_databases: Sequence[Database],
 ) -> bool:
     """Directional adjacency test over an explicit permissible set."""
-    members = set(universe_databases)
-    if tuple(base) not in members:
+    # Once each: with a repeat, neither copy's total difference is minimal.
+    databases = {db: k for k, db in enumerate(dict.fromkeys(map(tuple, universe_databases)))}
+    if tuple(base) not in databases:
         raise InputError(f"database {base!r} is not permissible")
-    if tuple(other) not in members:
+    if tuple(other) not in databases:
         raise InputError(f"database {other!r} is not permissible")
-    rows = _encode(policy, universe_databases, len(base))
-    (base_row,) = _encode(policy, [base], len(base))
-    adjacent = _adjacent_from(rows, base_row, _secret_table(policy))
-    return tuple(other) in {universe_databases[k] for k in adjacent.tolist()}
+    rows = _index_rows(policy, list(databases), len(base))
+    sets = _value_sets(rows, len(base), len(policy.universe))
+    neighbors = policy.secret_graph.index_graph.neighbors
+    adjacent = _adjacent_from(rows[databases[tuple(base)]], rows, sets, neighbors)
+    return bool(adjacent >> databases[tuple(other)] & 1)
 
 
 class AdjacencyGraph(NamedTuple):
@@ -210,17 +208,12 @@ def product_distances(
 def _induce_definition(
     policy: BlowfishPolicy, vertices: tuple[Database, ...]
 ) -> tuple[frozenset, tuple[tuple[int, int], ...]]:
-    rows = _encode(policy, vertices, policy.n)
-    secret = _secret_table(policy)
-    arcs = {
-        (i, j)
-        for i, base in enumerate(rows)
-        for j in _adjacent_from(rows, base, secret).tolist()
-    }
-    edges = frozenset((min(arc), max(arc)) for arc in arcs)
-    asymmetric = sorted(
-        (i, j) for i, j in edges if ((i, j) in arcs) != ((j, i) in arcs)
-    )
+    rows = _index_rows(policy, vertices, policy.n)
+    sets = _value_sets(rows, policy.n, len(policy.universe))
+    neighbors = policy.secret_graph.index_graph.neighbors
+    arcs = [_adjacent_from(base, rows, sets, neighbors) for base in rows]
+    edges = frozenset((min(i, j), max(i, j)) for i, out in enumerate(arcs) for j in _members(out))
+    asymmetric = sorted((i, j) for i, j in edges if (arcs[i] >> j ^ arcs[j] >> i) & 1)
     return edges, tuple(asymmetric)
 
 
@@ -232,15 +225,14 @@ def induce_adjacency_graph(
     An unconstrained policy takes the single-position characterisation
     (adjacent databases differ in one record, on a secret pair). An explicit
     permissible set follows the definition, one pass from each database as
-    base, on a ``V x n`` array of universe indices and a boolean table of the
-    secret graph. Each pass codes every database's secret and total
-    difference from the base as an index row, groups the rows exactly by
-    secret code, keeps the groups with no smaller non-empty group inside
-    them, and within those the databases whose total difference is minimal.
-    Both subset scans visit candidates in order of size and test them only
-    against the minimal rows of smaller sizes, a block at a time of at most
-    ``DIFFERENCE_CHUNK_CELLS`` entries, so no temporary outgrows the database
-    array by more than that budget. An edge is kept when either direction
+    base, over Python-int bitsets of databases: ``sets[p][v]`` holds the
+    databases with value ``v`` at record ``p``, built once. Each pass refines
+    the databases secretly different from the base by their secret
+    difference, one record at a time and depth first, keeps the groups with
+    no smaller non-empty secret difference inside them, and within those
+    the databases whose total difference is minimal (see
+    :func:`_adjacent_from`). No array is built and numpy is not imported.
+    An edge is kept when either direction
     holds; pairs where the directions disagree are recorded and warned about.
     """
     vertices = enumerate_permissible(policy, cap)

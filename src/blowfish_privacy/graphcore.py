@@ -42,7 +42,10 @@ class Graph(Value):
             raise InputError("graph needs at least one vertex")
         for a, b in edges:
             if not (0 <= a < b < vertex_count):
-                raise InputError(f"edge ({a}, {b}) is not a sorted pair of distinct vertex indices")
+                raise InputError(
+                    f"edge ({a}, {b}) is not a sorted pair of distinct vertex indices"
+                    f" in 0..{vertex_count - 1}"
+                )
         self._set(vertex_count=vertex_count, edges=edges)
 
     @classmethod
@@ -151,19 +154,29 @@ class Components(NamedTuple):
 def components_and_diameters(graph: Graph) -> Components:
     """Connected components and per-component diameters (isolated vertex: 0).
 
-    One :func:`_levels` traversal, with no array and no numpy: a vertex's
-    final ``seen`` bitset is its component, its eccentricity is the last
-    level that added a bit to it, and a component's diameter is its members'
-    largest eccentricity. Components are numbered in the order of their
-    smallest vertices.
+    One :func:`_levels` traversal per block of ``_SOURCE_BLOCK`` sources, as
+    in :func:`distances`, with no array and no numpy. A vertex's component
+    is keyed by its smallest member: the lowest set bit of its final
+    ``seen`` bitset in the first block that reaches it. Its eccentricity is
+    the last level, over all blocks, that reached it, and a component's
+    diameter is its members' largest eccentricity. Components are numbered
+    in the order of their smallest vertices. The traversal holds three
+    lists of V bitsets of at most ``_SOURCE_BLOCK`` bits, so memory grows as
+    V, not V squared.
     """
-    eccentricity = [0] * graph.vertex_count
-    for level, (new, seen) in enumerate(_levels(graph, range(graph.vertex_count))):
-        for v, bits in enumerate(new):
-            if bits:
-                eccentricity[v] = level
+    n = graph.vertex_count
+    smallest = [-1] * n
+    eccentricity = [0] * n
+    for lo in range(0, n, _SOURCE_BLOCK):
+        for level, (new, seen) in enumerate(_levels(graph, range(lo, min(n, lo + _SOURCE_BLOCK)))):
+            for v, bits in enumerate(new):
+                if bits and level > eccentricity[v]:
+                    eccentricity[v] = level
+        for v, bits in enumerate(seen):
+            if bits and smallest[v] < 0:
+                smallest[v] = lo + (bits & -bits).bit_length() - 1
     number: dict[int, int] = {}
-    assignment = tuple(number.setdefault(members, len(number)) for members in seen)
+    assignment = tuple(number.setdefault(s, len(number)) for s in smallest)
     diameters = [0] * len(number)
     for c, e in zip(assignment, eccentricity):
         diameters[c] = max(diameters[c], e)

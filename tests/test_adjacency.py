@@ -1,9 +1,9 @@
+import hashlib
 import json
 import random
 import tracemalloc
 import warnings
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from blowfish_privacy import (
     induce_adjacency_graph,
     is_adjacent,
 )
-from blowfish_privacy import adjacency as adjacency_mod
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
     AdjacencyGraph,
@@ -88,6 +87,14 @@ def test_is_adjacent_cases(path_policy):
     assert not is_adjacent(("1", "1"), ("1", "3"), path_policy, dbs)
     # two positions differ and ("2","1") realises a strictly smaller difference
     assert not is_adjacent(("1", "1"), ("2", "2"), path_policy, dbs)
+
+
+def test_is_adjacent_reads_a_repeated_database_once(path_policy):
+    dbs = [("1", "1"), ("1", "2"), ("1", "2"), ("2", "1"), ("2", "2"), ("2", "2")]
+    for a in dict.fromkeys(dbs):
+        for b in dict.fromkeys(dbs):
+            expected = oracle_minimally_secretly_different(a, b, path_policy.secret_graph.edges, dbs)
+            assert is_adjacent(a, b, path_policy, dbs) == expected
 
 
 def test_is_adjacent_requires_membership(path_policy):
@@ -251,11 +258,9 @@ def assert_definition_matches_oracle(pol):
 
 
 @settings(max_examples=60, deadline=None)
-@given(constrained_policies(), st.integers(1, 40))
-def test_definition_path_matches_oracle_up_to_twenty_databases(pol, chunk_cells):
-    """Also when the comparison blocks split rows and subsets unevenly."""
-    with mock.patch.object(adjacency_mod, "DIFFERENCE_CHUNK_CELLS", chunk_cells):
-        assert_definition_matches_oracle(pol)
+@given(constrained_policies())
+def test_definition_path_matches_oracle_up_to_twenty_databases(pol):
+    assert_definition_matches_oracle(pol)
 
 
 def test_definition_path_groups_exactly_at_forty_records():
@@ -310,6 +315,69 @@ def test_definition_path_matches_oracle_on_forty_databases():
     edge_set = pol.secret_graph.edges
     assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
     assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
+
+
+@st.composite
+def larger_constrained_policies(draw):
+    """Explicit permissible sets of 40 to 80 databases on any secret graph,
+    so that bitsets over the databases span two or three 30-bit CPython digits."""
+    m = draw(st.integers(2, 4))
+    labels = [str(i + 1) for i in range(m)]
+    pairs = [(labels[i], labels[j]) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    n = draw(st.integers(next(n for n in range(1, 7) if m**n >= 40), 6))
+    every = list(product(labels, repeat=n))
+    size = draw(st.integers(40, min(80, len(every))))
+    chosen = draw(st.lists(st.integers(0, len(every) - 1), min_size=size, max_size=size, unique=True))
+    return custom_policy(labels, edges, n=n, permissible=[every[k] for k in chosen])
+
+
+@settings(max_examples=10, deadline=None)
+@given(larger_constrained_policies())
+def test_definition_path_matches_oracle_on_forty_to_eighty_databases(pol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
+        ag = induce_adjacency_graph(pol)
+    dbs = list(ag.vertices)
+    edge_set = pol.secret_graph.edges
+    assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
+    assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
+
+
+def test_one_base_over_single_database_groups_stays_small():
+    # The databases above with every value pair secret: each of the 4,096
+    # others is alone in its secret-difference group, and none of their
+    # differences lies inside another's. The refinement holds one path of
+    # bitsets over 4,097 databases.
+    labels = [str(v) for v in range(1, 8)]
+    pol = custom_policy(labels, [(a, b) for a in labels for b in labels if a < b], n=13)
+    base = ("1",) * 13
+    small = [("2", "1", *rest) for rest in product("34", repeat=11)]
+    large = [("2", "5", *rest) for rest in product("67", repeat=11)]
+    dbs = [base, *small, *large]
+    tracemalloc.start()
+    try:
+        adjacent = is_adjacent(base, large[-1], pol, dbs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert adjacent
+    assert peak < 2 * 2**20
+
+
+def test_definition_path_edges_are_pinned_on_a_seeded_sample():
+    """160 of the 1,024 n = 5 threshold databases, as in the constrained-scan
+    benchmark; the digest was taken from the numpy implementation this path
+    replaced."""
+    sample = random.Random(0).sample(list(product("1234", repeat=5)), 160)
+    pol = distance_threshold_policy([1, 2, 3, 4], 1, n=5, permissible=sample)
+    with pytest.warns(AdjacencyAsymmetryWarning):
+        ag = induce_adjacency_graph(pol)
+    assert (len(ag.edges), len(ag.asymmetric_pairs)) == (2412, 1359)
+    doc = json.dumps([sorted(ag.edges), list(ag.asymmetric_pairs)])
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "c2ed1a80a287b5a3decc192ee52af5b8ed4d300c09997e60bacabc87ebbb125e"
+    )
 
 
 def test_fast_equals_definition_three_records():

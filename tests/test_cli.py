@@ -222,6 +222,25 @@ def test_graph_document_with_boolean_edge_indices_exits_two(
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+def test_graph_document_with_an_edge_beyond_the_vertices_names_the_range(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text(json.dumps({"vertices": [["1"], ["2"]], "edges": [[0, 5]]}))
+    (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    capsys.readouterr()
+    code = run("channel", "verify", "k.csv", "--graph", "g.json", "--epsilon", "1",
+               "--out", "never")
+    assert code == 2
+    assert not (tmp_path / "never").exists()
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: edge (0, 5) is not a sorted pair of distinct vertex indices"
+        " in 0..1\n"
+    )
+    assert captured.out == ""
+
+
 def test_max_databases_env_mirror(tmp_path, monkeypatch):
     policy = build_path_policy(tmp_path, n=20)
     monkeypatch.setenv("BLOWFISH_MAX_DATABASES", "1000000")
@@ -834,3 +853,29 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         [0, True, False, False, False],
         [0, True, False, False, True],
     ]
+
+
+def test_constrained_induction_and_bound_import_no_numpy(tmp_path):
+    """An explicit permissible set is induced over Python-int bitsets, so
+    neither adjacency induce nor bound compute without --channel builds an
+    array."""
+    (tmp_path / "perm.json").write_text(json.dumps(
+        [["1", "1", "1"], ["1", "2", "1"], ["2", "2", "3"], ["3", "1", "4"], ["4", "4", "4"]]
+    ))
+    calls = [
+        ["policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
+         "--theta", "1", "--n", "3", "--permissible", "perm.json", "--out", "p.json"],
+        ["adjacency", "induce", "p.json", "--out", "g.json"],
+        ["bound", "compute", "p.json", "--epsilon", "0.5"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DEFERRAL_SCRIPT, json.dumps(calls)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [[0, False, False, False, False]] * len(calls)
+    graph = json.loads((tmp_path / "g.json").read_text())
+    assert len(graph["vertices"]) == 5

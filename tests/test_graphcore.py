@@ -4,10 +4,11 @@ import sys
 import time
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import (
     CapExceededError,
@@ -153,6 +154,36 @@ def test_traversal_matches_oracles_across_source_blocks(monkeypatch, n, shape):
     monkeypatch.setattr(graphcore, "_SOURCE_BLOCK", 48)
     monkeypatch.setattr(graphcore, "_UNPACK_CELLS", 700)
     check_traversal(shape(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(max_vertices=70), st.integers(1, 20))
+@example(Graph.from_edges(7, [(0, 6), (2, 3)]), 2)
+def test_components_match_oracles_across_source_blocks(graph, block):
+    """Blocks of a few sources, the last one part-full, and components whose
+    smallest vertex lies in a later block than other components' members."""
+    with mock.patch.object(graphcore, "_SOURCE_BLOCK", block):
+        comps = tuple(components_and_diameters(graph))
+    assert comps == components_from_distances(oracle_distances(graph))
+    if graph.vertex_count <= 30:
+        assert comps == oracle_components(graph)
+
+
+def test_components_and_diameters_memory_grows_with_the_source_block():
+    """At n = 6 (4,096 vertices) the traversal holds three lists of 4,096
+    bitsets of at most 2,048 bits, about 3.5 MiB, where one traversal from
+    all 4,096 sources at once would hold 6.8 MiB."""
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=6)
+    graph = induce_adjacency_graph(policy).to_graph()
+    graph.neighbors  # cached on the graph, outside the measurement
+    tracemalloc.start()
+    try:
+        comps = components_and_diameters(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (comps.count, comps.diameters) == (1, (18,))
+    assert peak < 4 * 2**20
 
 
 def test_components_and_diameters_import_no_numpy():
