@@ -210,15 +210,27 @@ def leakage(channel: ChannelMatrix, prior: Prior | None = None) -> LeakageReport
     """
     ell = channel.rows
     if prior is None:
-        column_maxima = channel.probs.max(axis=0)
-        v_prior = 1.0 / ell
-        v_cond = math.fsum(float(x) for x in column_maxima) / ell
-    else:
-        if len(prior) != ell:
-            raise InputError(f"prior length {len(prior)} != input count {ell}")
-        weighted = channel.probs * prior.probabilities[:, None]
-        v_prior = float(prior.probabilities.max())
-        v_cond = math.fsum(float(x) for x in weighted.max(axis=0))
+        return uniform_leakage(memoryview(channel.probs.max(axis=0)), ell)
+    if len(prior) != ell:
+        raise InputError(f"prior length {len(prior)} != input count {ell}")
+    weighted = channel.probs * prior.probabilities[:, None]
+    v_prior = float(prior.probabilities.max())
+    return _leakage_report(v_prior, math.fsum(memoryview(weighted.max(axis=0))))
+
+
+def uniform_leakage(column_maxima: Iterable[float], rows: int) -> LeakageReport:
+    """Min-entropy leakage, under the uniform prior, of a channel with ``rows``
+    inputs whose column maxima are ``column_maxima``.
+
+    The conditional vulnerability is their ``math.fsum`` over ``rows``.
+    ``fsum`` is correctly rounded, so only the multiset of maxima matters,
+    not its order: a channel made of repeated blocks can pass each block's
+    maxima as many times as the block occurs.
+    """
+    return _leakage_report(1.0 / rows, math.fsum(column_maxima) / rows)
+
+
+def _leakage_report(v_prior: float, v_cond: float) -> LeakageReport:
     h_prior = _neg_log2(v_prior)
     h_cond = _neg_log2(v_cond)
     return LeakageReport(v_prior, v_cond, h_prior, h_cond, h_prior - h_cond)

@@ -497,22 +497,33 @@ def automorphism_group(
         dv, dw = dist[order[k]], dist[w]
         return not used[w] and all(dv[order[j]] == dw[image[order[j]]] for j in range(k))
 
-    def descend(k: int, w: int) -> Permutation | None:
-        image[order[k]] = w
-        used[w] = True
-        found = first_completion(k + 1)
-        used[w] = False
+    def unassign(k: int) -> None:
+        used[image[order[k]]] = False
         image[order[k]] = -1
-        return found
 
-    def first_completion(k: int) -> Permutation | None:
-        if k == n:
-            return tuple(image)
-        for w in candidates[order[k]]:
-            if fits(k, w):
-                found = descend(k, w)
-                if found is not None:
-                    return found
+    def first_completion(k: int, target: int) -> Permutation | None:
+        """The first automorphism in search order that maps ``order[k]`` to
+        ``target`` and ``order[:k]`` as ``image`` does; ``image`` and ``used``
+        are left as found. Depth-first over an explicit stack: ``tries[i]``
+        holds the candidates level ``k + i`` has left to try."""
+        tries = [iter((target,))]
+        while tries:
+            level = k + len(tries) - 1
+            for w in tries[-1]:
+                if fits(level, w):
+                    image[order[level]] = w
+                    used[w] = True
+                    if level + 1 == n:
+                        found = tuple(image)
+                        for j in range(k, n):
+                            unassign(j)
+                        return found
+                    tries.append(iter(candidates[order[level + 1]]))
+                    break
+            else:
+                tries.pop()
+                if tries:
+                    unassign(level - 1)
         return None
 
     gens: list[Permutation] = []
@@ -522,8 +533,8 @@ def automorphism_group(
         image[v] = -1
         used[v] = False
         for w in candidates[v]:
-            if orbit_of[w] != orbit_of[v] and fits(k, w):
-                found = descend(k, w)
+            if orbit_of[w] != orbit_of[v]:
+                found = first_completion(k, w)
                 if found is not None:
                     gens.append(found)
                     orbit_of = orbit_labels(gens, n)

@@ -5,6 +5,11 @@ For n >= 2 the adjacency graph is one 4-clique plus n - 1 disjoint 2-cliques
 vertex transitive. The matching block-diagonal channel, parametrised by
 delta > 0, is private at exactly ln(1 + delta), and the ratio of the leakage
 upper bound to the realised leakage tends to 1 as delta tends to 0.
+
+The channel has two distinct blocks, the 4x4 one and the 2x2 one repeated
+n - 1 times, and ``sharpness_channel(2, delta)`` holds each once. An instance
+is measured on that 6x6 kernel: its numbers equal the dense channel's for
+every n, so a sweep costs O(n) per instance, not O(n^2).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
-from .channel import ChannelMatrix, leakage, minimal_epsilon
+from .channel import ChannelMatrix, minimal_epsilon, uniform_leakage
 from .errors import InputError
 from .graphcore import Graph
 from .reporting import render_csv
@@ -54,6 +59,9 @@ def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
     ``[[2+2*delta, 2], [2, 2+2*delta]]``. All entries share the normaliser
     ``4 + 2*delta``; the four distinct entries are formed in exact rational
     arithmetic and each rounded to a float once.
+
+    At ``n = 2`` it holds one block of each kind: the sweep measures that
+    6x6 kernel, which stands for the dense channel of every ``n``.
     """
     _check_parameters(n, delta)
     from fractions import Fraction  # only the sweep needs it: kept out of start-up
@@ -105,8 +113,8 @@ def sharpness_ratio(n: int, delta: float) -> tuple[float, float, float]:
 
 
 class SharpnessInstance(NamedTuple):
-    """One measured instance. The channel is not kept: it is O(n^2) and
-    :func:`sharpness_channel` rebuilds it; the O(n) graph is kept."""
+    """One measured instance. The O(n) graph is kept; the O(n^2) channel is
+    never built, and :func:`sharpness_channel` builds it when it is wanted."""
 
     n: int
     delta: float
@@ -121,16 +129,27 @@ class SharpnessInstance(NamedTuple):
 
 
 def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
-    """Construct one instance and measure it through the channel machinery.
+    """Construct one instance and measure it through the channel machinery,
+    on the 6x6 kernel ``sharpness_channel(2, delta)``.
 
-    The dense channel lives only while it is measured and is dropped on
-    return, so a sweep holds one channel at a time.
+    The numbers are those of the dense ``sharpness_channel(n, delta)``, bit
+    for bit:
+
+    - validation: each dense row is a kernel row padded with zeros, which
+      change neither its range check nor its ``fsum`` row sum;
+    - epsilon: no edge crosses a block and two zeros contribute nothing, so
+      :func:`minimal_epsilon` takes its maximum over the same ratios;
+    - leakage: the dense column maxima are the kernel's first four and its
+      last two n - 1 times each, and :func:`uniform_leakage` sums them with
+      ``fsum``, which depends on the multiset alone.
     """
     graph = sharpness_graph(n)
-    channel = sharpness_channel(n, delta)
+    kernel = sharpness_channel(2, delta)
     bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)
-    measured_eps = minimal_epsilon(channel, graph)
-    measured_leak = leakage(channel).leakage_bits
+    measured_eps = minimal_epsilon(kernel, sharpness_graph(2))
+    maxima = kernel.probs.max(axis=0).tolist()
+    dense_maxima = maxima[:4] + maxima[4:] * (n - 1)
+    measured_leak = uniform_leakage(dense_maxima, 2 * n + 2).leakage_bits
     return SharpnessInstance(
         n=n,
         delta=float(delta),
@@ -148,22 +167,16 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
 def sharpness_sweep(
     ns: Sequence[int], deltas: Sequence[float]
 ) -> list[SharpnessInstance]:
-    """One instance per (n, delta), n-major order.
+    """One instance per (n, delta), n-major, in input order.
 
-    Every parameter is checked before any channel is built. The instances
-    are built from the largest n down, so every later channel fits in
-    memory already held: built in ascending order, the freed channels of
-    smaller n that malloc keeps for reuse would stay resident under the
-    largest (about 1.7 MB under n = 512 with glibc).
+    Every parameter is checked before any instance is built. Each instance
+    holds its O(n) graph and measures a 6x6 kernel, so the sweep never
+    holds an O(n^2) array.
     """
     for n in ns:
         for delta in deltas:
             _check_parameters(n, delta)
-    by_n = {
-        n: [build_sharpness_instance(n, delta) for delta in deltas]
-        for n in sorted(set(ns), reverse=True)
-    }
-    return [inst for n in ns for inst in by_n[n]]
+    return [build_sharpness_instance(n, delta) for n in ns for delta in deltas]
 
 
 def sweep_to_csv(instances: Sequence[SharpnessInstance]) -> str:

@@ -329,6 +329,61 @@ def oracle_automorphisms(graph: Graph):
     return result
 
 
+def recursive_automorphism_generators(graph: Graph):
+    """The generators :func:`automorphism_group` finds, by the same search
+    written with two recursive calls per level (about 490 vertices at most,
+    under the default recursion limit), on :func:`oracle_distances` and
+    :func:`oracle_elements` orbits."""
+    n = graph.vertex_count
+    dist = oracle_distances(graph)
+    adj = [sorted({b for a, b in graph.edges if a == v} | {a for a, b in graph.edges if b == v})
+           for v in range(n)]
+    profiles = [
+        (len(adj[v]), tuple(sorted(dist[v])), tuple(sorted(len(adj[w]) for w in adj[v])))
+        for v in range(n)
+    ]
+    candidates = {v: [w for w in range(n) if profiles[w] == profiles[v]] for v in range(n)}
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    image = list(range(n))
+    used = [True] * n
+
+    def fits(k, w):
+        dv, dw = dist[order[k]], dist[w]
+        return not used[w] and all(dv[order[j]] == dw[image[order[j]]] for j in range(k))
+
+    def descend(k, w):
+        image[order[k]] = w
+        used[w] = True
+        found = first_completion(k + 1)
+        used[w] = False
+        image[order[k]] = -1
+        return found
+
+    def first_completion(k):
+        if k == n:
+            return tuple(image)
+        for w in candidates[order[k]]:
+            if fits(k, w):
+                found = descend(k, w)
+                if found is not None:
+                    return found
+        return None
+
+    gens = []
+    elements = oracle_elements(n, gens)
+    for k in reversed(range(n)):
+        v = order[k]
+        image[v] = -1
+        used[v] = False
+        for w in candidates[v]:
+            if all(p[v] != w for p in elements) and fits(k, w):
+                found = descend(k, w)
+                if found is not None:
+                    gens.append(found)
+                    elements = oracle_elements(n, gens)
+    return tuple(gens)
+
+
 def oracle_elements(degree, generators):
     """Every element of the group generated by ``generators``, as a set, by
     breadth-first closure under left multiplication (small groups only)."""

@@ -611,10 +611,11 @@ def test_input_that_is_not_utf8_exits_two_without_output(tmp_path, capsys, case)
 
 
 def test_allocation_beyond_memory_exits_three_without_output(tmp_path):
-    """n = 20000 asks for a 40,002 x 40,002 float64 channel (11.9 GiB); under
+    """n = 8 has 65,536 databases, whose distances alone take 8 GiB; under
     a 1 GiB address-space limit the allocation fails in the child alone."""
+    policy = build_path_policy(tmp_path, n=8)
     done = run_cli_with_address_limit(
-        ["tightness", "sweep", "--n", "20000", "--delta", "1", "--out", "sweep.csv"],
+        ["channel", "generate", "--policy", policy.name, "--epsilon", "1", "--out", "k8.csv"],
         cwd=tmp_path,
         limit_bytes=2**30,
     )
@@ -622,7 +623,38 @@ def test_allocation_beyond_memory_exits_three_without_output(tmp_path):
     assert done.stderr.startswith("error: out of memory: ")
     assert done.stderr.count("\n") == 1
     assert done.stdout == ""
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [policy]
+
+
+def test_sweep_at_large_n_measures_without_the_dense_channel(tmp_path):
+    """n = 100000 stands for a 200,002 x 200,002 channel (298 GiB): the sweep
+    never builds it, so it finishes within a 1 GiB address space."""
+    done = run_cli_with_address_limit(
+        ["tightness", "sweep", "--n", "100000", "--delta", "1,0.001", "--out", "sweep.csv"],
+        cwd=tmp_path,
+        limit_bytes=2**30,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(row["n"], row["delta"]) for row in rows] == [("100000", "1.0"), ("100000", "0.001")]
+    assert all(float(row["closed_form_gap"]) <= 1e-12 for row in rows)
+
+
+def test_full_search_on_a_long_path_exits_zero(tmp_path):
+    """A 500-vertex path sends the automorphism search 500 levels deep."""
+    graph = tmp_path / "path500.json"
+    graph.write_text(json.dumps({
+        "vertices": [[str(v)] for v in range(500)],
+        "edges": [[v, v + 1] for v in range(499)],
+    }))
+    assert run("channel", "generate", "--graph", str(graph), "--epsilon", "1",
+               "--out", str(tmp_path / "u.csv")) == 0
+    out = tmp_path / "report.txt"
+    code = run("symmetrise", "run", str(tmp_path / "u.csv"), "--graph", str(graph),
+               "--group", "full", "--vertex-cap", "1000", "--out", str(out))
+    assert code == 0
+    assert parse_report(out.read_text())["group_order"] == "2"
 
 
 def test_memory_error_without_a_message_still_names_the_failure(tmp_path, capsys, monkeypatch):

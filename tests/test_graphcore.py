@@ -49,6 +49,7 @@ from helpers import (
     oracle_orbits,
     oracle_pair_orbits,
     permutation_sets,
+    recursive_automorphism_generators,
     sparse_graphs,
 )
 
@@ -322,6 +323,21 @@ def test_automorphism_group_path_seven_brute_force():
     graph = path_graph(7)
     group = automorphism_group(graph)
     assert set(group.elements) == oracle_automorphisms(graph)
+
+
+def test_automorphism_search_reaches_past_the_recursion_limit():
+    """600 levels deep: a search with a Python frame per level would raise
+    RecursionError."""
+    graph = path_graph(600)
+    group = automorphism_group(graph, vertex_cap=600)
+    assert group.order == 2
+    assert group.generators == (tuple(reversed(range(600))),)
+
+
+@settings(max_examples=60)
+@given(graphs(max_vertices=7))
+def test_automorphism_generators_equal_the_recursive_search(graph):
+    assert automorphism_group(graph).generators == recursive_automorphism_generators(graph)
 
 
 def test_automorphism_vertex_cap():

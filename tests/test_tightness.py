@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy  # noqa: F401  imported before any tracing, so its own allocations never count
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowfish_privacy import (
     InputError,
@@ -166,6 +167,29 @@ def test_sweep_holds_one_channel_at_a_time():
     assert [inst.delta for inst in instances] == [1.0, 0.1, 0.01, 0.001]
     assert all(inst.closed_form_gap <= 1e-12 for inst in instances)
     assert peak <= 1.25 * 1026**2 * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 64), st.floats(1e-300, 1e300))
+def test_instance_measures_what_the_dense_channel_gives(n, delta):
+    """The 6x6 kernel stands for the dense (2n+2)^2 channel bit for bit."""
+    inst = build_sharpness_instance(n, delta)
+    dense = sharpness_channel(n, delta)
+    assert inst.measured_epsilon == minimal_epsilon(dense, sharpness_graph(n))
+    assert inst.measured_leakage_bits == leakage(dense).leakage_bits
+
+
+def test_sweep_builds_no_dense_channel():
+    """Four instances at n = 512 stand for 1,026 x 1,026 channels (8.4 MB
+    each); the sweep measures them within 1 MiB."""
+    tracemalloc.start()
+    try:
+        instances = sharpness_sweep([512], [1.0, 0.1, 0.01, 0.001])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(inst.closed_form_gap <= 1e-12 for inst in instances)
+    assert peak < 2**20
 
 
 def test_sweep_keeps_input_order_and_checks_before_building(monkeypatch):
