@@ -12,15 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._frozen import Frozen
 from ._numpy import np
 from .errors import InputError, SchemaError
-from .graphcore import Graph, distances
+from .graphcore import Graph, distance_blocks
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
+# Channel cells that randomized response weighs, checks and formats at once.
+BLOCK_CELLS = 2**16
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
 # Entries of the rows that validate_channel screens at once.
@@ -116,13 +118,14 @@ def validate_channel(matrix) -> list[Violation]:
     return violations
 
 
-def _check(arr: np.ndarray, what: str) -> None:
-    """Raise :class:`InputError` naming the first violations of ``arr``."""
+def _check(arr: np.ndarray, what: str, first_row: int = 0) -> None:
+    """Raise :class:`InputError` naming the first violations of ``arr``,
+    whose rows are numbered from ``first_row``."""
     problems = validate_channel(arr)
     if problems:
         head = ", ".join(
             ("non-finite" if v.magnitude == math.inf else v.kind)
-            + f"@row {v.row}"
+            + f"@row {first_row + v.row}"
             + (f" col {v.column}" if v.column is not None else "")
             for v in problems[:5]
         )
@@ -153,6 +156,22 @@ class ChannelMatrix(Frozen):
         _check(arr, "channel matrix")
         arr.setflags(write=False)
         self._set(probs=arr)
+
+    @classmethod
+    def _of_checked_rows(
+        cls, blocks: Iterable[np.ndarray], shape: tuple[int, int]
+    ) -> "ChannelMatrix":
+        """The channel of ``shape`` whose rows ``blocks`` hold in order, each
+        block validated already, so the stacked matrix is not checked again."""
+        arr = np.empty(shape)
+        start = 0
+        for block in blocks:
+            arr[start : start + len(block)] = block
+            start += len(block)
+        arr.setflags(write=False)
+        chan = cls.__new__(cls)
+        chan._set(probs=arr)
+        return chan
 
     @property
     def rows(self) -> int:
@@ -266,37 +285,79 @@ def minimal_epsilon(channel: ChannelMatrix, graph: Graph) -> float:
     return worst
 
 
-def randomized_response(dist: np.ndarray, epsilon: float) -> ChannelMatrix:
-    """Channel with output weight exp(-epsilon/2 * distance), from a distance matrix.
+def response_blocks(
+    dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None = None
+) -> Iterator[np.ndarray]:
+    """Randomized response over distance rows, one block of rows at a time.
 
-    ``dist`` holds hop counts between inputs, ``UNREACHABLE`` (-1) across
-    components, whose entries become zero. Each row is divided by its
-    correctly rounded sum (``math.fsum``). The result is private at level
-    ``epsilon`` for the graph the distances come from (adjacent rows shift
-    every distance by at most one, and so does the normaliser).
+    ``dist_blocks`` holds the rows of a distance matrix in order, in blocks
+    of any height: hop counts between inputs, ``UNREACHABLE`` (-1) across
+    components. Each is cut into blocks of at most ``BLOCK_CELLS`` cells
+    (one row when a row is longer), and each block is yielded as a new
+    float64 array: its columns taken in the order ``columns`` (all of them
+    by default), every entry weighed exp(-epsilon/2 * distance), unreachable
+    ones zero, each row divided by its correctly rounded sum
+    (``math.fsum``), and the block validated as channel rows, numbered from
+    the channel's first row. No column order changes a row's sum, so a
+    block's rows are the unshuffled ones with their entries permuted. The
+    rows are private at level ``epsilon`` for the graph the distances come
+    from (adjacent rows shift every distance by at most one, and so does
+    the normaliser). ``epsilon`` is checked when this is called.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    # One weight per distance; distance -1 (unreachable) indexes the trailing 0.
-    # Distance 0 weighs 1 also at epsilon = inf, where exp(-inf * 0) is NaN,
-    # so that limit is the identity channel.
-    longest = int(dist.max())
-    table = [1.0] + [math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)] + [0.0]
-    weights = np.array(table)[dist]
-    for row in weights:
-        row /= math.fsum(memoryview(row))
-    weights.setflags(write=False)
-    return ChannelMatrix(weights)
+    return _response_rows(dist_blocks, epsilon, columns)
+
+
+def _response_rows(
+    dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None
+) -> Iterator[np.ndarray]:
+    # One weight per distance; distance -1 (unreachable) indexes the trailing
+    # 0. Distance 0 weighs 1 also at epsilon = inf, where exp(-inf * 0) is
+    # NaN, so that limit is the identity channel. The table grows with the
+    # longest distance seen so far.
+    table = np.array([1.0, 0.0])
+    order = None if columns is None else np.asarray(columns, dtype=np.intp)
+    first_row = 0
+    for dist in dist_blocks:
+        step = max(1, BLOCK_CELLS // dist.shape[1])
+        for lo in range(0, len(dist), step):
+            block = dist[lo : lo + step]
+            if order is not None:
+                block = np.take(block, order, axis=1)
+            longest = int(block.max())
+            if longest > len(table) - 2:
+                weights = [math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)]
+                table = np.array([1.0, *weights, 0.0])
+            rows = table[block]
+            for row in rows:
+                row /= math.fsum(memoryview(row))
+            _check(rows, "channel matrix", first_row)
+            first_row += len(rows)
+            yield rows
+        dist = block = None  # dropped before the next block is made, not after
+
+
+def randomized_response(dist, epsilon: float) -> ChannelMatrix:
+    """The channel of :func:`response_blocks` over the distance matrix
+    ``dist`` (an array or a list of rows), its blocks stacked into one
+    matrix."""
+    dist = np.asarray(dist)
+    return ChannelMatrix._of_checked_rows(response_blocks([dist], epsilon), dist.shape)
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
-    """:func:`randomized_response` over the all-pairs hop counts of ``graph``
-    (:func:`graphcore.distances`, one bitset BFS from every vertex at once).
+    """The channel of :func:`response_blocks` over the all-pairs hop counts
+    of ``graph``, from :func:`graphcore.distance_blocks` (one bitset BFS per
+    block of sources), so the only V x V array is the channel itself.
 
     Outputs coincide with inputs; entries across components are zero, so the
     matrix is block-diagonal over the components.
     """
-    return randomized_response(distances(graph), epsilon)
+    n = graph.vertex_count
+    return ChannelMatrix._of_checked_rows(
+        response_blocks(distance_blocks(graph), epsilon), (n, n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +365,13 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
 
 
 def channel_to_csv(channel: ChannelMatrix) -> Iterator[str]:
-    """The CSV lines of ``channel``, one per row, each ending in a newline.
+    """The CSV lines of ``channel``, one per row (:func:`rows_to_csv`)."""
+    return rows_to_csv([channel.probs])
+
+
+def rows_to_csv(blocks: Iterable[np.ndarray]) -> Iterator[str]:
+    """The CSV lines of the float64 rows in ``blocks``, one per row, each
+    ending in a newline.
 
     Entries are written as ``repr`` (shortest round-trip decimal). Each row's
     distinct entries are found on their bit patterns, so ``-0.0`` stays apart
@@ -315,13 +382,14 @@ def channel_to_csv(channel: ChannelMatrix) -> Iterator[str]:
     produced lazily, so a caller can stream them to a file or join them into
     the whole text.
     """
-    for row in np.ascontiguousarray(channel.probs).view(np.int64):
-        distinct, where = np.unique(row, return_inverse=True)
-        if len(distinct) == len(row):
-            yield ",".join(map(repr, row.view(np.float64).tolist())) + "\n"
-            continue
-        text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
-        yield ",".join(text[where].tolist()) + "\n"
+    for block in blocks:
+        for row in np.ascontiguousarray(block).view(np.int64):
+            distinct, where = np.unique(row, return_inverse=True)
+            if len(distinct) == len(row):
+                yield ",".join(map(repr, row.view(np.float64).tolist())) + "\n"
+                continue
+            text = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+            yield ",".join(text[where].tolist()) + "\n"
 
 
 def _field_number(text: str) -> float:

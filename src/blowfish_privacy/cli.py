@@ -30,11 +30,13 @@ from . import graphcore
 from . import policy as policy_mod
 from . import symmetrise as symmetrise_mod
 from . import tightness as tightness_mod
-from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
 from .reporting import render_csv, render_kv, render_report
 
 ENV_MAX_DATABASES = "BLOWFISH_MAX_DATABASES"
+ENV_MAX_CELLS = "BLOWFISH_MAX_CELLS"
+# Admits n = 6's 4,096 x 4,096 channel and refuses n = 7's 16,384 x 16,384.
+DEFAULT_CELL_CAP = 2**25
 EPSILON_SLACK = 1e-12
 
 FIGURE_COLUMNS = (
@@ -91,16 +93,28 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _cap(flag: int | None, env: str, default: int) -> int:
+    """A cap's value: its flag's, else its environment variable's, else ``default``."""
+    if flag is not None:
+        return flag
+    text = os.environ.get(env)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{env} must be an integer, got {text!r}") from None
+
+
 def _max_databases(args) -> int:
-    if args.max_databases is not None:
-        return args.max_databases
-    env = os.environ.get(ENV_MAX_DATABASES)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{ENV_MAX_DATABASES} must be an integer, got {env!r}") from None
-    return policy_mod.DEFAULT_DATABASE_CAP
+    return _cap(args.max_databases, ENV_MAX_DATABASES, policy_mod.DEFAULT_DATABASE_CAP)
+
+
+def _max_cells(args) -> int:
+    cap = _cap(args.max_cells, ENV_MAX_CELLS, DEFAULT_CELL_CAP)
+    if cap < 0:
+        raise InputError(f"{ENV_MAX_CELLS} must be a non-negative integer, got {cap}")
+    return cap
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -124,8 +138,8 @@ def _float_arg(text: str) -> float:
     return value
 
 
-def _seed_arg(text: str) -> int:
-    """argparse type of --seed: a non-negative integer."""
+def _non_negative_int(text: str) -> int:
+    """argparse type of --seed and --max-cells: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -301,24 +315,28 @@ def _cmd_channel_leakage(args) -> int:
 
 
 def _cmd_channel_generate(args) -> int:
-    cap = _max_databases(args)
+    cap, cell_cap = _max_databases(args), _max_cells(args)
     source = _resolve_source(args, cap)
+    if isinstance(source, policy_mod.BlowfishPolicy):
+        size = policy_mod.capped_permissible_size(source, cap)
+    else:
+        size = len(source.vertices)
+    if size * size > cell_cap:
+        raise CapExceededError(
+            f"channel has {size} x {size} = {size * size} cells, exceeding the cap of {cell_cap}"
+        )
     if isinstance(source, policy_mod.BlowfishPolicy) and source.unconstrained:
         # The adjacency graph is the secret graph's n-fold Cartesian product:
         # its distances are sums over records, with no graph induced.
-        dist = adjacency_mod.product_distances(source, cap)
+        dist = adjacency_mod.product_distance_blocks(source, channel_mod.BLOCK_CELLS, cap)
     else:
-        dist = graphcore.distances(_induced(source, cap).to_graph())
+        dist = graphcore.distance_blocks(_induced(source, cap).to_graph())
+    columns = None
     if args.shuffle_outputs:
-        # Shuffling the distances' columns shuffles the channel's the same way:
-        # each row is divided by its correctly rounded sum, which no column
-        # order changes. np.take keeps the result C-contiguous; dist[:, order]
-        # would not, and the CSV writer would copy the whole channel.
-        order = list(range(dist.shape[1]))
-        random.Random(args.seed).shuffle(order)
-        dist = np.take(dist, order, axis=1)
-    chan = channel_mod.randomized_response(dist, args.epsilon)
-    _write_output(args.out, channel_mod.channel_to_csv(chan))
+        columns = list(range(size))
+        random.Random(args.seed).shuffle(columns)
+    rows = channel_mod.response_blocks(dist, args.epsilon, columns)
+    _write_output(args.out, channel_mod.rows_to_csv(rows))
     return 0
 
 
@@ -482,7 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply a seeded random permutation of output columns",
     )
     generate.add_argument(
-        "--seed", type=_seed_arg, default=0, help="non-negative seed for --shuffle-outputs"
+        "--seed", type=_non_negative_int, default=0, help="non-negative seed for --shuffle-outputs"
+    )
+    generate.add_argument(
+        "--max-cells",
+        type=_non_negative_int,
+        default=None,
+        help=f"cap on the channel's rows x columns, checked before any distance is "
+        f"computed (default 2**25, env {ENV_MAX_CELLS})",
     )
     generate.add_argument("--out", help="channel CSV output path")
     generate.set_defaults(handler=_cmd_channel_generate)

@@ -105,13 +105,42 @@ def _levels(graph: Graph, sources: range) -> Iterator[tuple[list[int], list[int]
             new.append(reached)
 
 
-# Sources per traversal in :func:`distances`. A bitset of 2,048 bits is a
-# 300-byte int, which Python allocates from its small-object arenas and
-# returns to the system once the traversal ends; a wider one comes from
-# malloc, whose freed heap stays resident (7 MB at 4,096 vertices).
+# Sources per traversal in :func:`distances` and :func:`distance_blocks`. A
+# bitset of 2,048 bits is a 300-byte int, which Python allocates from its
+# small-object arenas and returns to the system once the traversal ends; a
+# wider one comes from malloc, whose freed heap stays resident (7 MB at 4,096
+# vertices). A traversal costs about the same whatever its width, so a
+# narrower block multiplies the traversals: 256 sources take twice as long
+# at 4,096 vertices.
 _SOURCE_BLOCK = 2048
-# Distance cells unpacked per block of rows (bounds the unpack's temporaries).
+# Distance cells unpacked per block of vertices (bounds the unpack's temporaries).
 _UNPACK_CELLS = 1 << 16
+
+
+def _fill_from(graph: Graph, sources: range, out: np.ndarray) -> np.ndarray:
+    """Write the hop counts from ``sources[k]`` into row ``k`` of ``out``,
+    which holds ``UNREACHABLE`` everywhere, and return ``out``.
+
+    One :func:`_levels` traversal; each level is unpacked a block of
+    vertices at a time into those vertices' columns. Besides ``out``, the
+    traversal holds three lists of V bitsets of ``len(sources)`` bits, and
+    no other temporary holds more than ``_UNPACK_CELLS`` bytes.
+    """
+    n = graph.vertex_count
+    width = (len(sources) + 7) // 8
+    step = max(1, _UNPACK_CELLS // len(sources))
+    for level, (new, _) in enumerate(_levels(graph, sources)):
+        for v in range(0, n, step):
+            block = new[v : v + step]
+            if not any(block):
+                continue
+            packed = b"".join([bits.to_bytes(width, "little") for bits in block])
+            reached = np.unpackbits(
+                np.frombuffer(packed, np.uint8).reshape(len(block), width),
+                axis=1, count=len(sources), bitorder="little",
+            )
+            np.copyto(out[:, v : v + step], level, where=reached.view(bool).T)
+    return out
 
 
 def distances(graph: Graph) -> np.ndarray:
@@ -119,30 +148,28 @@ def distances(graph: Graph) -> np.ndarray:
     array of the smallest signed dtype that holds ``UNREACHABLE`` and every
     hop count (at most V - 1).
 
-    One :func:`_levels` traversal per block of ``_SOURCE_BLOCK`` sources
-    fills those sources' columns; each level is unpacked into them a block
-    of rows at a time. Besides the result, the traversal holds three lists
-    of V bitsets of at most ``_SOURCE_BLOCK`` bits, and no other temporary
-    holds more than ``_UNPACK_CELLS`` bytes.
+    Each block of ``_SOURCE_BLOCK`` sources fills its rows of the result
+    by one traversal (:func:`_fill_from`); undirected hop counts are
+    symmetric, so row ``s`` holds the counts from ``s``.
     """
     n = graph.vertex_count
     out = np.full((n, n), UNREACHABLE, dtype=np.min_scalar_type(-n))
     for lo in range(0, n, _SOURCE_BLOCK):
-        sources = range(lo, min(n, lo + _SOURCE_BLOCK))
-        width = (len(sources) + 7) // 8
-        rows = max(1, _UNPACK_CELLS // len(sources))
-        for level, (new, _) in enumerate(_levels(graph, sources)):
-            for r in range(0, n, rows):
-                block = new[r : r + rows]
-                if not any(block):
-                    continue
-                packed = b"".join([bits.to_bytes(width, "little") for bits in block])
-                reached = np.unpackbits(
-                    np.frombuffer(packed, np.uint8).reshape(len(block), width),
-                    axis=1, count=len(sources), bitorder="little",
-                )
-                np.copyto(out[r : r + rows, lo : sources.stop], level, where=reached.view(bool))
+        _fill_from(graph, range(lo, min(n, lo + _SOURCE_BLOCK)), out[lo : lo + _SOURCE_BLOCK])
     return out
+
+
+def distance_blocks(graph: Graph) -> Iterator[np.ndarray]:
+    """The rows of :func:`distances`, a block of ``_SOURCE_BLOCK`` sources
+    at a time, each block a new array of at most ``_SOURCE_BLOCK`` x V
+    cells of the same dtype, so that no V x V array is built."""
+    n = graph.vertex_count
+    for lo in range(0, n, _SOURCE_BLOCK):
+        sources = range(lo, min(n, lo + _SOURCE_BLOCK))
+        # Passed out unnamed: no name here keeps the block alive beside the next.
+        yield _fill_from(
+            graph, sources, np.full((len(sources), n), UNREACHABLE, dtype=np.min_scalar_type(-n))
+        )
 
 
 class Components(NamedTuple):

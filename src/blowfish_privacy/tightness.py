@@ -113,19 +113,24 @@ def sharpness_ratio(n: int, delta: float) -> tuple[float, float, float]:
 
 
 class SharpnessInstance(NamedTuple):
-    """One measured instance. The O(n) graph is kept; the O(n^2) channel is
-    never built, and :func:`sharpness_channel` builds it when it is wanted."""
+    """One measured instance, in O(1) memory. Its O(n) graph is built when
+    it is read; the O(n^2) channel is never built, and
+    :func:`sharpness_channel` builds it when it is wanted."""
 
     n: int
     delta: float
     epsilon: float
-    graph: Graph
     bound_bits: float
     leakage_bits: float
     ratio: float
     measured_epsilon: float
     measured_leakage_bits: float
     closed_form_gap: float
+
+    @property
+    def graph(self) -> Graph:
+        """:func:`sharpness_graph` of the instance's ``n``, built on each read."""
+        return sharpness_graph(self.n)
 
 
 def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
@@ -143,7 +148,6 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
       last two n - 1 times each, and :func:`uniform_leakage` sums them with
       ``fsum``, which depends on the multiset alone.
     """
-    graph = sharpness_graph(n)
     kernel = sharpness_channel(2, delta)
     bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)
     measured_eps = minimal_epsilon(kernel, sharpness_graph(2))
@@ -154,7 +158,6 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
         n=n,
         delta=float(delta),
         epsilon=math.log1p(delta),
-        graph=graph,
         bound_bits=bound_bits,
         leakage_bits=leakage_bits,
         ratio=ratio,
@@ -170,8 +173,8 @@ def sharpness_sweep(
     """One instance per (n, delta), n-major, in input order.
 
     Every parameter is checked before any instance is built. Each instance
-    holds its O(n) graph and measures a 6x6 kernel, so the sweep never
-    holds an O(n^2) array.
+    measures a 6x6 kernel and keeps only its numbers, so the sweep holds no
+    graph and no O(n^2) array.
     """
     for n in ns:
         for delta in deltas:

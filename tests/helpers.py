@@ -11,6 +11,8 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
+import time
 import warnings
 from collections import deque
 from itertools import combinations, permutations, product
@@ -42,12 +44,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Child processes
 
 
-def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120):
+def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120, prelude=""):
     """Run ``blowfish`` with ``argv`` in one child process whose address space
     is capped at ``limit_bytes`` (``RLIMIT_AS``), so an allocation beyond the
     cap fails inside the child with ``MemoryError`` instead of taking memory
     from the machine. One BLAS/OpenMP thread keeps the child's own
-    reservations small. Returns the ``CompletedProcess`` with text output."""
+    reservations small. ``prelude``, Python code, runs in the child before
+    the command, for instance to set a module constant. Returns the
+    ``CompletedProcess`` with text output, and the child's own peak RSS as
+    its ``peak_rss_bytes``."""
 
     def cap_address_space():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -56,15 +61,34 @@ def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120):
 
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    return subprocess.run(
-        [sys.executable, "-m", "blowfish_privacy.cli", *argv],
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path, **threads},
-        preexec_fn=cap_address_space,
-        capture_output=True,
-        text=True,
-        timeout=timeout,
+    script = "\n".join(
+        [prelude, "import sys", "from blowfish_privacy.cli import main", "sys.exit(main(sys.argv[1:]))"]
     )
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            cwd=cwd,
+            env={**os.environ, "PYTHONPATH": path, **threads},
+            preexec_fn=cap_address_space,
+            stdout=out,
+            stderr=err,
+            text=True,
+        )
+        # wait4, not wait: it also returns this child's resource usage.
+        deadline = time.monotonic() + timeout
+        while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                child.kill()
+                os.wait4(child.pid, 0)
+                child.returncode = -9
+                raise subprocess.TimeoutExpired(child.args, timeout)
+            time.sleep(0.01)
+        child.returncode = os.waitstatus_to_exitcode(reaped[1])
+        out.seek(0)
+        err.seek(0)
+        done = subprocess.CompletedProcess(child.args, child.returncode, out.read(), err.read())
+    done.peak_rss_bytes = reaped[2].ru_maxrss * 1024  # Linux reports KiB
+    return done
 
 
 # ---------------------------------------------------------------------------

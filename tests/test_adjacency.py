@@ -26,7 +26,7 @@ from blowfish_privacy.adjacency import (
     AdjacencyGraph,
     adjacency_from_json,
     adjacency_to_json,
-    product_distances,
+    product_distance_blocks,
 )
 from blowfish_privacy.graphcore import components_and_diameters
 
@@ -193,24 +193,44 @@ def unconstrained_policies(draw, max_tuples=5, max_n=4):
     return custom_policy(labels, edges, n=draw(st.integers(1, max_n)))
 
 
+def product_distances(pol, cells=2**16):
+    """The stacked blocks of :func:`product_distance_blocks`."""
+    return np.concatenate(list(product_distance_blocks(pol, cells)))
+
+
 @settings(max_examples=40, deadline=None)
-@given(unconstrained_policies())
-@example(custom_policy(["a", "b", "c"], [], n=3))
-@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3))
-@example(custom_policy(["a"], [], n=4))
-@example(PATH_OF_127_AND_ONE)
-def test_product_distances_equal_bfs_on_the_induced_graph(pol):
+@given(unconstrained_policies(), st.integers(1, 600))
+@example(custom_policy(["a", "b", "c"], [], n=3), 2**16)
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3), 2**16)
+@example(custom_policy(["a"], [], n=4), 2**16)
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("b", "c")], n=4), 70)
+@example(PATH_OF_127_AND_ONE, 2**16)
+@example(PATH_OF_127_AND_ONE, 1)
+def test_product_distances_equal_bfs_on_the_induced_graph(pol, cells):
+    """Cell budgets from 1 (one row a block, a table of one record) up to
+    a few hundred (tables of two or three records, blocks of many rows)."""
     bfs = np.array(oracle_distances(induce_adjacency_graph(pol).to_graph()))
-    product_dist = product_distances(pol)
+    product_dist = product_distances(pol, cells)
     assert product_dist.shape == bfs.shape
     assert np.array_equal(product_dist, bfs)
 
 
 def test_product_distances_check_the_cap_and_the_policy():
+    """Both are checked on the call, before the first block is asked for."""
     with pytest.raises(CapExceededError, match="81 databases"):
-        product_distances(complete_policy(3, n=4), cap=80)
+        product_distance_blocks(complete_policy(3, n=4), 2**16, cap=80)
     with pytest.raises(InputError, match="unconstrained"):
-        product_distances(complete_policy(3, n=1, permissible=[("1",), ("2",)]))
+        product_distance_blocks(complete_policy(3, n=1, permissible=[("1",), ("2",)]), 2**16)
+
+
+@pytest.mark.parametrize("cells", [1, 100, 2**16])
+def test_product_distance_blocks_hold_at_most_their_cells(cells):
+    """n = 5 threshold policy, 1,024 databases: each block has the rows that
+    fit in ``cells`` (one when a row is longer), the last one part-full."""
+    pol = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
+    heights = [len(block) for block in product_distance_blocks(pol, cells)]
+    rows = max(1, cells // 1024)
+    assert heights == [rows] * (1024 // rows) + ([1024 % rows] if 1024 % rows else [])
 
 
 @settings(max_examples=40)

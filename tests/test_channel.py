@@ -1,7 +1,9 @@
 import io
+import itertools
 import math
 import os
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -192,9 +194,10 @@ def test_channel_keeps_a_handed_over_array():
 
 def test_randomized_response_holds_one_matrix_at_its_peak():
     from blowfish_privacy import distance_threshold_policy
-    from blowfish_privacy.adjacency import product_distances
+    from blowfish_privacy.adjacency import product_distance_blocks
 
-    dist = product_distances(distance_threshold_policy([1, 2, 3, 4], 1, n=5))
+    blocks = product_distance_blocks(distance_threshold_policy([1, 2, 3, 4], 1, n=5), 2**16)
+    dist = np.concatenate(list(blocks))
     matrix_bytes = 1024 * 1024 * 8
     tracemalloc.start()
     try:
@@ -205,6 +208,49 @@ def test_randomized_response_holds_one_matrix_at_its_peak():
     assert chan.probs.shape == (1024, 1024)
     # One float64 matrix plus the distances and small change, not two matrices.
     assert peak < matrix_bytes + dist.nbytes + 2**20
+
+
+def test_response_blocks_name_a_violation_by_its_channel_row(monkeypatch):
+    """Blocks of two rows of three. Row 4 reaches no output, so it weighs
+    nothing and 0/0 makes it NaN: the third block fails, after the first two
+    were yielded, and names row 4 of the channel, not row 0 of its block."""
+    monkeypatch.setattr(channel_mod, "BLOCK_CELLS", 6)
+    dist = np.zeros((6, 3), dtype=np.int8)
+    dist[4] = -1
+    blocks = channel_mod.response_blocks([dist], 1.0)
+    assert [len(block) for block in itertools.islice(blocks, 2)] == [2, 2]
+    with np.errstate(invalid="ignore"), pytest.raises(InputError) as failure:
+        next(blocks)
+    assert str(failure.value) == (
+        "invalid channel matrix (4 violation(s): non-finite@row 4 col 0, "
+        "non-finite@row 4 col 1, non-finite@row 4 col 2, row_sum@row 4)"
+    )
+
+
+def test_response_blocks_drop_each_distance_block_before_the_next():
+    """A traversal's distance block can hold 2,048 rows: keeping it while the
+    next one is made would hold two at the peak."""
+    refs, alive = [], []
+
+    def fresh():
+        block = np.zeros((2, 3), dtype=np.int8)
+        refs.append(weakref.ref(block))
+        return block
+
+    def dist_blocks():
+        for _ in range(3):
+            alive.append(bool(refs) and refs[-1]() is not None)
+            yield fresh()
+
+    assert len(list(channel_mod.response_blocks(dist_blocks(), 1.0))) == 3
+    assert alive == [False, False, False]
+
+
+def test_response_blocks_check_epsilon_before_any_block():
+    """The check runs on the call, so a caller streaming to a file fails
+    before it opens the file."""
+    with pytest.raises(InputError, match="epsilon must be positive"):
+        channel_mod.response_blocks(iter(()), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +762,10 @@ def product_channel_text(line_end="\n"):
     """CSV text of a 256 x 256 randomized-response channel of an
     unconstrained policy, whose entries take few distinct values."""
     from blowfish_privacy import distance_threshold_policy
-    from blowfish_privacy.adjacency import product_distances
+    from blowfish_privacy.adjacency import product_distance_blocks
 
-    dist = product_distances(distance_threshold_policy([1, 2, 3, 4], 1, n=4))
+    blocks = product_distance_blocks(distance_threshold_policy([1, 2, 3, 4], 1, n=4), 2**16)
+    dist = np.concatenate(list(blocks))
     lines = channel_to_csv(channel_mod.randomized_response(dist, 0.1))
     return "".join(line[:-1] + line_end for line in lines)
 

@@ -1,20 +1,31 @@
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from blowfish_privacy.adjacency import adjacency_from_json
+from blowfish_privacy import channel as channel_mod
+from blowfish_privacy import custom_policy, graphcore, induce_adjacency_graph, policy_to_json
+from blowfish_privacy.adjacency import (
+    AdjacencyAsymmetryWarning,
+    adjacency_from_json,
+    adjacency_to_json,
+)
 from blowfish_privacy.channel import channel_to_csv, randomized_response
 from blowfish_privacy.cli import build_parser, main
 
-from helpers import oracle_distances, run_cli_with_address_limit
+from helpers import oracle_distances, run_cli_with_address_limit, small_policies, sparse_graphs
 
 LOG2E = math.log2(math.e)
 
@@ -568,8 +579,9 @@ def test_channel_verify_rejects_bad_row_sum_without_output(tmp_path, capsys):
         ("tightness", "sweep", "--n", "2", "--delta", "1", "--seed", "1"),
         ("figure", "bound-sweep", "--max-group", "10"),
         ("channel", "leakage", "k.csv", "--max-databases", "10"),
+        ("channel", "verify", "k.csv", "--graph", "g.json", "--max-cells", "10"),
     ],
-    ids=["tightness_seed", "figure_max_group", "leakage_max_databases"],
+    ids=["tightness_seed", "figure_max_group", "leakage_max_databases", "verify_max_cells"],
 )
 def test_flags_are_refused_where_not_read(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -611,13 +623,21 @@ def test_input_that_is_not_utf8_exits_two_without_output(tmp_path, capsys, case)
 
 
 def test_allocation_beyond_memory_exits_three_without_output(tmp_path):
-    """n = 8 has 65,536 databases, whose distances alone take 8 GiB; under
-    a 1 GiB address-space limit the allocation fails in the child alone."""
+    """n = 8 has 65,536 databases. With the cells cap lifted and a block
+    budget of the whole channel, its distances alone take 4 GiB in one
+    block; under a 1 GiB address-space limit the allocation fails in the
+    child alone. (The default budget would stream the channel, 94 GB of
+    CSV, so the prelude refuses to run without the constant it sets.)"""
     policy = build_path_policy(tmp_path, n=8)
+    whole = 65536**2
     done = run_cli_with_address_limit(
-        ["channel", "generate", "--policy", policy.name, "--epsilon", "1", "--out", "k8.csv"],
+        ["channel", "generate", "--policy", policy.name, "--epsilon", "1",
+         "--max-cells", str(whole), "--out", "k8.csv"],
         cwd=tmp_path,
         limit_bytes=2**30,
+        prelude="from blowfish_privacy import channel\n"
+        "assert hasattr(channel, 'BLOCK_CELLS')\n"
+        f"channel.BLOCK_CELLS = {whole}",
     )
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: out of memory: ")
@@ -911,3 +931,159 @@ def test_constrained_induction_and_bound_import_no_numpy(tmp_path):
     assert seen == [[0, False, False, False, False]] * len(calls)
     graph = json.loads((tmp_path / "g.json").read_text())
     assert len(graph["vertices"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# Streamed channel generation and the cells cap
+
+
+def expected_channel_text(dist, epsilon, seed=None):
+    """The CSV text of the channel over an oracle distance table, its columns
+    permuted as ``--shuffle-outputs --seed seed`` permutes them."""
+    if seed is not None:
+        order = list(range(len(dist)))
+        random.Random(seed).shuffle(order)
+        dist = [[row[j] for j in order] for row in dist]
+    return "".join(channel_to_csv(randomized_response(dist, epsilon)))
+
+
+def generate_text(directory, argv, rows, sources):
+    """The text ``channel generate`` writes with blocks of ``rows`` channel
+    rows and traversals of ``sources`` sources."""
+    vertices = len(json.loads((directory / "graph.json").read_text())["vertices"])
+    out = directory / "k.csv"
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", rows * vertices), \
+            mock.patch.object(graphcore, "_SOURCE_BLOCK", sources):
+        assert run("channel", "generate", *argv, "--out", str(out)) == 0
+    return out.read_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    small_policies(max_n=3),
+    st.integers(1, 9), st.integers(1, 70), st.one_of(st.none(), st.integers(0, 2**32)),
+)
+@example(custom_policy(["1", "2", "3"], [("1", "2")], n=3), 1, 5, 7)
+def test_streamed_policy_channel_equals_the_oracle_channel(policy, rows, sources, seed):
+    """Secret graphs with unreachable pairs, constrained sets (streamed from
+    the induced graph's traversal), blocks of 1-9 rows and traversals of
+    1-70 sources, with and without the seeded shuffle."""
+    with warnings.catch_warnings():  # the CLI warns too, on its stderr
+        warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
+        graph = induce_adjacency_graph(policy)
+    expected = expected_channel_text(oracle_distances(graph.to_graph()), 0.7, seed)
+    shuffle = [] if seed is None else ["--shuffle-outputs", "--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "policy.json").write_text(policy_to_json(policy))
+        (directory / "graph.json").write_text(adjacency_to_json(graph))
+        for source in ("--policy", "--graph"):
+            argv = [source, str(directory / f"{source[2:]}.json"), "--epsilon", "0.7", *shuffle]
+            assert generate_text(directory, argv, rows, sources) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_graphs(max_vertices=40), st.integers(1, 9), st.integers(1, 50), st.booleans())
+def test_streamed_graph_channel_equals_the_oracle_channel(graph, rows, sources, shuffled):
+    """Graphs with several components and isolated vertices."""
+    seed = 11 if shuffled else None
+    expected = expected_channel_text(oracle_distances(graph), 1.3, seed)
+    shuffle = ["--shuffle-outputs", "--seed", "11"] if shuffled else []
+    document = {
+        "vertices": [[str(v)] for v in range(graph.vertex_count)],
+        "edges": [list(edge) for edge in sorted(graph.edges)],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / "graph.json").write_text(json.dumps(document))
+        argv = ["--graph", str(directory / "graph.json"), "--epsilon", "1.3", *shuffle]
+        assert generate_text(directory, argv, rows, sources) == expected
+
+
+@pytest.mark.parametrize("source,limit", [("--policy", 3 * 2**20), ("--graph", 5 * 2**20)])
+def test_streamed_generate_holds_a_block_not_the_channel(tmp_path, source, limit):
+    """n = 5: 1,024 databases, an 8 MiB channel, written to a file a block of
+    rows at a time; building the whole channel took about 9.25 MiB for
+    --policy, and 11 MiB for --graph. --graph also holds the loaded graph
+    and one traversal's distances, from up to 2,048 sources: here all
+    1,024, 2 MiB of int16."""
+    policy, graph = build_path_policy(tmp_path, n=5), tmp_path / "graph.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    target = {"--policy": policy, "--graph": graph}[source]
+    out = tmp_path / "k.csv"
+    tracemalloc.start()
+    try:
+        assert run("channel", "generate", source, str(target), "--epsilon", "0.5",
+                   "--out", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == 1024
+    assert peak < limit
+
+
+@pytest.mark.parametrize("source", ["--policy", "--graph"])
+def test_channel_over_the_cells_cap_exits_three_without_output(
+    tmp_path, monkeypatch, capsys, source
+):
+    """n = 2: 16 databases, 256 cells. The cap admits 256 and refuses 255,
+    by flag or by environment variable, the flag taking precedence."""
+    policy, graph = build_path_policy(tmp_path), tmp_path / "graph.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    argv = ["channel", "generate", source, str({"--policy": policy, "--graph": graph}[source]),
+            "--epsilon", "0.5", "--out", str(tmp_path / "k.csv")]
+    capsys.readouterr()
+    assert run(*argv, "--max-cells", "255") == 3
+    assert not (tmp_path / "k.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: channel has 16 x 16 = 256 cells, exceeding the cap of 255\n"
+    )
+    assert captured.out == ""
+    monkeypatch.setenv("BLOWFISH_MAX_CELLS", "255")
+    assert run(*argv) == 3
+    assert not (tmp_path / "k.csv").exists()
+    assert run(*argv, "--max-cells", "256") == 0
+    monkeypatch.setenv("BLOWFISH_MAX_CELLS", "256")
+    assert run(*argv) == 0
+    assert len((tmp_path / "k.csv").read_text().splitlines()) == 16
+
+
+BAD_CELL_CAPS = {
+    "flag_text": (["--max-cells", "many"], None),
+    "flag_negative": (["--max-cells", "-1"], None),
+    "env_text": ([], "many"),
+    "env_negative": ([], "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CELL_CAPS))
+def test_bad_cells_cap_exits_two_without_output(tmp_path, monkeypatch, case):
+    flags, env = BAD_CELL_CAPS[case]
+    if env is not None:
+        monkeypatch.setenv("BLOWFISH_MAX_CELLS", env)
+    policy, out = build_path_policy(tmp_path), tmp_path / "k.csv"
+    assert exit_code("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+                     *flags, "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_default_cells_cap_refuses_n8_before_any_distance(tmp_path):
+    """n = 8: a 65,536 x 65,536 channel, over the default cap of 2**25
+    cells. The cap refuses it from the database count, with no output file
+    and a small child. The 4 GiB address limit is only a guard: a tree
+    without the cap would ask for 4 GiB of distances and fail there, with
+    an out-of-memory line, not this one."""
+    policy = build_path_policy(tmp_path, n=8)
+    done = run_cli_with_address_limit(
+        ["channel", "generate", "--policy", policy.name, "--epsilon", "1", "--out", "k8.csv"],
+        cwd=tmp_path,
+        limit_bytes=4 * 2**30,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        "error: channel has 65536 x 65536 = 4294967296 cells, exceeding the cap of 33554432\n"
+    )
+    assert done.stdout == ""
+    assert list(tmp_path.iterdir()) == [policy]
+    assert done.peak_rss_bytes < 100 * 2**20

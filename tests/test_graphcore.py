@@ -221,6 +221,28 @@ def test_distances_peak_memory_is_the_result_and_a_block():
     assert peak < dist.nbytes + 2**20
 
 
+def test_distance_blocks_are_the_rows_of_distances_one_block_alive(monkeypatch):
+    """n = 5 (1,024 vertices) in blocks of 512 sources, 1 MiB of int16 each:
+    the stacked blocks are the distances, and the generator keeps no block
+    alive while it fills the next, so the peak stays below two blocks."""
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
+    graph = induce_adjacency_graph(policy).to_graph()
+    monkeypatch.setattr(graphcore, "_SOURCE_BLOCK", 512)
+    blocks = list(graphcore.distance_blocks(graph))
+    assert [block.shape for block in blocks] == [(512, 1024)] * 2
+    assert np.array_equal(np.concatenate(blocks), distances(graph))
+    block_bytes = blocks[0].nbytes
+    del blocks
+    tracemalloc.start()
+    try:
+        for block in graphcore.distance_blocks(graph):
+            del block
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block_bytes
+
+
 # ---------------------------------------------------------------------------
 # Permutations and groups
 
