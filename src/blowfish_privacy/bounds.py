@@ -13,10 +13,10 @@ connected case reads ``n * d * eps * log2(e)``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 from .adjacency import induce_adjacency_graph
-from .channel import ChannelMatrix, LeakageReport, leakage, minimal_epsilon
+from .channel import ChannelMatrix, measure
 from .errors import InputError
 from .graphcore import Graph, components_and_diameters
 from .policy import BlowfishPolicy, DEFAULT_DATABASE_CAP, permissible_size
@@ -99,7 +99,7 @@ def unconstrained_audit(policy: BlowfishPolicy, epsilon: float) -> BoundReport:
 def audit(
     policy: BlowfishPolicy,
     epsilon: float,
-    channel: ChannelMatrix | None = None,
+    channel: ChannelMatrix | str | TextIO | None = None,
     cap: int = DEFAULT_DATABASE_CAP,
 ) -> BoundReport:
     """Evaluate the bounds for ``policy`` at ``epsilon``.
@@ -109,9 +109,12 @@ def audit(
     graph. The graph (capped at ``cap`` databases) is induced only for a
     constrained policy or to measure a channel.
 
-    With a channel, additionally measure its minimal epsilon and uniform
-    leakage, re-evaluate the bounds at the measured level, and verify that
-    measured leakage and conditional min-entropy respect them (1e-9 slack).
+    With a channel (a :class:`ChannelMatrix`, or the text or an open file of
+    a channel CSV, streamed once the graph is induced), additionally
+    measure its minimal epsilon and uniform leakage in one pass of
+    :func:`channel.measure`, re-evaluate the bounds at the measured level,
+    and verify that measured leakage and conditional min-entropy respect
+    them (1e-9 slack).
     A channel that is private for no finite epsilon is reported with
     unbounded margins rather than rejected.
     """
@@ -135,13 +138,8 @@ def audit(
     if channel is None:
         return report
 
-    if channel.rows != graph.vertex_count:
-        raise InputError(
-            f"channel has {channel.rows} rows but the permissible set has "
-            f"{graph.vertex_count} databases"
-        )
-    measured_eps = minimal_epsilon(channel, graph)
-    measured: LeakageReport = leakage(channel)
+    found = measure(channel, graph)
+    measured_eps, measured = found.minimal_epsilon, found.leakage
     if math.isinf(measured_eps):
         upper_at = math.inf
     elif policy.unconstrained:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._frozen import Frozen
 from ._numpy import np
@@ -118,18 +120,39 @@ def validate_channel(matrix) -> list[Violation]:
     return violations
 
 
-def _check(arr: np.ndarray, what: str, first_row: int = 0) -> None:
-    """Raise :class:`InputError` naming the first violations of ``arr``,
-    whose rows are numbered from ``first_row``."""
-    problems = validate_channel(arr)
-    if problems:
-        head = ", ".join(
+class _Violations:
+    """Violations of channel rows checked a block at a time: their count and
+    the first five named, each by its row in the whole matrix."""
+
+    def __init__(self, what: str):
+        self.what, self.count, self.head = what, 0, []
+
+    def add(self, arr: np.ndarray, first_row: int = 0) -> bool:
+        """Check the rows ``arr``, numbered from ``first_row``; True while
+        no row checked so far has a violation."""
+        problems = validate_channel(arr)
+        self.count += len(problems)
+        self.head += [
             ("non-finite" if v.magnitude == math.inf else v.kind)
             + f"@row {first_row + v.row}"
             + (f" col {v.column}" if v.column is not None else "")
-            for v in problems[:5]
-        )
-        raise InputError(f"invalid {what} ({len(problems)} violation(s): {head})")
+            for v in problems[: 5 - len(self.head)]
+        ]
+        return not self.count
+
+    def check(self) -> None:
+        """Raise :class:`InputError` when any checked row has a violation."""
+        if self.count:
+            head = ", ".join(self.head)
+            raise InputError(f"invalid {self.what} ({self.count} violation(s): {head})")
+
+
+def _check(arr: np.ndarray, what: str, first_row: int = 0) -> None:
+    """Raise :class:`InputError` naming the first violations of ``arr``,
+    whose rows are numbered from ``first_row``."""
+    found = _Violations(what)
+    found.add(arr, first_row)
+    found.check()
 
 
 class ChannelMatrix(Frozen):
@@ -168,6 +191,12 @@ class ChannelMatrix(Frozen):
         for block in blocks:
             arr[start : start + len(block)] = block
             start += len(block)
+        return cls._of_checked(arr)
+
+    @classmethod
+    def _of_checked(cls, arr: np.ndarray) -> "ChannelMatrix":
+        """The channel of the float64 array ``arr``, which owns its memory and
+        whose rows are validated already; ``arr`` is made read-only."""
         arr.setflags(write=False)
         chan = cls.__new__(cls)
         chan._set(probs=arr)
@@ -221,20 +250,14 @@ def _neg_log2(value: float) -> float:
 
 
 def leakage(channel: ChannelMatrix, prior: Prior | None = None) -> LeakageReport:
-    """Min-entropy leakage of ``channel`` under ``prior`` (None = uniform).
+    """Min-entropy leakage of ``channel`` under ``prior`` (None = uniform),
+    from :func:`measure`.
 
     With the default uniform prior the conditional vulnerability is the
     column-maxima sum divided by the input count; with an explicit prior it
     is the sum of column maxima of the prior-weighted matrix.
     """
-    ell = channel.rows
-    if prior is None:
-        return uniform_leakage(memoryview(channel.probs.max(axis=0)), ell)
-    if len(prior) != ell:
-        raise InputError(f"prior length {len(prior)} != input count {ell}")
-    weighted = channel.probs * prior.probabilities[:, None]
-    v_prior = float(prior.probabilities.max())
-    return _leakage_report(v_prior, math.fsum(memoryview(weighted.max(axis=0))))
+    return measure(channel, prior=prior).leakage
 
 
 def uniform_leakage(column_maxima: Iterable[float], rows: int) -> LeakageReport:
@@ -256,27 +279,111 @@ def _leakage_report(v_prior: float, v_cond: float) -> LeakageReport:
 
 
 def minimal_epsilon(channel: ChannelMatrix, graph: Graph) -> float:
-    """Smallest epsilon at which ``channel`` is private for ``graph``.
+    """Smallest epsilon at which ``channel`` is private for ``graph``, from
+    :func:`measure`."""
+    return measure(channel, graph, leak=False).minimal_epsilon
 
-    Maximum over edges and columns of ``|ln(K[i,j] / K[h,j])|``; a zero
-    against a positive entry forces infinity, two zeros contribute nothing,
-    and an edgeless graph yields 0. The edges are compared as index arrays,
-    a chunk at a time whose rows hold at most ``EPSILON_CHUNK_CELLS``
-    entries (one edge when a single row is longer), so the temporaries stay
-    small. Every ratio and logarithm is the same float operation as in an
-    edge-by-edge scan, so the result equals that scan's exactly.
+
+class ChannelMeasures(NamedTuple):
+    """A channel's shape and what :func:`measure` found over its rows."""
+
+    rows: int
+    cols: int
+    minimal_epsilon: float | None  # None without a graph
+    leakage: LeakageReport | None  # None when not asked for
+
+
+def measure(
+    channel: ChannelMatrix | str | TextIO,
+    graph: Graph | None = None,
+    prior: Prior | None = None,
+    leak: bool = True,
+) -> ChannelMeasures:
+    """The shape of ``channel``, its privacy level over ``graph`` and, when
+    ``leak`` is set, its min-entropy leakage under ``prior`` (None =
+    uniform), all in one pass over its rows.
+
+    ``channel`` is a :class:`ChannelMatrix`, read as one block indexed in
+    place, or the text or an open file of a channel CSV, read by
+    :func:`_csv_blocks` a block of at most ``BLOCK_CELLS`` cells of rows at
+    a time, with no matrix built.
+
+    The privacy level is the maximum over edges and columns of
+    ``|ln(K[i,j] / K[h,j])|``; a zero against a positive entry forces
+    infinity, two zeros contribute nothing, and an edgeless graph yields 0.
+    An edge is compared when the block holding its later row arrives, its
+    two rows gathered by index a chunk at a time whose rows hold at most
+    ``EPSILON_CHUNK_CELLS`` entries (one edge when a single row is longer).
+    So a CSV read keeps the rows it reads in a ring indexed by row number
+    modulo its length: the block, and before it the graph's bandwidth (the
+    longest distance between an edge's two rows) rounded up to whole
+    blocks. Every ratio and logarithm is the same float operation as in an
+    edge-by-edge scan, so the result equals that scan's exactly. A channel
+    with other than one row per vertex is an :class:`InputError`, raised
+    once the whole channel is read and validated.
+
+    The leakage keeps the running column maxima of the blocks (of each
+    block times its rows' prior probabilities, given a prior), which are
+    the whole matrix's maxima, so the report is the one the whole matrix
+    gives bit for bit. A prior of another length than the row count is an
+    :class:`InputError`.
     """
-    if graph.vertex_count != channel.rows:
-        raise InputError(
-            f"graph has {graph.vertex_count} vertices but channel has {channel.rows} rows"
-        )
-    probs = channel.probs
-    ends = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2)
-    step = max(1, EPSILON_CHUNK_CELLS // channel.cols)
+    edges = sorted(() if graph is None else graph.edges, key=itemgetter(1))
+    later = [b for _, b in edges]
+    bandwidth = max((b - a for a, b in edges), default=0)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    if isinstance(channel, ChannelMatrix):
+        ring = channel.probs
+        blocks = [ring]
+    else:
+        ring = None
+
+        def place(first_row: int, width: int) -> np.ndarray:
+            nonlocal ring
+            height = max(1, BLOCK_CELLS // width)
+            if ring is None:
+                length = (-(-bandwidth // height) + 1) * height
+                if graph is not None:  # one row per vertex, or the read fails
+                    length = min(length, graph.vertex_count)
+                ring = np.empty((length, width))
+            start = first_row % len(ring)
+            return ring[start : start + height]
+
+        blocks = _csv_blocks(channel, place)
+    worst, maxima, rows = 0.0, None, 0
+    for block in blocks:
+        end = rows + len(block)
+        if leak and (prior is None or end <= len(prior)):
+            weighted = block if prior is None else block * prior.probabilities[rows:end, None]
+            top = weighted.max(axis=0)
+            maxima = top if maxima is None else np.maximum(maxima, top, out=maxima)
+        if worst < math.inf:
+            first, last = bisect_left(later, rows), bisect_left(later, end)
+            worst = max(worst, _largest_log_ratio(ring, ends[first:last]))
+        rows = end
+    if graph is not None and graph.vertex_count != rows:
+        raise InputError(f"graph has {graph.vertex_count} vertices but channel has {rows} rows")
+    report = None
+    if leak and prior is None:
+        report = uniform_leakage(memoryview(maxima), rows)
+    elif leak:
+        if len(prior) != rows:
+            raise InputError(f"prior length {len(prior)} != input count {rows}")
+        v_prior = float(prior.probabilities.max())
+        report = _leakage_report(v_prior, math.fsum(memoryview(maxima)))
+    return ChannelMeasures(rows, ring.shape[1], None if graph is None else worst, report)
+
+
+def _largest_log_ratio(ring: np.ndarray, ends: np.ndarray) -> float:
+    """Largest ``|ln(a / b)|`` over the columns of the row pairs that
+    ``ends`` lists, row ``r`` held in ``ring`` at ``r % len(ring)``, compared
+    a chunk of ``EPSILON_CHUNK_CELLS`` entries at a time; infinite when a
+    pair's rows differ in support."""
+    step = max(1, EPSILON_CHUNK_CELLS // ring.shape[1])
     worst = 0.0
     for start in range(0, len(ends), step):
-        chunk = ends[start : start + step]
-        a, b = probs[chunk[:, 0]], probs[chunk[:, 1]]
+        chunk = ends[start : start + step] % len(ring)
+        a, b = ring[chunk[:, 0]], ring[chunk[:, 1]]
         positive = a > 0
         if np.any(positive != (b > 0)):
             return math.inf
@@ -336,14 +443,6 @@ def _response_rows(
             first_row += len(rows)
             yield rows
         dist = block = None  # dropped before the next block is made, not after
-
-
-def randomized_response(dist, epsilon: float) -> ChannelMatrix:
-    """The channel of :func:`response_blocks` over the distance matrix
-    ``dist`` (an array or a list of rows), its blocks stacked into one
-    matrix."""
-    dist = np.asarray(dist)
-    return ChannelMatrix._of_checked_rows(response_blocks([dist], epsilon), dist.shape)
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
@@ -478,61 +577,102 @@ def _measure(handle: TextIO, start: int) -> tuple[int, int]:
     return chars, breaks + (last != "\n")
 
 
-def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
-    """Parse a channel CSV: one row of floats per line, ``#`` starts a comment.
+def _csv_blocks(
+    source: str | Iterable[str], place: Callable[[int, int], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """The rows of a channel CSV, parsed and validated a block at a time.
 
-    ``source`` is the CSV text or an open text file, read from where it
-    stands. A field is a number in the ASCII grammar of ``_NUMBER`` (sign,
+    ``source`` is the CSV text or its lines (an open text file, read from
+    where it stands). Each line holds one row of floats and ``#`` starts a
+    comment. A field is a number in the ASCII grammar of ``_NUMBER`` (sign,
     digits, point, exponent, ``inf``, ``infinity``, ``nan``), with
     whitespace around it, optionally inside one pair of ``"`` that closes on
-    its line. Each distinct field text is checked and parsed once, when it is
-    first seen, so a channel of few distinct values parses each of them
-    once; past ``CSV_CACHE_FIELDS`` parsed texts the store starts again.
+    its line. Each distinct field text is checked and parsed once, when it
+    is first seen; past ``CSV_CACHE_FIELDS`` parsed texts the store starts
+    again, so a channel of few distinct values parses each of them once.
 
-    The rows fill one float64 array, handed to :class:`ChannelMatrix` with
-    no copy. Its size is set before the first row is stored, from the width
-    ``w`` of the first data row and a counting pass over the text: at most
-    one row per line, and at most ``(chars + 1) // (2 w)`` rows for a text
-    of ``chars`` characters, since ``r`` rows need ``r (2 w - 1)``
-    characters of fields and commas and ``r - 1`` line breaks. So the array
-    takes at most about 4 bytes per character of text, however many lines
-    are comments; rows left unused are cut off in place. A file is read
-    twice, in chunks and then a line at a time, and a string is split a line
-    at a time: neither makes a copy of the whole text (a file that cannot
-    seek or tell its position is read whole first).
+    A block is parsed into ``place(first_row, width)``: the array, as high
+    as the block is to be, in which the caller keeps the rows from channel
+    row ``first_row`` on. It is asked for once the block's first row has
+    been parsed. A full block is yielded once the row after it has been
+    parsed, and the last one at the end of the text, after the parsed
+    field texts are dropped. Each block is validated as channel rows
+    numbered from the channel's first. After a block with a violation none
+    is yielded, but the text is still parsed and validated to its end,
+    where all the violations are raised in one :class:`InputError`; so a
+    malformed field on a later line is reported instead, as by a reader
+    that parses the whole text before it validates.
 
     Malformed fields, rows whose width differs from the first, empty input
     and undecodable bytes are :class:`SchemaError`.
     """
+    rows = _data_lines(_text_lines(source) if isinstance(source, str) else source)
+    found = _Violations("channel matrix")
     try:
-        if isinstance(source, str) or (start := _start(source)) is None:
-            text = source if isinstance(source, str) else source.read()
-            chars, line_count = len(text), text.count("\n") + (not text.endswith("\n"))
-            rows = _data_lines(_text_lines(text))
-        else:
-            chars, line_count = _measure(source, start)
-            rows = _data_lines(source)
         first = next(rows, None)
         if first is None:
             raise SchemaError("channel CSV is empty")
         width = len(first[1])
-        out = np.empty((min(line_count, (chars + 1) // (2 * width)), width))
         get = _FieldNumbers().__getitem__
-        filled = 0
+        start, block, held = 0, (), 0
         try:
             for number, fields in itertools.chain([first], rows):
                 if len(fields) != width:
                     raise SchemaError(f"{len(fields)} field(s) where the first row has {width}")
                 row = np.fromiter(map(get, fields), float, width)
-                if filled == len(out):  # the text changed after it was measured
-                    raise SchemaError("more rows than the text held when it was measured")
-                out[filled] = row
-                filled += 1
+                if held == len(block):
+                    if held and found.add(block, start):
+                        yield block
+                    start += held
+                    block, held = place(start, width), 0
+                block[held] = row
+                held += 1
         except SchemaError as exc:
             raise SchemaError(f"channel CSV line {number}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"channel CSV: {exc}") from None
-    if filled < len(out):
-        out.resize((filled, width), refcheck=False)
-    out.setflags(write=False)
-    return ChannelMatrix(out)
+    first = fields = get = None
+    if found.add(block[:held], start):
+        yield block[:held]
+    found.check()
+
+
+def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
+    """Parse a channel CSV (the text, or an open text file read from where
+    it stands) into one matrix, filled by :func:`_csv_blocks`.
+
+    The rows fill one float64 array, which the channel keeps with no copy
+    and no second validation. Its size is set before the first row is
+    stored, from the width ``w`` of the first data row and a counting pass
+    over the text: at most one row per line, and at most
+    ``(chars + 1) // (2 w)`` rows for a text of ``chars`` characters, since
+    ``r`` rows need ``r (2 w - 1)`` characters of fields and commas and
+    ``r - 1`` line breaks. So the array takes at most about 4 bytes per
+    character of text, however many lines are comments; rows left unused
+    are cut off in place. A file is read twice, in chunks and then a line at
+    a time, and a string is split a line at a time: neither makes a copy of
+    the whole text (a file that cannot seek or tell its position is read
+    whole first).
+    """
+    try:
+        if isinstance(source, str) or (start := _start(source)) is None:
+            source = source if isinstance(source, str) else source.read()
+            chars, line_count = len(source), source.count("\n") + (not source.endswith("\n"))
+        else:
+            chars, line_count = _measure(source, start)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"channel CSV: {exc}") from None
+    out = None
+
+    def place(first_row: int, width: int) -> np.ndarray:
+        nonlocal out
+        if out is None:
+            out = np.empty((min(line_count, (chars + 1) // (2 * width)), width))
+        if first_row == len(out):  # the text changed after it was measured
+            raise SchemaError("more rows than the text held when it was measured")
+        return out[first_row : first_row + max(1, BLOCK_CELLS // width)]
+
+    rows = sum(map(len, _csv_blocks(source, place)))
+    if rows < len(out):
+        out.resize((rows, out.shape[1]), refcheck=False)
+    return ChannelMatrix._of_checked(out)

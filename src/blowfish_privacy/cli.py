@@ -20,7 +20,7 @@ import random
 import sys
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Iterator, TextIO
 
 from . import adjacency as adjacency_mod
@@ -94,27 +94,21 @@ def _read_text(path: str) -> str:
 
 
 def _cap(flag: int | None, env: str, default: int) -> int:
-    """A cap's value: its flag's, else its environment variable's, else ``default``."""
+    """A cap's value: its flag's, else its environment variable's (a
+    non-negative integer), else ``default``."""
     if flag is not None:
         return flag
     text = os.environ.get(env)
     if text is None:
         return default
     try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"{env} must be an integer, got {text!r}") from None
+        return _non_negative_int(text)
+    except argparse.ArgumentTypeError:
+        raise InputError(f"{env} must be a non-negative integer, got {text!r}") from None
 
 
 def _max_databases(args) -> int:
     return _cap(args.max_databases, ENV_MAX_DATABASES, policy_mod.DEFAULT_DATABASE_CAP)
-
-
-def _max_cells(args) -> int:
-    cap = _cap(args.max_cells, ENV_MAX_CELLS, DEFAULT_CELL_CAP)
-    if cap < 0:
-        raise InputError(f"{ENV_MAX_CELLS} must be a non-negative integer, got {cap}")
-    return cap
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -139,7 +133,7 @@ def _float_arg(text: str) -> float:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of --seed and --max-cells: a non-negative integer."""
+    """argparse type of --seed and the caps: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -170,12 +164,6 @@ def _parse_edges(text: str) -> list[tuple[str, str]]:
 
 def _load_policy(path: str) -> policy_mod.BlowfishPolicy:
     return policy_mod.policy_from_json(_read_text(path))
-
-
-def _load_channel(path: str) -> channel_mod.ChannelMatrix:
-    """The channel CSV at ``path``, parsed straight from the open file."""
-    with _opened(path) as handle:
-        return channel_mod.channel_from_csv(handle)
 
 
 def _resolve_source(
@@ -272,10 +260,9 @@ def _cmd_adjacency_induce(args) -> int:
 
 def _cmd_bound_compute(args) -> int:
     built = _load_policy(args.policy)
-    chan = _load_channel(args.channel) if args.channel else None
-    report = bounds_mod.audit(
-        built, args.epsilon, channel=chan, cap=_max_databases(args)
-    )
+    # The channel is streamed once audit has induced the graph.
+    with _opened(args.channel) if args.channel else nullcontext() as handle:
+        report = bounds_mod.audit(built, args.epsilon, channel=handle, cap=_max_databases(args))
     _write_output(args.out, render_report(report))
     return 0 if report.bounds_hold in (None, True) else 1
 
@@ -283,12 +270,13 @@ def _cmd_bound_compute(args) -> int:
 def _cmd_channel_verify(args) -> int:
     cap = _max_databases(args)
     graph = _induced(_resolve_source(args, cap), cap).to_graph()
-    chan = _load_channel(args.channel)
-    epsilon_star = channel_mod.minimal_epsilon(chan, graph)
+    with _opened(args.channel) as handle:
+        found = channel_mod.measure(handle, graph, leak=False)
+    epsilon_star = found.minimal_epsilon
     items = [
-        ("rows", chan.rows),
-        ("columns", chan.cols),
-        # Loading validated the channel: an invalid one has exited 2 already.
+        ("rows", found.rows),
+        ("columns", found.cols),
+        # Reading validated the channel: an invalid one has exited 2 already.
         ("violations", 0),
         ("minimal_epsilon", epsilon_star),
     ]
@@ -302,20 +290,20 @@ def _cmd_channel_verify(args) -> int:
 
 
 def _cmd_channel_leakage(args) -> int:
-    chan = _load_channel(args.channel)
     prior = None
-    if args.prior:
+    if args.prior:  # read first: the channel is weighed by it as it streams
         doc = json.loads(_read_text(args.prior))
         prior = channel_mod.Prior(
             policy_mod.numbers(doc, "prior file must hold a JSON list of probabilities")
         )
-    report = channel_mod.leakage(chan, prior)
+    with _opened(args.channel) as handle:
+        report = channel_mod.measure(handle, prior=prior).leakage
     _write_output(args.out, render_report(report))
     return 0
 
 
 def _cmd_channel_generate(args) -> int:
-    cap, cell_cap = _max_databases(args), _max_cells(args)
+    cap, cell_cap = _max_databases(args), _cap(args.max_cells, ENV_MAX_CELLS, DEFAULT_CELL_CAP)
     source = _resolve_source(args, cap)
     if isinstance(source, policy_mod.BlowfishPolicy):
         size = policy_mod.capped_permissible_size(source, cap)
@@ -345,7 +333,8 @@ def _cmd_symmetrise_run(args) -> int:
     source = _resolve_source(args, cap)
     adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
-    chan = _load_channel(args.channel)
+    with _opened(args.channel) as handle:
+        chan = channel_mod.channel_from_csv(handle)
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -419,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     capped = argparse.ArgumentParser(add_help=False)
     capped.add_argument(
         "--max-databases",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help=f"cap on materialised databases (default 100000, env {ENV_MAX_DATABASES})",
     )

@@ -12,7 +12,6 @@ import resource
 import subprocess
 import sys
 import tempfile
-import time
 import warnings
 from collections import deque
 from itertools import combinations, permutations, product
@@ -33,7 +32,7 @@ from blowfish_privacy import (
     generate_group,
     induce_adjacency_graph,
 )
-from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
+from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE, response_blocks
 from blowfish_privacy.errors import InputError, SchemaError
 
 
@@ -44,6 +43,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Child processes
 
 
+# Run at the child's exit: its own high-water RSS, from the VmHWM of the
+# memory map that exec made. Its ru_maxrss, as wait4 reports it, is at least
+# the caller's RSS at the fork, which it carries over.
+_REPORT_PEAK = """import atexit
+def _report_peak(path={path!r}):
+    with open("/proc/self/status") as status, open(path, "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+atexit.register(_report_peak)"""
+
+
 def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120, prelude=""):
     """Run ``blowfish`` with ``argv`` in one child process whose address space
     is capped at ``limit_bytes`` (``RLIMIT_AS``), so an allocation beyond the
@@ -52,7 +61,7 @@ def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120, prelude=""):
     reservations small. ``prelude``, Python code, runs in the child before
     the command, for instance to set a module constant. Returns the
     ``CompletedProcess`` with text output, and the child's own peak RSS as
-    its ``peak_rss_bytes``."""
+    its ``peak_rss_bytes`` (None if it did not exit by itself)."""
 
     def cap_address_space():
         hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -61,10 +70,12 @@ def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120, prelude=""):
 
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     threads = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    script = "\n".join(
-        [prelude, "import sys", "from blowfish_privacy.cli import main", "sys.exit(main(sys.argv[1:]))"]
-    )
-    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err, \
+            tempfile.NamedTemporaryFile("r") as peak:
+        script = "\n".join(
+            [_REPORT_PEAK.format(path=peak.name), prelude, "import sys",
+             "from blowfish_privacy.cli import main", "sys.exit(main(sys.argv[1:]))"]
+        )
         child = subprocess.Popen(
             [sys.executable, "-c", script, *argv],
             cwd=cwd,
@@ -74,20 +85,17 @@ def run_cli_with_address_limit(argv, cwd, limit_bytes, timeout=120, prelude=""):
             stderr=err,
             text=True,
         )
-        # wait4, not wait: it also returns this child's resource usage.
-        deadline = time.monotonic() + timeout
-        while not (reaped := os.wait4(child.pid, os.WNOHANG))[0]:
-            if time.monotonic() > deadline:
-                child.kill()
-                os.wait4(child.pid, 0)
-                child.returncode = -9
-                raise subprocess.TimeoutExpired(child.args, timeout)
-            time.sleep(0.01)
-        child.returncode = os.waitstatus_to_exitcode(reaped[1])
+        try:
+            child.wait(timeout)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
+            raise
         out.seek(0)
         err.seek(0)
         done = subprocess.CompletedProcess(child.args, child.returncode, out.read(), err.read())
-    done.peak_rss_bytes = reaped[2].ru_maxrss * 1024  # Linux reports KiB
+        kib = peak.read()
+    done.peak_rss_bytes = int(kib) * 1024 if kib else None
     return done
 
 
@@ -301,6 +309,20 @@ def oracle_violations(matrix):
     return violations
 
 
+def randomized_response(dist, epsilon):
+    """The channel of ``response_blocks`` over the whole distance matrix
+    ``dist`` (an array or a list of rows), its blocks stacked into one
+    read-only array that the channel takes with no copy."""
+    dist = np.asarray(dist)
+    probs = np.empty(dist.shape)
+    start = 0
+    for block in response_blocks([dist], epsilon):
+        probs[start : start + len(block)] = block
+        start += len(block)
+    probs.setflags(write=False)
+    return ChannelMatrix(probs)
+
+
 def oracle_channel_csv(channel):
     """Channel CSV text with one ``repr`` call per entry, row by row."""
     return "".join(",".join(map(repr, row.tolist())) + "\n" for row in channel.probs)
@@ -339,6 +361,27 @@ def oracle_minimal_epsilon(channel, graph):
             ratios = np.abs(np.log(a[both] / b[both]))
             worst = max(worst, float(ratios.max()))
     return worst
+
+
+def oracle_leakage(channel, prior=None):
+    """The five leakage report fields by the definitions, over plain lists.
+
+    Uniform prior: vulnerability 1/l and conditional vulnerability the
+    ``fsum`` of the column maxima over l. Explicit prior: its largest
+    probability, and the ``fsum`` of the column maxima of the prior-weighted
+    entries. Min-entropies are ``-log2`` of each (infinite at 0)."""
+    rows = channel.probs.tolist()
+    if prior is None:
+        v_prior = 1.0 / len(rows)
+        v_cond = math.fsum(max(column) for column in zip(*rows)) / len(rows)
+    else:
+        weights = prior.probabilities.tolist()
+        v_prior = max(weights)
+        v_cond = math.fsum(
+            max(w * entry for w, entry in zip(weights, column)) for column in zip(*rows)
+        )
+    h_prior, h_cond = (-math.log2(v) + 0.0 if v > 0 else math.inf for v in (v_prior, v_cond))
+    return (v_prior, v_cond, h_prior, h_cond, h_prior - h_cond)
 
 
 def oracle_automorphisms(graph: Graph):

@@ -29,8 +29,11 @@ from helpers import (
     graphs,
     oracle_channel_csv,
     oracle_channel_from_csv,
+    oracle_leakage,
     oracle_minimal_epsilon,
     oracle_violations,
+    randomized_response,
+    sparse_graphs,
 )
 
 
@@ -201,7 +204,7 @@ def test_randomized_response_holds_one_matrix_at_its_peak():
     matrix_bytes = 1024 * 1024 * 8
     tracemalloc.start()
     try:
-        chan = channel_mod.randomized_response(dist, 0.1)
+        chan = randomized_response(dist, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -412,6 +415,137 @@ def test_column_scaling_changes_leakage():
 
 
 # ---------------------------------------------------------------------------
+# One pass over a channel's rows, streamed or in memory
+
+
+@st.composite
+def streamed_cases(draw):
+    """A graph, a channel on it, a prior or None, a block budget in cells,
+    and the channel's CSV as text or as an open file. The graph is sparse
+    with its vertices shuffled, so its bandwidth is about its vertex count
+    and the ring holds every row, or a band graph of bandwidth at most 3,
+    so that small blocks wrap round the ring."""
+    graph = draw(sparse_graphs(max_vertices=40))
+    n = graph.vertex_count
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        graph = Graph.from_edges(n, [(order[a], order[b]) for a, b in graph.edges])
+    else:
+        steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=2 * n))
+        graph = Graph.from_edges(n, [(a, a + d) for a, d in steps if a + d < n])
+    chan = draw(channels_on(graph))
+    prior = None
+    if draw(st.booleans()):
+        weights = np.asarray(
+            draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
+        )
+        weights[0] += 1.0
+        prior = Prior(weights / weights.sum())
+    cells = draw(st.integers(1, 3 * n * chan.cols))
+    text = "".join(channel_to_csv(chan))
+    source = io.StringIO(text) if draw(st.booleans()) else text
+    return graph, chan, prior, cells, source
+
+
+@settings(max_examples=200)
+@given(streamed_cases())
+def test_streamed_measures_equal_the_oracles(case):
+    graph, chan, prior, cells, source = case
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", cells):
+        found = channel_mod.measure(source, graph, prior)
+    assert (found.rows, found.cols) == chan.probs.shape
+    assert found.minimal_epsilon == oracle_minimal_epsilon(chan, graph)
+    assert tuple(found.leakage) == oracle_leakage(chan, prior)
+    assert channel_mod.measure(chan, graph, prior) == found
+    assert leakage(chan, prior) == found.leakage
+    assert minimal_epsilon(chan, graph) == found.minimal_epsilon
+
+
+def violation_message(violations):
+    """The InputError text naming ``violations`` of a whole channel."""
+    head = ", ".join(
+        ("non-finite" if magnitude == math.inf else kind)
+        + f"@row {row}"
+        + (f" col {column}" if column is not None else "")
+        for kind, row, column, magnitude in violations[:5]
+    )
+    return f"invalid channel matrix ({len(violations)} violation(s): {head})"
+
+
+@settings(max_examples=200)
+@given(faulty_matrices(), st.integers(1, 12))
+def test_streamed_reads_count_every_violation_of_the_channel(matrix, cells):
+    """However the rows fall into blocks, a read raises at the end of the text
+    for the violations of the whole channel, as the dense check does."""
+    text = "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
+    expected = oracle_violations(matrix)
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", cells):
+        reads = (channel_mod.measure, channel_from_csv, lambda t: ChannelMatrix(matrix))
+        for read in reads:
+            if not expected:
+                read(text)
+                continue
+            with pytest.raises(InputError) as raised:
+                read(text)
+            assert str(raised.value) == violation_message(expected)
+
+
+def test_an_invalid_row_in_the_last_block_is_named():
+    rows = ["0.5,0.5"] * 6 + ["0.5,0.6"]  # blocks of two rows: the last holds row 6 alone
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", 4):
+        for read in (channel_mod.measure, channel_from_csv):
+            with pytest.raises(InputError, match=r"^invalid channel matrix \(1 violation\(s\): "
+                               r"row_sum@row 6\)$"):
+                read("\n".join(rows))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("x,0.5", "cannot read 'x' as a number"), ("0.5", "1 field(s) where the first row has 2")],
+    ids=["malformed-field", "ragged-row"],
+)
+def test_a_malformed_line_after_an_invalid_row_is_reported_first(bad, message):
+    """The invalid row 1 is in an earlier block than line 5; parsing wins,
+    as when the whole text is parsed before it is validated."""
+    text = "0.5,0.5\n2.0,0.0\n0.5,0.5\n0.5,0.5\n" + bad + "\n0.5,0.5\n"
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", 4):
+        for read in (channel_mod.measure, channel_from_csv):
+            with pytest.raises(SchemaError) as raised:
+                read(text)
+            assert str(raised.value) == f"channel CSV line 5: {message}"
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_a_channel_of_another_height_than_the_graph_is_refused_after_the_read(rows):
+    graph = Graph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match=f"graph has 3 vertices but channel has {rows} rows"):
+        channel_mod.measure("0.5,0.5\n" * rows, graph)
+
+
+def test_a_prior_of_another_length_is_refused_after_the_read():
+    for rows in (1, 3):
+        with pytest.raises(InputError, match=f"prior length 2 != input count {rows}"):
+            channel_mod.measure("0.5,0.5\n" * rows, prior=Prior(np.array([0.5, 0.5])))
+
+
+def test_streamed_ring_holds_the_bandwidth_not_the_channel():
+    """A 512-row path channel read in blocks of 8 rows: the ring holds the
+    block and one block before it, the path's bandwidth of 1 rounded up,
+    not the channel."""
+    graph = Graph.from_edges(512, [(i, i + 1) for i in range(511)])
+    chan = graph_randomized_response(graph, 0.5)
+    text = "".join(channel_to_csv(chan))
+    with mock.patch.object(channel_mod, "BLOCK_CELLS", 8 * 512), mock.patch.object(
+        channel_mod.np, "empty", wraps=np.empty
+    ) as empty:
+        found = channel_mod.measure(text, graph)
+    ((shape,), _), = empty.call_args_list
+    assert shape == (16, 512)
+    assert found == channel_mod.measure(chan, graph)
+    assert found.minimal_epsilon == oracle_minimal_epsilon(chan, graph)
+
+
+# ---------------------------------------------------------------------------
 # Graph randomized response
 
 
@@ -566,7 +700,7 @@ def test_channel_csv_rejects_empty():
 def read_bits(read, source):
     """Shape and bit patterns of the rows ``read`` parses from ``source``, or
     SchemaError; the rows are not validated as a channel, so any float counts."""
-    with mock.patch.object(channel_mod, "_check"):
+    with mock.patch.object(channel_mod, "validate_channel", return_value=[]):
         try:
             probs = read(source).probs
         except SchemaError:
@@ -766,7 +900,7 @@ def product_channel_text(line_end="\n"):
 
     blocks = product_distance_blocks(distance_threshold_policy([1, 2, 3, 4], 1, n=4), 2**16)
     dist = np.concatenate(list(blocks))
-    lines = channel_to_csv(channel_mod.randomized_response(dist, 0.1))
+    lines = channel_to_csv(randomized_response(dist, 0.1))
     return "".join(line[:-1] + line_end for line in lines)
 
 
@@ -807,7 +941,7 @@ def test_csv_reader_forgets_parsed_fields_past_the_cache_size():
     rows = [[i + k / 1000 for k in range(256)] for i in range(256)]
     text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
     with mock.patch.object(channel_mod, "CSV_CACHE_FIELDS", 256), mock.patch.object(
-        channel_mod, "_check"
+        channel_mod, "validate_channel", return_value=[]
     ):
         tracemalloc.start()
         try:

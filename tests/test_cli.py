@@ -22,10 +22,16 @@ from blowfish_privacy.adjacency import (
     adjacency_from_json,
     adjacency_to_json,
 )
-from blowfish_privacy.channel import channel_to_csv, randomized_response
+from blowfish_privacy.channel import channel_to_csv
 from blowfish_privacy.cli import build_parser, main
 
-from helpers import oracle_distances, run_cli_with_address_limit, small_policies, sparse_graphs
+from helpers import (
+    oracle_distances,
+    randomized_response,
+    run_cli_with_address_limit,
+    small_policies,
+    sparse_graphs,
+)
 
 LOG2E = math.log2(math.e)
 
@@ -1087,3 +1093,124 @@ def test_default_cells_cap_refuses_n8_before_any_distance(tmp_path):
     assert done.stdout == ""
     assert list(tmp_path.iterdir()) == [policy]
     assert done.peak_rss_bytes < 100 * 2**20
+
+
+BAD_DATABASE_CAPS = {
+    "flag_negative": (("adjacency", "induce", "{policy}", "--max-databases", "-5"), None),
+    "flag_text": (("channel", "generate", "--policy", "{policy}", "--epsilon", "0.5",
+                   "--max-databases", "many"), None),
+    "env_negative": (("bound", "compute", "{policy}", "--epsilon", "0.1"), "-1"),
+    "env_text": (("adjacency", "induce", "{policy}"), "many"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATABASE_CAPS))
+def test_bad_database_cap_exits_two_without_output(tmp_path, monkeypatch, capsys, case):
+    """A negative cap used to be exceeded by every policy (exit 3), or
+    ignored by a closed-form bound (exit 0)."""
+    argv, env = BAD_DATABASE_CAPS[case]
+    policy, out = build_path_policy(tmp_path), tmp_path / "out.txt"
+    if env is not None:
+        monkeypatch.setenv("BLOWFISH_MAX_DATABASES", env)
+    assert exit_code(*[a.format(policy=policy) for a in argv], "--out", str(out)) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if env is not None:
+        assert captured.err == (
+            f"error: BLOWFISH_MAX_DATABASES must be a non-negative integer, got {env!r}\n"
+        )
+
+
+@pytest.fixture(scope="module")
+def n5_inputs(tmp_path_factory):
+    """n = 5: the 1,024-database threshold policy, its graph and its channel."""
+    directory = tmp_path_factory.mktemp("n5")
+    policy = build_path_policy(directory, n=5)
+    assert run("adjacency", "induce", str(policy), "--out", str(directory / "graph.json")) == 0
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.1",
+               "--out", str(directory / "k.csv")) == 0
+    return directory, policy.name
+
+
+STREAMED_READS = {
+    "verify": ("channel", "verify", "{k}", "--graph", "graph.json", "--epsilon", "0.1"),
+    "audit": ("bound", "compute", "{policy}", "--epsilon", "0.1", "--channel", "{k}"),
+    "leakage": ("channel", "leakage", "{k}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_READS))
+def test_streamed_reads_hold_no_dense_channel(n5_inputs, case):
+    """The n = 5 channel is 8 MiB dense; reading it whole grew a child by
+    about 9 MiB over one that only imports numpy. verify and bound compute
+    hold a ring of 320 rows, 2.5 MiB: a block of 64 rows and the 256-row
+    bandwidth of the canonical database order. leakage holds one block."""
+    directory, policy = n5_inputs
+    limit = {"leakage": 1.5 * 2**20}.get(case, 5 * 2**20)
+    argv = [a.format(k="k.csv", policy=policy) for a in STREAMED_READS[case]]
+    base = run_cli_with_address_limit(["--help"], directory, 2**30, prelude="import numpy")
+    done = run_cli_with_address_limit([*argv, "--out", "out.txt"], directory, 2**30)
+    assert done.returncode == 0, done.stderr
+    assert done.peak_rss_bytes - base.peak_rss_bytes < limit
+
+
+@pytest.mark.parametrize("case", sorted(STREAMED_READS))
+def test_an_invalid_last_row_of_a_streamed_channel_exits_two_without_output(
+    n5_inputs, monkeypatch, capsys, case
+):
+    """Row 1,023 is in the last of 16 blocks of 64 rows."""
+    directory, policy = n5_inputs
+    monkeypatch.chdir(directory)
+    lines = Path("k.csv").read_text().splitlines(keepends=True)
+    lines[-1] = "2.0" + lines[-1][lines[-1].index(","):]
+    Path("bad.csv").write_text("".join(lines))
+    argv = [a.format(k="bad.csv", policy=policy) for a in STREAMED_READS[case]]
+    assert run(*argv, "--out", "refused.txt") == 2
+    assert not Path("refused.txt").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid channel matrix (2 violation(s): range@row 1023 col 0, row_sum@row 1023)\n"
+    )
+
+
+def test_channel_rows_are_checked_against_the_graph_after_validation(tmp_path, capsys):
+    """n = 1: four databases. A three-row channel is refused for its size,
+    unless a row is invalid: that is reported first."""
+    policy = build_path_policy(tmp_path, n=1)
+    channel, out = tmp_path / "k.csv", tmp_path / "o.txt"
+    argv = ("channel", "verify", str(channel), "--policy", str(policy), "--out", str(out))
+    channel.write_text("1.0,0.0\n0.0,1.0\n0.5,0.5\n")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == "error: graph has 4 vertices but channel has 3 rows\n"
+    channel.write_text("1.0,0.0\n0.0,1.0\n0.5,0.6\n")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid channel matrix (1 violation(s): row_sum@row 2)\n"
+    )
+    assert not out.exists()
+
+
+def test_audit_induces_before_it_reads_the_channel(tmp_path, capsys):
+    """Over the database cap and with a malformed channel, bound compute
+    exits 3 for the cap: the channel is streamed only against an induced
+    graph."""
+    policy = build_path_policy(tmp_path, n=20)
+    channel, out = tmp_path / "k.csv", tmp_path / "o.txt"
+    channel.write_text("x,y\n")
+    assert run("bound", "compute", str(policy), "--epsilon", "0.1",
+               "--channel", str(channel), "--out", str(out)) == 3
+    assert "exceeding the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_leakage_reads_the_prior_before_the_channel(tmp_path, capsys):
+    """With a malformed prior and a malformed channel, the prior is
+    reported: the channel is weighed by it as it streams."""
+    channel, prior, out = tmp_path / "k.csv", tmp_path / "p.json", tmp_path / "o.txt"
+    channel.write_text("x,y\n")
+    prior.write_text("[0.5, 0.6]")
+    assert run("channel", "leakage", str(channel), "--prior", str(prior), "--out", str(out)) == 2
+    assert "invalid prior" in capsys.readouterr().err
+    assert not out.exists()
