@@ -39,7 +39,6 @@ from .graphcore import (
     compose,
     distances,
     generate_group,
-    invert,
     lift_policy_automorphisms,
     orbits,
     stabiliser,

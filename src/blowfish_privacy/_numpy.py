@@ -1,8 +1,9 @@
 """numpy, imported when the package first uses it.
 
-Building or validating a policy, inducing an unconstrained adjacency graph,
-the closed-form bounds and the bound figure build no array, so importing the
-package does not import numpy. Modules bind ``np`` to the stand-in below
+Building or validating a policy, inducing an adjacency graph, the
+closed-form bounds, the bound figure and the tightness sweep (which measures
+its 6x6 kernel in Python floats) build no array, so importing the package
+does not import numpy, and neither do they. Modules bind ``np`` to the stand-in below
 instead of the module: its first attribute read imports numpy through the
 normal import system, and every attribute it reads is kept on the stand-in,
 so later reads are plain attribute lookups. Type checkers see numpy itself.

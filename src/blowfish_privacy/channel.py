@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._frozen import Frozen
 from ._numpy import np
-from .errors import InputError, SchemaError
+from .errors import CapExceededError, InputError, SchemaError
 from .graphcore import Graph, distance_blocks
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -57,15 +57,18 @@ def _in_range(entries: np.ndarray) -> np.ndarray:
     return (entries >= -RANGE_TOLERANCE) & (entries - 1.0 <= RANGE_TOLERANCE)
 
 
-def _row_violations(i: int, row: np.ndarray) -> list[Violation]:
-    """The violations of row ``i``: its entries out of range, then its exact sum."""
+def _row_violations(i: int, row: Sequence[float]) -> list[Violation]:
+    """The violations of row ``i``, any sequence of floats: its entries out of
+    range, each tested as :func:`_in_range` tests it, then its exact sum."""
+    if not isinstance(row, (list, tuple)):  # an array's floats, one at a time, no list
+        row = memoryview(row)
     violations = []
-    for j in np.flatnonzero(~_in_range(row)).tolist():
-        entry = float(row[j])
-        magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
-        violations.append(Violation("range", i, j, magnitude))
-    try:  # a memoryview hands fsum the floats one at a time, with no row list
-        total = math.fsum(memoryview(row))
+    for j, entry in enumerate(row):
+        if not (entry >= -RANGE_TOLERANCE and entry - 1.0 <= RANGE_TOLERANCE):
+            magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
+            violations.append(Violation("range", i, j, magnitude))
+    try:
+        total = math.fsum(row)
     except (ValueError, OverflowError):  # inf - inf, or huge entries overflowing
         total = math.nan
     if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
@@ -127,10 +130,9 @@ class _Violations:
     def __init__(self, what: str):
         self.what, self.count, self.head = what, 0, []
 
-    def add(self, arr: np.ndarray, first_row: int = 0) -> bool:
-        """Check the rows ``arr``, numbered from ``first_row``; True while
-        no row checked so far has a violation."""
-        problems = validate_channel(arr)
+    def add(self, problems: list[Violation], first_row: int = 0) -> bool:
+        """Count ``problems``, found on rows numbered from ``first_row``; True
+        while no row checked so far has a violation."""
         self.count += len(problems)
         self.head += [
             ("non-finite" if v.magnitude == math.inf else v.kind)
@@ -147,11 +149,11 @@ class _Violations:
             raise InputError(f"invalid {self.what} ({self.count} violation(s): {head})")
 
 
-def _check(arr: np.ndarray, what: str, first_row: int = 0) -> None:
-    """Raise :class:`InputError` naming the first violations of ``arr``,
-    whose rows are numbered from ``first_row``."""
+def _check(problems: list[Violation], what: str, first_row: int = 0) -> None:
+    """Raise :class:`InputError` naming the first of ``problems``, found on
+    rows numbered from ``first_row``."""
     found = _Violations(what)
-    found.add(arr, first_row)
+    found.add(problems, first_row)
     found.check()
 
 
@@ -176,7 +178,7 @@ class ChannelMatrix(Frozen):
         )
         if not handed_over:
             arr = np.array(arr, dtype=float, copy=True)
-        _check(arr, "channel matrix")
+        _check(validate_channel(arr), "channel matrix")
         arr.setflags(write=False)
         self._set(probs=arr)
 
@@ -220,7 +222,7 @@ class Prior(Frozen):
         arr = np.array(probabilities, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("prior must be a non-empty vector")
-        _check(arr[None, :], "prior")
+        _check(validate_channel(arr[None, :]), "prior")
         arr.setflags(write=False)
         self._set(probabilities=arr)
 
@@ -439,7 +441,7 @@ def _response_rows(
             rows = table[block]
             for row in rows:
                 row /= math.fsum(memoryview(row))
-            _check(rows, "channel matrix", first_row)
+            _check(validate_channel(rows), "channel matrix", first_row)
             first_row += len(rows)
             yield rows
         dist = block = None  # dropped before the next block is made, not after
@@ -621,7 +623,7 @@ def _csv_blocks(
                     raise SchemaError(f"{len(fields)} field(s) where the first row has {width}")
                 row = np.fromiter(map(get, fields), float, width)
                 if held == len(block):
-                    if held and found.add(block, start):
+                    if held and found.add(validate_channel(block), start):
                         yield block
                     start += held
                     block, held = place(start, width), 0
@@ -632,12 +634,12 @@ def _csv_blocks(
     except UnicodeDecodeError as exc:
         raise SchemaError(f"channel CSV: {exc}") from None
     first = fields = get = None
-    if found.add(block[:held], start):
+    if found.add(validate_channel(block[:held]), start):
         yield block[:held]
     found.check()
 
 
-def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
+def channel_from_csv(source: str | TextIO, max_cells: int | None = None) -> ChannelMatrix:
     """Parse a channel CSV (the text, or an open text file read from where
     it stands) into one matrix, filled by :func:`_csv_blocks`.
 
@@ -652,7 +654,8 @@ def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
     are cut off in place. A file is read twice, in chunks and then a line at
     a time, and a string is split a line at a time: neither makes a copy of
     the whole text (a file that cannot seek or tell its position is read
-    whole first).
+    whole first). An array of more than ``max_cells`` cells (None: no cap)
+    is :class:`CapExceededError`, raised before it is allocated.
     """
     try:
         if isinstance(source, str) or (start := _start(source)) is None:
@@ -667,7 +670,13 @@ def channel_from_csv(source: str | TextIO) -> ChannelMatrix:
     def place(first_row: int, width: int) -> np.ndarray:
         nonlocal out
         if out is None:
-            out = np.empty((min(line_count, (chars + 1) // (2 * width)), width))
+            shape = (min(line_count, (chars + 1) // (2 * width)), width)
+            if max_cells is not None and shape[0] * width > max_cells:
+                raise CapExceededError(
+                    f"channel may have {shape[0]} x {width} = {shape[0] * width} cells, "
+                    f"exceeding the cap of {max_cells}"
+                )
+            out = np.empty(shape)
         if first_row == len(out):  # the text changed after it was measured
             raise SchemaError("more rows than the text held when it was measured")
         return out[first_row : first_row + max(1, BLOCK_CELLS // width)]

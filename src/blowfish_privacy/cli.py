@@ -111,6 +111,10 @@ def _max_databases(args) -> int:
     return _cap(args.max_databases, ENV_MAX_DATABASES, policy_mod.DEFAULT_DATABASE_CAP)
 
 
+def _max_cells(args) -> int:
+    return _cap(args.max_cells, ENV_MAX_CELLS, DEFAULT_CELL_CAP)
+
+
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part != ""]
@@ -303,7 +307,7 @@ def _cmd_channel_leakage(args) -> int:
 
 
 def _cmd_channel_generate(args) -> int:
-    cap, cell_cap = _max_databases(args), _cap(args.max_cells, ENV_MAX_CELLS, DEFAULT_CELL_CAP)
+    cap, cell_cap = _max_databases(args), _max_cells(args)
     source = _resolve_source(args, cap)
     if isinstance(source, policy_mod.BlowfishPolicy):
         size = policy_mod.capped_permissible_size(source, cap)
@@ -334,7 +338,7 @@ def _cmd_symmetrise_run(args) -> int:
     adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
     with _opened(args.channel) as handle:
-        chan = channel_mod.channel_from_csv(handle)
+        chan = channel_mod.channel_from_csv(handle, _max_cells(args))
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -412,6 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"cap on materialised databases (default 100000, env {ENV_MAX_DATABASES})",
     )
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument(
+        "--max-cells",
+        type=_non_negative_int,
+        default=None,
+        help=f"cap on the channel's rows x columns, checked before it is computed or "
+        f"read into memory (default 2**25, env {ENV_MAX_CELLS})",
+    )
 
     parser = argparse.ArgumentParser(
         prog="blowfish",
@@ -479,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     leak.add_argument("--out", help="report output path")
     leak.set_defaults(handler=_cmd_channel_leakage)
 
-    generate = channel_sub.add_parser("generate", parents=[capped])
+    generate = channel_sub.add_parser("generate", parents=[capped, cells])
     generate.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     generate.add_argument("--graph", help="graph JSON path")
     generate.add_argument("--epsilon", type=_float_arg, required=True)
@@ -491,19 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--seed", type=_non_negative_int, default=0, help="non-negative seed for --shuffle-outputs"
     )
-    generate.add_argument(
-        "--max-cells",
-        type=_non_negative_int,
-        default=None,
-        help=f"cap on the channel's rows x columns, checked before any distance is "
-        f"computed (default 2**25, env {ENV_MAX_CELLS})",
-    )
     generate.add_argument("--out", help="channel CSV output path")
     generate.set_defaults(handler=_cmd_channel_generate)
 
     symmetrise_parser = top.add_parser("symmetrise", help="run the channel symmetrisation pipeline")
     symmetrise_sub = symmetrise_parser.add_subparsers(dest="subcommand", required=True)
-    run = symmetrise_sub.add_parser("run", parents=[capped])
+    run = symmetrise_sub.add_parser("run", parents=[capped, cells])
     run.add_argument("channel", help="channel CSV path")
     run.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     run.add_argument("--graph", help="graph JSON path")

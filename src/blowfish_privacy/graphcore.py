@@ -223,13 +223,6 @@ def compose(sigma: Permutation, gamma: Permutation) -> Permutation:
     return tuple(sigma[g] for g in gamma)
 
 
-def invert(perm: Permutation) -> Permutation:
-    out = [0] * len(perm)
-    for i, image in enumerate(perm):
-        out[image] = i
-    return tuple(out)
-
-
 def is_valid_permutation(perm: Sequence[int], degree: int) -> bool:
     return len(perm) == degree and sorted(perm) == list(range(degree))
 

@@ -8,8 +8,9 @@ upper bound to the realised leakage tends to 1 as delta tends to 0.
 
 The channel has two distinct blocks, the 4x4 one and the 2x2 one repeated
 n - 1 times, and ``sharpness_channel(2, delta)`` holds each once. An instance
-is measured on that 6x6 kernel: its numbers equal the dense channel's for
-every n, so a sweep costs O(n) per instance, not O(n^2).
+is measured on that 6x6 kernel, held as six rows of Python floats: its
+numbers equal the dense channel's for every n, so a sweep costs O(n) per
+instance, not O(n^2), and builds no array, so it never imports numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
-from .channel import ChannelMatrix, minimal_epsilon, uniform_leakage
+from .channel import ChannelMatrix, _check, _row_violations, minimal_epsilon, uniform_leakage
 from .errors import InputError
 from .graphcore import Graph
 from .reporting import render_csv
@@ -51,19 +52,13 @@ def sharpness_graph(n: int) -> Graph:
     return Graph.from_edges(2 * n + 2, edges)
 
 
-def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
-    """Block-diagonal channel matched to :func:`sharpness_graph`.
+def _kernel_rows(delta: float) -> list[list[float]]:
+    """The six rows of ``sharpness_channel(2, delta)``, as Python floats.
 
-    The 4x4 block has rows of ``(1+delta, 1+delta, 1, 1)`` cyclically
-    shifted one column per row; each 2x2 block is
-    ``[[2+2*delta, 2], [2, 2+2*delta]]``. All entries share the normaliser
-    ``4 + 2*delta``; the four distinct entries are formed in exact rational
-    arithmetic and each rounded to a float once.
-
-    At ``n = 2`` it holds one block of each kind: the sweep measures that
-    6x6 kernel, which stands for the dense channel of every ``n``.
+    Its four distinct entries, ``(1+delta, 1, 2+2*delta, 2)`` over the shared
+    normaliser ``4 + 2*delta``, are formed in exact rational arithmetic and
+    each rounded to a float once.
     """
-    _check_parameters(n, delta)
     from fractions import Fraction  # only the sweep needs it: kept out of start-up
 
     d = Fraction(delta)
@@ -71,15 +66,29 @@ def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
     high, low, pair_high, pair_low = (
         float(x) for x in ((1 + d) / norm, 1 / norm, (2 + 2 * d) / norm, 2 / norm)
     )
+    block = [[high if (c - r) % 4 in (0, 1) else low for c in range(4)] for r in range(4)]
+    pair = [[pair_high, pair_low], [pair_low, pair_high]]
+    return [row + [0.0] * 2 for row in block] + [[0.0] * 4 + row for row in pair]
 
+
+def sharpness_channel(n: int, delta: float) -> ChannelMatrix:
+    """Block-diagonal channel matched to :func:`sharpness_graph`.
+
+    The 4x4 block has rows of ``(1+delta, 1+delta, 1, 1)`` cyclically
+    shifted one column per row; each 2x2 block is
+    ``[[2+2*delta, 2], [2, 2+2*delta]]``. All entries share the normaliser
+    ``4 + 2*delta``. Both blocks are those of :func:`_kernel_rows`.
+
+    At ``n = 2`` it holds one block of each kind: the sweep measures that
+    6x6 kernel, which stands for the dense channel of every ``n``.
+    """
+    _check_parameters(n, delta)
+    kernel = _kernel_rows(delta)
     size = 2 * n + 2
     out = np.zeros((size, size))
-    for r in range(4):
-        for c in range(4):
-            out[r, c] = high if (c - r) % 4 in (0, 1) else low
-    pairs = np.arange(4, size, 2)
-    out[pairs, pairs] = out[pairs + 1, pairs + 1] = pair_high
-    out[pairs, pairs + 1] = out[pairs + 1, pairs] = pair_low
+    out[:4, :4] = [row[:4] for row in kernel[:4]]
+    for p in range(4, size, 2):
+        out[p : p + 2, p : p + 2] = [row[4:] for row in kernel[4:]]
     out.setflags(write=False)  # handed over to the channel, not copied
     return ChannelMatrix(out)
 
@@ -113,9 +122,9 @@ def sharpness_ratio(n: int, delta: float) -> tuple[float, float, float]:
 
 
 class SharpnessInstance(NamedTuple):
-    """One measured instance, in O(1) memory. Its O(n) graph is built when
-    it is read; the O(n^2) channel is never built, and
-    :func:`sharpness_channel` builds it when it is wanted."""
+    """One measured instance, in O(1) memory. Its O(n) graph and its
+    measured epsilon are computed when they are read; the O(n^2) channel is
+    never built, and :func:`sharpness_channel` builds it when it is wanted."""
 
     n: int
     delta: float
@@ -123,7 +132,6 @@ class SharpnessInstance(NamedTuple):
     bound_bits: float
     leakage_bits: float
     ratio: float
-    measured_epsilon: float
     measured_leakage_bits: float
     closed_form_gap: float
 
@@ -132,26 +140,35 @@ class SharpnessInstance(NamedTuple):
         """:func:`sharpness_graph` of the instance's ``n``, built on each read."""
         return sharpness_graph(self.n)
 
+    @property
+    def measured_epsilon(self) -> float:
+        """:func:`minimal_epsilon` of the 6x6 kernel over its graph, computed on
+        each read: no edge crosses a block and two zeros contribute nothing,
+        so it is the dense channel's, bit for bit."""
+        return minimal_epsilon(sharpness_channel(2, self.delta), sharpness_graph(2))
+
 
 def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
-    """Construct one instance and measure it through the channel machinery,
-    on the 6x6 kernel ``sharpness_channel(2, delta)``.
+    """Construct one instance and measure it on the six rows of the 6x6
+    kernel ``sharpness_channel(2, delta)``, held as Python floats.
 
     The numbers are those of the dense ``sharpness_channel(n, delta)``, bit
     for bit:
 
-    - validation: each dense row is a kernel row padded with zeros, which
-      change neither its range check nor its ``fsum`` row sum;
-    - epsilon: no edge crosses a block and two zeros contribute nothing, so
-      :func:`minimal_epsilon` takes its maximum over the same ratios;
+    - validation: every kernel row gets the exact per-row scan that
+      :class:`ChannelMatrix` gives a row its screen cannot clear, and each
+      dense row is a kernel row padded with zeros, which change neither its
+      range check nor its ``fsum`` row sum;
     - leakage: the dense column maxima are the kernel's first four and its
       last two n - 1 times each, and :func:`uniform_leakage` sums them with
       ``fsum``, which depends on the multiset alone.
     """
-    kernel = sharpness_channel(2, delta)
-    bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)
-    measured_eps = minimal_epsilon(kernel, sharpness_graph(2))
-    maxima = kernel.probs.max(axis=0).tolist()
+    bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)  # checks n and delta
+    kernel = _kernel_rows(delta)
+    _check(
+        [v for i, row in enumerate(kernel) for v in _row_violations(i, row)], "channel matrix"
+    )
+    maxima = [max(column) for column in zip(*kernel)]
     dense_maxima = maxima[:4] + maxima[4:] * (n - 1)
     measured_leak = uniform_leakage(dense_maxima, 2 * n + 2).leakage_bits
     return SharpnessInstance(
@@ -161,7 +178,6 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
         bound_bits=bound_bits,
         leakage_bits=leakage_bits,
         ratio=ratio,
-        measured_epsilon=measured_eps,
         measured_leakage_bits=measured_leak,
         closed_form_gap=abs(measured_leak - leakage_bits),
     )

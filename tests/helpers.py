@@ -451,6 +451,14 @@ def recursive_automorphism_generators(graph: Graph):
     return tuple(gens)
 
 
+def invert(perm):
+    """The inverse of the permutation ``perm``, as a tuple."""
+    out = [0] * len(perm)
+    for i, image in enumerate(perm):
+        out[image] = i
+    return tuple(out)
+
+
 def oracle_elements(degree, generators):
     """Every element of the group generated by ``generators``, as a set, by
     breadth-first closure under left multiplication (small groups only)."""

@@ -22,7 +22,7 @@ from blowfish_privacy import (
 )
 from blowfish_privacy import channel as channel_mod
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
-from blowfish_privacy.errors import SchemaError
+from blowfish_privacy.errors import CapExceededError, SchemaError
 from blowfish_privacy.reporting import render_report
 
 from helpers import (
@@ -97,6 +97,46 @@ def faulty_matrices(draw):
 def test_validate_matches_per_entry_oracle(matrix):
     # repr compares NaN magnitudes too
     assert repr([tuple(v) for v in validate_channel(matrix)]) == repr(oracle_violations(matrix))
+
+
+# Entries on both sides of the range edges, at a few ulps.
+RANGE_EDGES = tuple(
+    nudged_entry
+    for edge in (-channel_mod.RANGE_TOLERANCE, 1.0 + channel_mod.RANGE_TOLERANCE)
+    for nudged_entry in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))
+) + (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1e308, 1.000000000001)
+
+
+@st.composite
+def float_rows(draw):
+    """Rows of up to 12 floats, edge entries mixed in; half of them end in
+    the entry that puts their exact sum a few ulps from 1 or from 1 ± 1e-9."""
+    entry = st.one_of(st.floats(0, 1), st.sampled_from(RANGE_EDGES), st.floats())
+    row = draw(st.lists(entry, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        offset = draw(st.sampled_from([0.0, channel_mod.ROW_SUM_TOLERANCE,
+                                       -channel_mod.ROW_SUM_TOLERANCE]))
+        target = 1.0 + offset
+        for _ in range(draw(st.integers(0, 3))):
+            target = math.nextafter(target, draw(st.sampled_from([-math.inf, math.inf])))
+        try:
+            row[-1] = target - math.fsum(row[:-1])
+        except (ValueError, OverflowError):
+            pass
+    return row
+
+
+@settings(max_examples=300)
+@given(float_rows(), st.integers(0, 5))
+def test_row_scan_is_the_same_on_a_list_and_an_array(row, i):
+    """One exact scan for both: a list of floats and a float64 row give the
+    same violations, and so does validate_channel, which screens the array."""
+    from_list = channel_mod._row_violations(i, row)
+    # repr compares NaN magnitudes and tells -0.0 from 0.0
+    assert repr(from_list) == repr(channel_mod._row_violations(i, np.array(row)))
+    shifted = [v._replace(row=0) for v in from_list]
+    assert repr(validate_channel(np.array([row]))) == repr(shifted)
+    assert repr([tuple(v) for v in shifted]) == repr(oracle_violations([row]))
 
 
 def screen_margin(cols):
@@ -962,6 +1002,17 @@ def test_csv_reader_sizes_the_array_by_the_text_not_its_lines():
     assert chan.probs.shape == (1, 1000)
     ((shape,), _), = empty.call_args_list
     assert shape == ((len(text) + 1) // 2000, 1000) and shape[0] < 10
+
+
+def test_csv_reader_checks_the_cells_cap_before_it_allocates():
+    """The cap bounds the array about to be sized: 3 x 2 cells for three
+    lines of two fields, refused under 6 cells before ``np.empty``."""
+    text = "1.0,0.0\n0.0,1.0\n0.5,0.5\n"
+    with mock.patch.object(channel_mod.np, "empty", side_effect=AssertionError("allocated")):
+        with pytest.raises(CapExceededError, match=r"3 x 2 = 6 cells, exceeding the cap of 5"):
+            channel_from_csv(text, max_cells=5)
+    assert channel_from_csv(text, max_cells=6).probs.shape == (3, 2)
+    assert channel_from_csv(io.StringIO(text), max_cells=6).probs.shape == (3, 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

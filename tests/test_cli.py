@@ -881,9 +881,12 @@ print(json.dumps(seen))
 
 
 def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
-    """Commands with no array never import numpy; channel leakage, channel
-    generate and the sweep do. No command imports numpy.random (not even a
-    shuffled generate) or dataclasses, and only the sweep imports fractions."""
+    """Commands with no array never import numpy, the sweep included, which
+    measures its kernel in Python floats; channel leakage and channel
+    generate do. No command imports numpy.random (not even a shuffled
+    generate) or dataclasses, and only the sweep imports fractions. The
+    commands run in one process, so the sweep runs before any that loads
+    numpy."""
     (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
     calls = [
         ["--help"],
@@ -893,10 +896,10 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["adjacency", "induce", "p.json", "--out", "g.json"],
         ["bound", "compute", "p.json", "--epsilon", "0.5"],
         ["figure", "bound-sweep", "--n-max", "3"],
+        ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
         ["channel", "leakage", "k.csv"],
         ["channel", "generate", "--policy", "p.json", "--epsilon", "0.5",
          "--shuffle-outputs", "--seed", "1"],
-        ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -907,8 +910,8 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen == [[0, False, False, False, False]] * (len(calls) - 3) + [
-        [0, True, False, False, False],
-        [0, True, False, False, False],
+        [0, False, False, False, True],
+        [0, True, False, False, True],
         [0, True, False, False, True],
     ]
 
@@ -1053,6 +1056,35 @@ def test_channel_over_the_cells_cap_exits_three_without_output(
     monkeypatch.setenv("BLOWFISH_MAX_CELLS", "256")
     assert run(*argv) == 0
     assert len((tmp_path / "k.csv").read_text().splitlines()) == 16
+
+
+def test_symmetrise_over_the_cells_cap_exits_three_without_output(
+    tmp_path, monkeypatch, capsys
+):
+    """n = 2: a 16 x 16 channel CSV. The cap admits 256 cells and refuses
+    255, by flag or by environment variable, before the channel's array is
+    allocated and before any output is written."""
+    policy, channel = build_path_policy(tmp_path), tmp_path / "k.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+               "--out", str(channel)) == 0
+    outs = [tmp_path / name for name in ("report.txt", "grouped.csv", "averaged.csv")]
+    argv = ["symmetrise", "run", str(channel), "--policy", str(policy), "--group", "lifted",
+            "--out", str(outs[0]), "--out-grouped", str(outs[1]), "--out-averaged", str(outs[2])]
+    capsys.readouterr()
+    with mock.patch.object(channel_mod.np, "empty", side_effect=AssertionError("allocated")):
+        assert run(*argv, "--max-cells", "255") == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: channel may have 16 x 16 = 256 cells, exceeding the cap of 255\n"
+        )
+        assert captured.out == ""
+        monkeypatch.setenv("BLOWFISH_MAX_CELLS", "255")
+        assert run(*argv) == 3
+    assert not any(out.exists() for out in outs)
+    assert run(*argv, "--max-cells", "256") == 0
+    monkeypatch.setenv("BLOWFISH_MAX_CELLS", "256")
+    assert run(*argv) == 0
+    assert all(out.exists() for out in outs)
 
 
 BAD_CELL_CAPS = {

@@ -24,7 +24,6 @@ from blowfish_privacy import (
     distances,
     generate_group,
     induce_adjacency_graph,
-    invert,
     lift_policy_automorphisms,
     orbits,
     stabiliser,
@@ -42,6 +41,7 @@ from helpers import (
     SRC,
     components_from_distances,
     graphs,
+    invert,
     oracle_automorphisms,
     oracle_components,
     oracle_distances,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowfish_privacy import (
+    ChannelMatrix,
     InputError,
     build_sharpness_instance,
     leakage,
@@ -17,6 +18,7 @@ from blowfish_privacy import (
     sharpness_ratio,
     sharpness_sweep,
 )
+from blowfish_privacy import tightness
 from blowfish_privacy.graphcore import components_and_diameters
 from blowfish_privacy.tightness import closed_form_leakage_bits, sweep_to_csv
 
@@ -190,6 +192,20 @@ def test_sweep_builds_no_dense_channel():
         tracemalloc.stop()
     assert all(inst.closed_form_gap <= 1e-12 for inst in instances)
     assert peak < 2**20
+
+
+def test_an_invalid_kernel_is_refused_as_the_channel_refuses_it(monkeypatch):
+    """The kernel rows get the exact scan ChannelMatrix gives, and the same
+    error text."""
+    bad = tightness._kernel_rows(0.5)
+    bad[1][2], bad[5][5] = -0.25, math.nan
+    monkeypatch.setattr(tightness, "_kernel_rows", lambda delta: bad)
+    with pytest.raises(InputError) as built:
+        build_sharpness_instance(3, 0.5)
+    with pytest.raises(InputError) as direct:
+        ChannelMatrix(bad)
+    assert str(built.value) == str(direct.value)
+    assert str(built.value).startswith("invalid channel matrix (4 violation(s): range@row 1 col 2")
 
 
 def test_sweep_keeps_input_order_and_checks_before_building(monkeypatch):
