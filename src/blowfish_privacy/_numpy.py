@@ -3,7 +3,13 @@
 Building or validating a policy, inducing an adjacency graph, the
 closed-form bounds, the bound figure and the tightness sweep (which measures
 its 6x6 kernel in Python floats) build no array, so importing the package
-does not import numpy, and neither do they. Modules bind ``np`` to the stand-in below
+does not import numpy, and neither do they. Nor do the channel paths for a
+small channel (``channel.small_channel``: at most ``PYTHON_CELLS`` cells,
+counting a graph's edges as rows): ``channel.response_lines`` over
+``graphcore.distance_lists`` of the induced graph, and
+``channel.measure`` of a CSV, which is all of ``channel generate``,
+``channel leakage`` (without ``--prior``), ``channel verify`` and
+``bound compute --channel`` at that size. Modules bind ``np`` to the stand-in below
 instead of the module: its first attribute read imports numpy through the
 normal import system, and every attribute it reads is kept on the stand-in,
 so later reads are plain attribute lookups. Type checkers see numpy itself.

@@ -9,11 +9,12 @@ reported in bits while epsilon stays in natural units.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from bisect import bisect_left
-from operator import itemgetter
+from operator import itemgetter, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from ._frozen import Frozen
@@ -25,9 +26,18 @@ ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
 # Channel cells that randomized response weighs, checks and formats at once.
 BLOCK_CELLS = 2**16
+# Cells a channel command computes on, at most, to work in Python floats
+# rather than import numpy (:func:`small_channel`). Not a measured crossover:
+# at 2**19 cells the Python path was still the faster and smaller one, and at
+# 8.4 million (the complete graph on 256 vertices) numpy was; this lies
+# between the 160-database constrained scan (437,600 cells against its graph)
+# and the 1,024-database channels (2**20 cells and more).
+PYTHON_CELLS = 2**19
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
-# Entries of the rows that validate_channel screens at once.
+# Entries of the rows that validate_channel screens at once, and that
+# measure stores and folds at once from a CSV on the numpy path: its ring
+# holds one such block beyond the graph's bandwidth.
 VALIDATE_CHUNK_CELLS = 2**14
 # Characters of a channel CSV file read at once by the counting pass.
 CSV_CHUNK_CHARS = 2**16
@@ -59,18 +69,29 @@ def _in_range(entries: np.ndarray) -> np.ndarray:
 
 def _row_violations(i: int, row: Sequence[float]) -> list[Violation]:
     """The violations of row ``i``, any sequence of floats: its entries out of
-    range, each tested as :func:`_in_range` tests it, then its exact sum."""
+    range, each tested as :func:`_in_range` tests it, then its exact sum.
+
+    A finite ``fsum`` means no entry is NaN or infinite, so the row's
+    smallest and largest entries order it, and when both are in range every
+    entry is: the entries are then tested one by one only when one of them
+    fails. An array's extremes are found by numpy, a list's by ``min`` and
+    ``max``.
+    """
+    low, high = min, max
     if not isinstance(row, (list, tuple)):  # an array's floats, one at a time, no list
-        row = memoryview(row)
-    violations = []
-    for j, entry in enumerate(row):
-        if not (entry >= -RANGE_TOLERANCE and entry - 1.0 <= RANGE_TOLERANCE):
-            magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
-            violations.append(Violation("range", i, j, magnitude))
+        low, high, row = np.min, np.max, memoryview(row)
     try:
         total = math.fsum(row)
     except (ValueError, OverflowError):  # inf - inf, or huge entries overflowing
         total = math.nan
+    violations = []
+    if not (
+        math.isfinite(total) and low(row) >= -RANGE_TOLERANCE and high(row) - 1.0 <= RANGE_TOLERANCE
+    ):
+        for j, entry in enumerate(row):
+            if not (entry >= -RANGE_TOLERANCE and entry - 1.0 <= RANGE_TOLERANCE):
+                magnitude = max(-entry, entry - 1.0) if math.isfinite(entry) else math.inf
+                violations.append(Violation("range", i, j, magnitude))
     if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
         violations.append(Violation("row_sum", i, None, abs(total - 1.0)))
     return violations
@@ -295,6 +316,19 @@ class ChannelMeasures(NamedTuple):
     leakage: LeakageReport | None  # None when not asked for
 
 
+def small_channel(rows: int, cols: int, edges: int = 0) -> bool:
+    """Whether a channel command works in Python floats and imports no numpy.
+
+    It does when the cells it computes on, ``(rows + edges) x cols`` (a
+    graph's every edge compares two rows), are at most ``PYTHON_CELLS``:
+    there the Python loops cost less than numpy's import (see
+    ``PYTHON_CELLS`` for how far that is known). The command knows
+    these sizes before it allocates anything; a read takes the columns from
+    its first row.
+    """
+    return (rows + edges) * cols <= PYTHON_CELLS
+
+
 def measure(
     channel: ChannelMatrix | str | TextIO,
     graph: Graph | None = None,
@@ -307,22 +341,30 @@ def measure(
 
     ``channel`` is a :class:`ChannelMatrix`, read as one block indexed in
     place, or the text or an open file of a channel CSV, read by
-    :func:`_csv_blocks` a block of at most ``BLOCK_CELLS`` cells of rows at
-    a time, with no matrix built.
+    :func:`_csv_rows` a row at a time, with no matrix built. Before any
+    number is parsed, :func:`small_channel` picks the path, from the
+    graph's vertex and edge counts (the row count is taken as the first
+    row's width without a graph) and the first row's width. A small
+    channel is parsed into lists and folded in Python floats by
+    :func:`_measure_rows`; a larger one is parsed into arrays and stored
+    by :func:`_csv_blocks` in numpy blocks of at most
+    ``VALIDATE_CHUNK_CELLS`` cells of rows. Both give the same result, bit
+    for bit.
 
     The privacy level is the maximum over edges and columns of
     ``|ln(K[i,j] / K[h,j])|``; a zero against a positive entry forces
     infinity, two zeros contribute nothing, and an edgeless graph yields 0.
-    An edge is compared when the block holding its later row arrives, its
-    two rows gathered by index a chunk at a time whose rows hold at most
+    It is taken as ``max(ln hi, -ln lo)`` over the largest and smallest
+    ratios: ``ln`` is monotonic, so this is that maximum, and one logarithm
+    of the same two floats on both paths. An edge is compared when the block holding its later row arrives, its two
+    rows gathered by index a chunk at a time whose rows hold at most
     ``EPSILON_CHUNK_CELLS`` entries (one edge when a single row is longer).
     So a CSV read keeps the rows it reads in a ring indexed by row number
     modulo its length: the block, and before it the graph's bandwidth (the
     longest distance between an edge's two rows) rounded up to whole
-    blocks. Every ratio and logarithm is the same float operation as in an
-    edge-by-edge scan, so the result equals that scan's exactly. A channel
-    with other than one row per vertex is an :class:`InputError`, raised
-    once the whole channel is read and validated.
+    blocks. A channel with other than one row per vertex is an
+    :class:`InputError`, raised once the whole channel is read and
+    validated.
 
     The leakage keeps the running column maxima of the blocks (of each
     block times its rows' prior probabilities, given a prior), which are
@@ -331,18 +373,20 @@ def measure(
     :class:`InputError`.
     """
     edges = sorted(() if graph is None else graph.edges, key=itemgetter(1))
-    later = [b for _, b in edges]
-    bandwidth = max((b - a for a, b in edges), default=0)
-    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     if isinstance(channel, ChannelMatrix):
         ring = channel.probs
         blocks = [ring]
     else:
+        width, lines = _csv_lines(channel)
+        height = width if graph is None else graph.vertex_count
+        if small_channel(height, width, len(edges)):
+            return _measure_rows(_csv_rows(lines, width, list), edges, graph, prior, leak)
         ring = None
+        bandwidth = max((b - a for a, b in edges), default=0)
 
         def place(first_row: int, width: int) -> np.ndarray:
             nonlocal ring
-            height = max(1, BLOCK_CELLS // width)
+            height = max(1, VALIDATE_CHUNK_CELLS // width)
             if ring is None:
                 length = (-(-bandwidth // height) + 1) * height
                 if graph is not None:  # one row per vertex, or the read fails
@@ -351,47 +395,129 @@ def measure(
             start = first_row % len(ring)
             return ring[start : start + height]
 
-        blocks = _csv_blocks(channel, place)
-    worst, maxima, rows = 0.0, None, 0
+        parse = functools.partial(np.fromiter, dtype=float, count=width)
+        blocks = _csv_blocks(_csv_rows(lines, width, parse), place)
+    later = [b for _, b in edges]
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    hi = lo = 1.0
+    maxima, rows = None, 0
     for block in blocks:
         end = rows + len(block)
         if leak and (prior is None or end <= len(prior)):
             weighted = block if prior is None else block * prior.probabilities[rows:end, None]
             top = weighted.max(axis=0)
             maxima = top if maxima is None else np.maximum(maxima, top, out=maxima)
-        if worst < math.inf:
+        if hi < math.inf:
             first, last = bisect_left(later, rows), bisect_left(later, end)
-            worst = max(worst, _largest_log_ratio(ring, ends[first:last]))
+            hi, lo = _extreme_ratios(ring, ends[first:last], hi, lo)
         rows = end
+    return _channel_measures((rows, ring.shape[1]), graph, (hi, lo), maxima, prior, leak)
+
+
+def _channel_measures(
+    shape: tuple[int, int],
+    graph: Graph | None,
+    extremes: tuple[float, float],
+    maxima: Iterable[float] | None,
+    prior: Prior | None,
+    leak: bool,
+) -> ChannelMeasures:
+    """The :class:`ChannelMeasures` of a channel of ``shape`` whose edge
+    ratios ran between the ``extremes`` and whose column maxima are
+    ``maxima``, once its rows agree with the graph and, given ``leak``, the
+    prior."""
+    rows = shape[0]
     if graph is not None and graph.vertex_count != rows:
         raise InputError(f"graph has {graph.vertex_count} vertices but channel has {rows} rows")
     report = None
     if leak and prior is None:
-        report = uniform_leakage(memoryview(maxima), rows)
+        report = uniform_leakage(maxima, rows)
     elif leak:
         if len(prior) != rows:
             raise InputError(f"prior length {len(prior)} != input count {rows}")
         v_prior = float(prior.probabilities.max())
-        report = _leakage_report(v_prior, math.fsum(memoryview(maxima)))
-    return ChannelMeasures(rows, ring.shape[1], None if graph is None else worst, report)
+        report = _leakage_report(v_prior, math.fsum(maxima))
+    epsilon = None
+    if graph is not None:
+        # The largest |ln q| over ratios q from lo to hi (infinite when hi
+        # is), one libm log on both paths. lo is positive: entries are at
+        # most 1 + RANGE_TOLERANCE, so no ratio of two positive ones rounds to 0.
+        hi, lo = extremes
+        epsilon = max(math.log(hi), -math.log(lo))
+    return ChannelMeasures(*shape, epsilon, report)
 
 
-def _largest_log_ratio(ring: np.ndarray, ends: np.ndarray) -> float:
-    """Largest ``|ln(a / b)|`` over the columns of the row pairs that
-    ``ends`` lists, row ``r`` held in ``ring`` at ``r % len(ring)``, compared
-    a chunk of ``EPSILON_CHUNK_CELLS`` entries at a time; infinite when a
-    pair's rows differ in support."""
+def _extreme_ratios(
+    ring: np.ndarray, ends: np.ndarray, hi: float, lo: float
+) -> tuple[float, float]:
+    """``hi`` and ``lo`` widened to the largest and smallest ``a / b`` over
+    the columns where both rows of a pair that ``ends`` lists are positive,
+    row ``r`` held in ``ring`` at ``r % len(ring)``, compared a chunk of
+    ``EPSILON_CHUNK_CELLS`` entries at a time; ``hi`` is infinite when a
+    pair's rows differ in support.
+
+    The gathered rows are divided in place, their non-positive entries set
+    to 1 first: a ratio of 1 moves neither extreme, which start at 1."""
     step = max(1, EPSILON_CHUNK_CELLS // ring.shape[1])
-    worst = 0.0
     for start in range(0, len(ends), step):
         chunk = ends[start : start + step] % len(ring)
         a, b = ring[chunk[:, 0]], ring[chunk[:, 1]]
         positive = a > 0
         if np.any(positive != (b > 0)):
-            return math.inf
-        if positive.any():
-            worst = max(worst, float(np.abs(np.log(a[positive] / b[positive])).max()))
-    return worst
+            return math.inf, lo
+        np.invert(positive, out=positive)
+        a[positive] = b[positive] = 1.0
+        ratios = np.divide(a, b, out=a)
+        hi, lo = max(hi, float(ratios.max())), min(lo, float(ratios.min()))
+    return hi, lo
+
+
+def _measure_rows(
+    rows: Iterable[list[float]],
+    edges: list[tuple[int, int]],
+    graph: Graph | None,
+    prior: Prior | None,
+    leak: bool,
+) -> ChannelMeasures:
+    """:func:`measure` of a channel's rows, lists of floats, in Python floats.
+
+    Each row is validated by the exact scan :func:`_row_violations`; as in
+    :func:`_csv_blocks`, the rows after a violation are still read and
+    validated but not folded, and all the violations are raised at the end.
+    The column maxima fold with ``max``. For the edges (sorted by their
+    later row) each row is kept, until no edge needs it, as its bytes of
+    positive flags and an ``array('d')`` of its positive entries, in a ring
+    of the bandwidth plus one rows; two rows of an edge must have equal
+    flags, and the ratios of their positive entries widen the extremes.
+    """
+    from array import array  # only this path needs it: kept out of start-up
+
+    ring: list = [None] * (1 + max((b - a for a, b in edges), default=0))
+    weights = None if prior is None else prior.probabilities.tolist()
+    found = _Violations("channel matrix")
+    hi = lo = 1.0
+    maxima, cols, done, r = None, 0, 0, -1
+    for r, row in enumerate(rows):
+        cols = len(row)
+        if not found.add(_row_violations(r, row)):
+            continue
+        if leak and (weights is None or r < len(weights)):
+            top = row if weights is None else [x * weights[r] for x in row]
+            maxima = top if maxima is None else list(map(max, maxima, top))
+        if done < len(edges) and hi < math.inf:
+            flags = bytes(map((0.0).__lt__, row))
+            mine = array("d", itertools.compress(row, flags))
+            ring[r % len(ring)] = flags, mine
+            while done < len(edges) and edges[done][1] == r:
+                their_flags, theirs = ring[edges[done][0] % len(ring)]
+                done += 1
+                if their_flags != flags:
+                    hi = math.inf
+                    break
+                ratios = list(map(truediv, theirs, mine))
+                hi, lo = max(hi, max(ratios)), min(lo, min(ratios))
+    found.check()
+    return _channel_measures((r + 1, cols), graph, (hi, lo), maxima, prior, leak)
 
 
 def response_blocks(
@@ -445,6 +571,43 @@ def _response_rows(
             first_row += len(rows)
             yield rows
         dist = block = None  # dropped before the next block is made, not after
+
+
+def response_lines(
+    dist_rows: Iterable[list[int]], epsilon: float, columns: Sequence[int] | None = None
+) -> Iterator[str]:
+    """The CSV lines of :func:`response_blocks` over the distance rows
+    ``dist_rows``, lists of ints, made in Python floats with no array and no
+    numpy, for a channel small enough (:func:`small_channel`) that this
+    costs less than numpy's import.
+
+    Each row is weighed from the same ``math.exp`` table, divided by its
+    ``math.fsum``, its columns taken in the order ``columns``, validated by
+    the exact scan :func:`_row_violations` and written as ``repr`` of each
+    entry, so the lines are those :func:`rows_to_csv` writes of
+    :func:`response_blocks`, byte for byte. ``epsilon`` is checked when
+    this is called.
+    """
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    return _response_lines(dist_rows, epsilon, columns)
+
+
+def _response_lines(
+    dist_rows: Iterable[list[int]], epsilon: float, columns: Sequence[int] | None
+) -> Iterator[str]:
+    table = [1.0, 0.0]  # as in _response_rows: UNREACHABLE (-1) indexes the 0
+    for i, dist in enumerate(dist_rows):
+        longest = max(dist)
+        if longest > len(table) - 2:
+            table = [1.0, *(math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)), 0.0]
+        weights = [table[d] for d in dist]
+        total = math.fsum(weights)
+        row = [w / total for w in weights]
+        if columns is not None:
+            row = [row[j] for j in columns]
+        _check(_row_violations(i, row), "channel matrix")
+        yield ",".join(map(repr, row)) + "\n"
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
@@ -579,61 +742,83 @@ def _measure(handle: TextIO, start: int) -> tuple[int, int]:
     return chars, breaks + (last != "\n")
 
 
-def _csv_blocks(
-    source: str | Iterable[str], place: Callable[[int, int], np.ndarray]
-) -> Iterator[np.ndarray]:
-    """The rows of a channel CSV, parsed and validated a block at a time.
+def _csv_lines(source: str | Iterable[str]) -> tuple[int, Iterator[tuple[int, list[str]]]]:
+    """The width of a channel CSV's first data row, and its data lines from
+    that row on, as :func:`_data_lines` splits them; no number is parsed.
 
     ``source`` is the CSV text or its lines (an open text file, read from
-    where it stands). Each line holds one row of floats and ``#`` starts a
-    comment. A field is a number in the ASCII grammar of ``_NUMBER`` (sign,
-    digits, point, exponent, ``inf``, ``infinity``, ``nan``), with
-    whitespace around it, optionally inside one pair of ``"`` that closes on
-    its line. Each distinct field text is checked and parsed once, when it
-    is first seen; past ``CSV_CACHE_FIELDS`` parsed texts the store starts
-    again, so a channel of few distinct values parses each of them once.
-
-    A block is parsed into ``place(first_row, width)``: the array, as high
-    as the block is to be, in which the caller keeps the rows from channel
-    row ``first_row`` on. It is asked for once the block's first row has
-    been parsed. A full block is yielded once the row after it has been
-    parsed, and the last one at the end of the text, after the parsed
-    field texts are dropped. Each block is validated as channel rows
-    numbered from the channel's first. After a block with a violation none
-    is yielded, but the text is still parsed and validated to its end,
-    where all the violations are raised in one :class:`InputError`; so a
-    malformed field on a later line is reported instead, as by a reader
-    that parses the whole text before it validates.
-
-    Malformed fields, rows whose width differs from the first, empty input
-    and undecodable bytes are :class:`SchemaError`.
+    where it stands). Empty input and undecodable bytes before the first
+    row are :class:`SchemaError`.
     """
-    rows = _data_lines(_text_lines(source) if isinstance(source, str) else source)
-    found = _Violations("channel matrix")
+    lines = _data_lines(_text_lines(source) if isinstance(source, str) else source)
     try:
-        first = next(rows, None)
-        if first is None:
-            raise SchemaError("channel CSV is empty")
-        width = len(first[1])
-        get = _FieldNumbers().__getitem__
-        start, block, held = 0, (), 0
+        first = next(lines, None)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"channel CSV: {exc}") from None
+    if first is None:
+        raise SchemaError("channel CSV is empty")
+    return len(first[1]), itertools.chain([first], lines)
+
+
+def _csv_rows(
+    lines: Iterable[tuple[int, list[str]]], width: int, row: Callable[[Iterable[float]], object]
+) -> Iterator:
+    """The rows of a channel CSV's data lines (:func:`_csv_lines`), each
+    ``row`` of the numbers in its fields: ``list`` for Python floats, or
+    ``np.fromiter`` of ``width`` floats for numpy.
+
+    Each line holds one row of floats and ``#`` starts a comment. A field is
+    a number in the ASCII grammar of ``_NUMBER`` (sign, digits, point,
+    exponent, ``inf``, ``infinity``, ``nan``), with whitespace around it,
+    optionally inside one pair of ``"`` that closes on its line. Each
+    distinct field text is checked and parsed once, when it is first seen;
+    past ``CSV_CACHE_FIELDS`` parsed texts the store starts again, so a
+    channel of few distinct values parses each of them once, and its rows
+    share their float objects. The store is dropped when the text ends.
+
+    Malformed fields, rows whose width differs from ``width`` and
+    undecodable bytes are :class:`SchemaError`, named by line number.
+    """
+    get = _FieldNumbers().__getitem__
+    try:
         try:
-            for number, fields in itertools.chain([first], rows):
+            for number, fields in lines:
                 if len(fields) != width:
                     raise SchemaError(f"{len(fields)} field(s) where the first row has {width}")
-                row = np.fromiter(map(get, fields), float, width)
-                if held == len(block):
-                    if held and found.add(validate_channel(block), start):
-                        yield block
-                    start += held
-                    block, held = place(start, width), 0
-                block[held] = row
-                held += 1
+                yield row(map(get, fields))
         except SchemaError as exc:
             raise SchemaError(f"channel CSV line {number}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"channel CSV: {exc}") from None
-    first = fields = get = None
+
+
+def _csv_blocks(
+    rows: Iterable[np.ndarray], place: Callable[[int, int], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """The rows of :func:`_csv_rows`, stored and validated a block at a time.
+
+    A block is stored into ``place(first_row, width)``: the array, as high
+    as the block is to be, in which the caller keeps the rows from channel
+    row ``first_row`` on. It is asked for once the block's first row has
+    been parsed. A full block is yielded once the row after it has been
+    parsed, and the last one at the end of the text, after the parser and
+    its parsed field texts are dropped. Each block is validated as channel
+    rows numbered from the channel's first. After a block with a violation
+    none is yielded, but the text is still parsed and validated to its end,
+    where all the violations are raised in one :class:`InputError`; so a
+    malformed field on a later line is reported instead, as by a reader
+    that parses the whole text before it validates.
+    """
+    found = _Violations("channel matrix")
+    start, block, held = 0, (), 0
+    for row in rows:
+        if held == len(block):
+            if held and found.add(validate_channel(block), start):
+                yield block
+            start += held
+            block, held = place(start, len(row)), 0
+        block[held] = row
+        held += 1
     if found.add(validate_channel(block[:held]), start):
         yield block[:held]
     found.check()
@@ -681,7 +866,9 @@ def channel_from_csv(source: str | TextIO, max_cells: int | None = None) -> Chan
             raise SchemaError("more rows than the text held when it was measured")
         return out[first_row : first_row + max(1, BLOCK_CELLS // width)]
 
-    rows = sum(map(len, _csv_blocks(source, place)))
+    width, lines = _csv_lines(source)
+    parse = functools.partial(np.fromiter, dtype=float, count=width)
+    rows = sum(map(len, _csv_blocks(_csv_rows(lines, width, parse), place)))
     if rows < len(out):
         out.resize((rows, out.shape[1]), refcheck=False)
     return ChannelMatrix._of_checked(out)

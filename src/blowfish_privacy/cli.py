@@ -317,18 +317,23 @@ def _cmd_channel_generate(args) -> int:
         raise CapExceededError(
             f"channel has {size} x {size} = {size * size} cells, exceeding the cap of {cell_cap}"
         )
-    if isinstance(source, policy_mod.BlowfishPolicy) and source.unconstrained:
-        # The adjacency graph is the secret graph's n-fold Cartesian product:
-        # its distances are sums over records, with no graph induced.
-        dist = adjacency_mod.product_distance_blocks(source, channel_mod.BLOCK_CELLS, cap)
-    else:
-        dist = graphcore.distance_blocks(_induced(source, cap).to_graph())
     columns = None
     if args.shuffle_outputs:
         columns = list(range(size))
         random.Random(args.seed).shuffle(columns)
-    rows = channel_mod.response_blocks(dist, args.epsilon, columns)
-    _write_output(args.out, channel_mod.rows_to_csv(rows))
+    if channel_mod.small_channel(size, size):
+        # In Python floats, with no numpy: a policy is induced, which loads none.
+        dist = graphcore.distance_lists(_induced(source, cap).to_graph())
+        lines = channel_mod.response_lines(dist, args.epsilon, columns)
+    else:
+        if isinstance(source, policy_mod.BlowfishPolicy) and source.unconstrained:
+            # The adjacency graph is the secret graph's n-fold Cartesian product:
+            # its distances are sums over records, with no graph induced.
+            dist = adjacency_mod.product_distance_blocks(source, channel_mod.BLOCK_CELLS, cap)
+        else:
+            dist = graphcore.distance_blocks(_induced(source, cap).to_graph())
+        lines = channel_mod.rows_to_csv(channel_mod.response_blocks(dist, args.epsilon, columns))
+    _write_output(args.out, lines)
     return 0
 
 

@@ -159,6 +159,25 @@ def distances(graph: Graph) -> np.ndarray:
     return out
 
 
+def distance_lists(graph: Graph) -> list[list[int]]:
+    """The rows of :func:`distances` as lists of ints, from one
+    :func:`_levels` traversal of every source, with no array and no numpy.
+
+    Each level's bitsets are unpacked a set bit at a time, so the work is
+    one step per reachable pair: meant for graphs small enough that this
+    costs less than importing numpy.
+    """
+    n = graph.vertex_count
+    out = [[UNREACHABLE] * n for _ in range(n)]
+    for level, (new, _) in enumerate(_levels(graph, range(n))):
+        for v, bits in enumerate(new):
+            while bits:
+                low = bits & -bits
+                out[low.bit_length() - 1][v] = level
+                bits ^= low
+    return out
+
+
 def distance_blocks(graph: Graph) -> Iterator[np.ndarray]:
     """The rows of :func:`distances`, a block of ``_SOURCE_BLOCK`` sources
     at a time, each block a new array of at most ``_SOURCE_BLOCK`` x V

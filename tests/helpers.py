@@ -348,18 +348,19 @@ def oracle_minimal_epsilon(channel, graph):
     """Smallest private epsilon by comparing the two rows of one edge at a time.
 
     Infinite as soon as an edge's rows differ in support; otherwise the
-    largest ``|log(a / b)|`` over the columns where both rows are positive.
+    largest ``|math.log(a / b)|`` over the columns where both rows are
+    positive, one logarithm per ratio. ``math.log``, not ``np.log``, is the
+    logarithm the library takes of its extreme ratios, and the two differ
+    in the last bit on some arguments.
     """
-    probs = channel.probs
+    rows = channel.probs.tolist()
     worst = 0.0
     for i, h in graph.edges:
-        a, b = probs[i], probs[h]
-        if np.any((a > 0) != (b > 0)):
-            return math.inf
-        both = (a > 0) & (b > 0)
-        if both.any():
-            ratios = np.abs(np.log(a[both] / b[both]))
-            worst = max(worst, float(ratios.max()))
+        for a, b in zip(rows[i], rows[h]):
+            if (a > 0) != (b > 0):
+                return math.inf
+            if a > 0:
+                worst = max(worst, abs(math.log(a / b)))
     return worst
 
 

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import os
+import random
 import tracemalloc
 import weakref
 from unittest import mock
@@ -21,6 +22,7 @@ from blowfish_privacy import (
     validate_channel,
 )
 from blowfish_privacy import channel as channel_mod
+from blowfish_privacy import graphcore
 from blowfish_privacy.channel import channel_from_csv, channel_to_csv
 from blowfish_privacy.errors import CapExceededError, SchemaError
 from blowfish_privacy.reporting import render_report
@@ -109,13 +111,18 @@ RANGE_EDGES = tuple(
 
 @st.composite
 def float_rows(draw):
-    """Rows of up to 12 floats, edge entries mixed in; half of them end in
-    the entry that puts their exact sum a few ulps from 1 or from 1 ± 1e-9."""
-    entry = st.one_of(st.floats(0, 1), st.sampled_from(RANGE_EDGES), st.floats())
+    """Rows of up to 12 floats, edge entries mixed in, or with every entry
+    in range; half of them end in the entry that puts their exact sum a few
+    ulps from 1, from 1 ± 1e-9, or off 1 by more."""
+    entry = draw(st.sampled_from([
+        st.one_of(st.floats(0, 1), st.sampled_from(RANGE_EDGES), st.floats()),
+        st.floats(-channel_mod.RANGE_TOLERANCE, 1.0),
+    ]))
     row = draw(st.lists(entry, min_size=1, max_size=12))
     if draw(st.booleans()):
         offset = draw(st.sampled_from([0.0, channel_mod.ROW_SUM_TOLERANCE,
-                                       -channel_mod.ROW_SUM_TOLERANCE]))
+                                       -channel_mod.ROW_SUM_TOLERANCE,
+                                       2 * channel_mod.ROW_SUM_TOLERANCE, -0.25]))
         target = 1.0 + offset
         for _ in range(draw(st.integers(0, 3))):
             target = math.nextafter(target, draw(st.sampled_from([-math.inf, math.inf])))
@@ -458,6 +465,13 @@ def test_column_scaling_changes_leakage():
 # One pass over a channel's rows, streamed or in memory
 
 
+def numpy_measure(*args, **kwargs):
+    """``channel.measure`` with a CSV read always on the numpy path, which
+    small channels leave for the Python one."""
+    with mock.patch.object(channel_mod, "PYTHON_CELLS", 0):
+        return channel_mod.measure(*args, **kwargs)
+
+
 @st.composite
 def streamed_cases(draw):
     """A graph, a channel on it, a prior or None, a block budget in cells,
@@ -491,8 +505,10 @@ def streamed_cases(draw):
 @given(streamed_cases())
 def test_streamed_measures_equal_the_oracles(case):
     graph, chan, prior, cells, source = case
-    with mock.patch.object(channel_mod, "BLOCK_CELLS", cells):
+    text = source if isinstance(source, str) else source.getvalue()
+    with mock.patch.object(channel_mod, "VALIDATE_CHUNK_CELLS", cells):
         found = channel_mod.measure(source, graph, prior)
+        assert numpy_measure(text, graph, prior) == found
     assert (found.rows, found.cols) == chan.probs.shape
     assert found.minimal_epsilon == oracle_minimal_epsilon(chan, graph)
     assert tuple(found.leakage) == oracle_leakage(chan, prior)
@@ -519,8 +535,10 @@ def test_streamed_reads_count_every_violation_of_the_channel(matrix, cells):
     for the violations of the whole channel, as the dense check does."""
     text = "".join(",".join(map(repr, row)) + "\n" for row in matrix.tolist())
     expected = oracle_violations(matrix)
-    with mock.patch.object(channel_mod, "BLOCK_CELLS", cells):
-        reads = (channel_mod.measure, channel_from_csv, lambda t: ChannelMatrix(matrix))
+    with mock.patch.multiple(channel_mod, BLOCK_CELLS=cells, VALIDATE_CHUNK_CELLS=cells):
+        reads = (
+            channel_mod.measure, numpy_measure, channel_from_csv, lambda t: ChannelMatrix(matrix)
+        )
         for read in reads:
             if not expected:
                 read(text)
@@ -532,8 +550,8 @@ def test_streamed_reads_count_every_violation_of_the_channel(matrix, cells):
 
 def test_an_invalid_row_in_the_last_block_is_named():
     rows = ["0.5,0.5"] * 6 + ["0.5,0.6"]  # blocks of two rows: the last holds row 6 alone
-    with mock.patch.object(channel_mod, "BLOCK_CELLS", 4):
-        for read in (channel_mod.measure, channel_from_csv):
+    with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
+        for read in (channel_mod.measure, numpy_measure, channel_from_csv):
             with pytest.raises(InputError, match=r"^invalid channel matrix \(1 violation\(s\): "
                                r"row_sum@row 6\)$"):
                 read("\n".join(rows))
@@ -548,8 +566,8 @@ def test_a_malformed_line_after_an_invalid_row_is_reported_first(bad, message):
     """The invalid row 1 is in an earlier block than line 5; parsing wins,
     as when the whole text is parsed before it is validated."""
     text = "0.5,0.5\n2.0,0.0\n0.5,0.5\n0.5,0.5\n" + bad + "\n0.5,0.5\n"
-    with mock.patch.object(channel_mod, "BLOCK_CELLS", 4):
-        for read in (channel_mod.measure, channel_from_csv):
+    with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
+        for read in (channel_mod.measure, numpy_measure, channel_from_csv):
             with pytest.raises(SchemaError) as raised:
                 read(text)
             assert str(raised.value) == f"channel CSV line 5: {message}"
@@ -558,31 +576,138 @@ def test_a_malformed_line_after_an_invalid_row_is_reported_first(bad, message):
 @pytest.mark.parametrize("rows", [2, 4])
 def test_a_channel_of_another_height_than_the_graph_is_refused_after_the_read(rows):
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(InputError, match=f"graph has 3 vertices but channel has {rows} rows"):
-        channel_mod.measure("0.5,0.5\n" * rows, graph)
+    for read in (channel_mod.measure, numpy_measure):
+        with pytest.raises(InputError, match=f"graph has 3 vertices but channel has {rows} rows"):
+            read("0.5,0.5\n" * rows, graph)
 
 
 def test_a_prior_of_another_length_is_refused_after_the_read():
-    for rows in (1, 3):
+    for rows, read in itertools.product((1, 3), (channel_mod.measure, numpy_measure)):
         with pytest.raises(InputError, match=f"prior length 2 != input count {rows}"):
-            channel_mod.measure("0.5,0.5\n" * rows, prior=Prior(np.array([0.5, 0.5])))
+            read("0.5,0.5\n" * rows, prior=Prior(np.array([0.5, 0.5])))
 
 
 def test_streamed_ring_holds_the_bandwidth_not_the_channel():
     """A 512-row path channel read in blocks of 8 rows: the ring holds the
     block and one block before it, the path's bandwidth of 1 rounded up,
-    not the channel."""
+    not the channel. The channel is small enough for the Python path, so
+    the read is sent down the numpy one."""
     graph = Graph.from_edges(512, [(i, i + 1) for i in range(511)])
     chan = graph_randomized_response(graph, 0.5)
     text = "".join(channel_to_csv(chan))
-    with mock.patch.object(channel_mod, "BLOCK_CELLS", 8 * 512), mock.patch.object(
+    with mock.patch.object(channel_mod, "VALIDATE_CHUNK_CELLS", 8 * 512), mock.patch.object(
         channel_mod.np, "empty", wraps=np.empty
     ) as empty:
-        found = channel_mod.measure(text, graph)
+        found = numpy_measure(text, graph)
     ((shape,), _), = empty.call_args_list
     assert shape == (16, 512)
     assert found == channel_mod.measure(chan, graph)
     assert found.minimal_epsilon == oracle_minimal_epsilon(chan, graph)
+
+
+# ---------------------------------------------------------------------------
+# Small channels in Python floats
+
+
+def python_measure(*args, **kwargs):
+    """``channel.measure`` with a CSV read always on the Python path."""
+    with mock.patch.object(channel_mod, "PYTHON_CELLS", math.inf):
+        return channel_mod.measure(*args, **kwargs)
+
+
+def test_small_channel_counts_rows_and_edges_times_columns():
+    assert channel_mod.PYTHON_CELLS == 2**19
+    assert channel_mod.small_channel(2**19, 1)
+    assert not channel_mod.small_channel(2**19 + 1, 1)
+    assert channel_mod.small_channel(512, 512, 512)  # (512 + 512) x 512 = 2**19
+    assert not channel_mod.small_channel(512, 512, 513)
+    assert channel_mod.small_channel(724, 724) and not channel_mod.small_channel(725, 725)
+
+
+def numpy_lines(graph, epsilon, columns=None):
+    blocks = channel_mod.response_blocks(graphcore.distance_blocks(graph), epsilon, columns)
+    return "".join(channel_mod.rows_to_csv(blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(graphs(max_vertices=8), sparse_graphs(max_vertices=60)),
+    st.sampled_from([1e-300, 0.1, 0.5, math.log(4), 30.0, 1e300, math.inf]),
+    st.none() | st.integers(0, 2**32),
+)
+def test_python_response_lines_are_the_numpy_bytes(graph, epsilon, seed):
+    columns = None
+    if seed is not None:
+        columns = list(range(graph.vertex_count))
+        random.Random(seed).shuffle(columns)
+    lines = channel_mod.response_lines(graphcore.distance_lists(graph), epsilon, columns)
+    assert "".join(lines) == numpy_lines(graph, epsilon, columns)
+
+
+def test_complete_graph_on_256_vertices_on_both_paths():
+    """K_256: its 65,536-cell channel is generated in Python, but its 32,640
+    edges send a read against it to numpy. Both paths measure the same,
+    on randomized response and on a random channel, and so does the
+    entrywise oracle."""
+    graph = Graph.from_edges(256, itertools.combinations(range(256), 2))
+    text = "".join(channel_mod.response_lines(graphcore.distance_lists(graph), 0.5))
+    assert text == numpy_lines(graph, 0.5)
+    assert not channel_mod.small_channel(256, 256, graph.edge_count)
+    weights = np.random.default_rng(256).random((256, 256)) + 0.01
+    random_text = "".join(channel_to_csv(ChannelMatrix(weights / weights.sum(axis=1)[:, None])))
+    for source in (text, random_text):
+        found = channel_mod.measure(source, graph)
+        assert python_measure(source, graph) == found
+    assert found.minimal_epsilon == oracle_minimal_epsilon(channel_from_csv(source), graph)
+    assert tuple(found.leakage) == oracle_leakage(channel_from_csv(source))
+
+
+@pytest.mark.parametrize(
+    "cols, vertices, chord, python",
+    [(2, 2**17, True, True), (3, 87_382, False, False)],
+    ids=["at-threshold", "one-cell-past"],
+)
+def test_reads_at_the_threshold_and_one_cell_past_it(cols, vertices, chord, python):
+    """A path graph, with one chord to make ``(rows + edges) x cols`` exactly
+    2**19, takes the Python path; 2**19 + 1 takes numpy. The other path
+    measures the same, and the privacy level is the oracle's."""
+    edges = [(i, i + 1) for i in range(vertices - 1)] + [(0, 2)] * chord
+    graph = Graph(vertices, frozenset(edges))
+    assert (vertices + graph.edge_count) * cols == 2**19 + (not python)
+    rows = [[1.0 + (r + j) % (3 + j) for j in range(cols)] for r in range(vertices)]
+    text = "".join(",".join(repr(x / math.fsum(row)) for x in row) + "\n" for row in rows)
+    with mock.patch.object(channel_mod, "_measure_rows", wraps=channel_mod._measure_rows) as spy:
+        found = channel_mod.measure(text, graph)
+    assert spy.called == python
+    assert (numpy_measure if python else python_measure)(text, graph) == found
+    assert found.minimal_epsilon == oracle_minimal_epsilon(channel_from_csv(text), graph) > 0
+
+
+def test_python_read_ring_holds_the_bandwidth():
+    """A 256-row path channel: the Python read keeps two rows' flags and
+    positive entries, the path's bandwidth plus one, not the channel."""
+    graph = Graph.from_edges(256, [(i, i + 1) for i in range(255)])
+    text = numpy_lines(graph, 0.5)
+    held = []
+    real = channel_mod._measure_rows
+
+    def spy(rows, edges, *rest):
+        found = real(rows, edges, *rest)
+        held.append(1 + max(b - a for a, b in edges))
+        return found
+
+    with mock.patch.object(channel_mod, "_measure_rows", spy):
+        tracemalloc.start()
+        try:
+            found = channel_mod.measure(text, graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert held == [2]
+    assert found == numpy_measure(text, graph)
+    # The parsed-field store takes about 0.6 MiB; the channel's 65,536
+    # distinct floats, held in lists, would take 2 MiB.
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -740,6 +740,8 @@ def test_generate_from_a_policy_matches_the_induced_graph_path(tmp_path, build):
 
 
 def test_unconstrained_generate_induces_no_graph(tmp_path, monkeypatch):
+    """Past ``PYTHON_CELLS`` (patched to 0 here, so 64 databases are past
+    it) the distances are product sums; a smaller channel is induced."""
     from blowfish_privacy import adjacency
 
     def refuse(*args, **kwargs):
@@ -747,6 +749,7 @@ def test_unconstrained_generate_induces_no_graph(tmp_path, monkeypatch):
 
     policy = build_path_policy(tmp_path, n=3)
     monkeypatch.setattr(adjacency, "induce_adjacency_graph", refuse)
+    monkeypatch.setattr(channel_mod, "PYTHON_CELLS", 0)
     out = tmp_path / "k.csv"
     assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.1",
                "--out", str(out)) == 0
@@ -882,12 +885,20 @@ print(json.dumps(seen))
 
 def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     """Commands with no array never import numpy, the sweep included, which
-    measures its kernel in Python floats; channel leakage and channel
-    generate do. No command imports numpy.random (not even a shuffled
-    generate) or dataclasses, and only the sweep imports fractions. The
-    commands run in one process, so the sweep runs before any that loads
-    numpy."""
+    measures its kernel in Python floats, and so do the channel commands on
+    a channel small enough for their Python path: leakage, generate by
+    policy and by graph, verify and bound compute --channel, on an
+    unconstrained and on a constrained policy. A channel just past
+    ``PYTHON_CELLS`` (one 725-wide row: 725 x 725 cells) does load numpy.
+    No command imports numpy.random (not even a shuffled generate) or
+    dataclasses, and only the sweep imports fractions. The commands run in
+    one process, so the one that loads numpy runs last."""
     (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    (tmp_path / "wide.csv").write_text(",".join(["1.0"] + ["0.0"] * 724) + "\n")
+    (tmp_path / "perm.json").write_text(json.dumps(
+        [["1", "1", "1"], ["1", "2", "1"], ["2", "2", "1"], ["2", "2", "3"], ["4", "4", "4"]]
+    ))
+    assert 724**2 <= channel_mod.PYTHON_CELLS < 725**2
     calls = [
         ["--help"],
         ["policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
@@ -899,7 +910,15 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
         ["channel", "leakage", "k.csv"],
         ["channel", "generate", "--policy", "p.json", "--epsilon", "0.5",
-         "--shuffle-outputs", "--seed", "1"],
+         "--shuffle-outputs", "--seed", "1", "--out", "pk.csv"],
+        ["channel", "verify", "pk.csv", "--policy", "p.json"],
+        ["policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
+         "--theta", "1", "--n", "3", "--permissible", "perm.json", "--out", "c.json"],
+        ["adjacency", "induce", "c.json", "--out", "cg.json"],
+        ["channel", "generate", "--graph", "cg.json", "--epsilon", "0.5", "--out", "ck.csv"],
+        ["channel", "verify", "ck.csv", "--graph", "cg.json", "--epsilon", "0.5"],
+        ["bound", "compute", "c.json", "--epsilon", "0.5", "--channel", "ck.csv"],
+        ["channel", "leakage", "wide.csv"],
     ]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -909,11 +928,9 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == [[0, False, False, False, False]] * (len(calls) - 3) + [
-        [0, False, False, False, True],
-        [0, True, False, False, True],
-        [0, True, False, False, True],
-    ]
+    assert seen == [[0, False, False, False, False]] * 6 + [
+        [0, False, False, False, True]
+    ] * (len(calls) - 7) + [[0, True, False, False, True]]
 
 
 def test_constrained_induction_and_bound_import_no_numpy(tmp_path):
@@ -942,6 +959,49 @@ def test_constrained_induction_and_bound_import_no_numpy(tmp_path):
     assert len(graph["vertices"]) == 5
 
 
+@pytest.mark.parametrize(
+    "n, permissible",
+    [(3, None), (4, None), (3, [["1", "1", "1"], ["1", "2", "1"], ["2", "2", "1"],
+                                 ["2", "2", "3"], ["3", "2", "3"], ["4", "4", "4"]])],
+    ids=["unconstrained-64", "unconstrained-256", "constrained-6"],
+)
+def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, n, permissible):
+    """generate (by policy, shuffled, and by graph), verify, leakage and
+    bound compute --channel write the same files in Python floats as with
+    numpy, whichever path ``PYTHON_CELLS`` sends them down."""
+    policy = tmp_path / "p.json"
+    extra = ()
+    if permissible is not None:
+        (tmp_path / "perm.json").write_text(json.dumps(permissible))
+        extra = ("--permissible", str(tmp_path / "perm.json"))
+    assert run("policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
+               "--theta", "1", "--n", str(n), *extra, "--out", str(policy)) == 0
+    graph = tmp_path / "g.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    written = {}
+    for path, cells in (("python", math.inf), ("numpy", 0)):
+        out = tmp_path / path
+        out.mkdir()
+        with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
+            codes = [
+                run("channel", "generate", "--policy", str(policy), "--epsilon", "0.3",
+                    "--shuffle-outputs", "--seed", "3", "--out", str(out / "ks.csv")),
+                run("channel", "generate", "--graph", str(graph), "--epsilon", "0.5",
+                    "--out", str(out / "k.csv")),
+                run("channel", "verify", str(out / "k.csv"), "--graph", str(graph),
+                    "--epsilon", "0.5", "--out", str(out / "verify.txt")),
+                run("channel", "verify", str(out / "ks.csv"), "--policy", str(policy),
+                    "--out", str(out / "verify-shuffled.txt")),
+                run("channel", "leakage", str(out / "ks.csv"), "--out", str(out / "leakage.txt")),
+                run("bound", "compute", str(policy), "--epsilon", "0.5", "--channel",
+                    str(out / "k.csv"), "--out", str(out / "audit.txt")),
+            ]
+        assert codes == [0] * len(codes)
+        written[path] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert len(written["python"]) == 6
+    assert written["python"] == written["numpy"]
+
+
 # ---------------------------------------------------------------------------
 # Streamed channel generation and the cells cap
 
@@ -957,11 +1017,12 @@ def expected_channel_text(dist, epsilon, seed=None):
 
 
 def generate_text(directory, argv, rows, sources):
-    """The text ``channel generate`` writes with blocks of ``rows`` channel
-    rows and traversals of ``sources`` sources."""
+    """The text ``channel generate`` writes on its numpy path, with blocks of
+    ``rows`` channel rows and traversals of ``sources`` sources."""
     vertices = len(json.loads((directory / "graph.json").read_text())["vertices"])
     out = directory / "k.csv"
     with mock.patch.object(channel_mod, "BLOCK_CELLS", rows * vertices), \
+            mock.patch.object(channel_mod, "PYTHON_CELLS", 0), \
             mock.patch.object(graphcore, "_SOURCE_BLOCK", sources):
         assert run("channel", "generate", *argv, "--out", str(out)) == 0
     return out.read_text()

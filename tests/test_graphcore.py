@@ -221,6 +221,12 @@ def test_distances_peak_memory_is_the_result_and_a_block():
     assert peak < dist.nbytes + 2**20
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(max_vertices=9), sparse_graphs(max_vertices=60)))
+def test_distance_lists_equal_the_oracle(graph):
+    assert graphcore.distance_lists(graph) == oracle_distances(graph)
+
+
 def test_distance_blocks_are_the_rows_of_distances_one_block_alive(monkeypatch):
     """n = 5 (1,024 vertices) in blocks of 512 sources, 1 MiB of int16 each:
     the stacked blocks are the distances, and the generator keeps no block
