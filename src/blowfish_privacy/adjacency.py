@@ -19,7 +19,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .errors import InputError, SchemaError
-from .graphcore import UNREACHABLE, Graph, distances
+from .graphcore import UNREACHABLE, Graph, distance_lists
 from .policy import (
     BlowfishPolicy,
     DEFAULT_DATABASE_CAP,
@@ -197,7 +197,7 @@ def product_distance_blocks(
     if not policy.unconstrained:
         raise InputError("product distances need an unconstrained policy")
     size = capped_permissible_size(policy, cap)
-    secret = distances(policy.secret_graph.index_graph)
+    secret = np.array(distance_lists(policy.secret_graph.index_graph))
     m, n = len(secret), policy.n
     # An unreachable record pair counts as more than any sum of finite ones.
     # The dtype is the smallest signed one that holds the largest sum,

@@ -39,8 +39,6 @@ EPSILON_CHUNK_CELLS = 2**13
 # measure stores and folds at once from a CSV on the numpy path: its ring
 # holds one such block beyond the graph's bandwidth.
 VALIDATE_CHUNK_CELLS = 2**14
-# Characters of a channel CSV file read at once by the counting pass.
-CSV_CHUNK_CHARS = 2**16
 # Distinct field texts a channel CSV read keeps parsed before it forgets them.
 CSV_CACHE_FIELDS = 2**12
 # A channel CSV number: the ASCII float grammar NumPy's text reader takes,
@@ -721,27 +719,6 @@ def _text_lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def _start(handle: TextIO) -> int | None:
-    """The position ``handle`` can be rewound to, or None when it cannot."""
-    try:
-        return handle.tell() if handle.seekable() else None
-    except OSError:  # a text file being iterated cannot tell its position
-        return None
-
-
-def _measure(handle: TextIO, start: int) -> tuple[int, int]:
-    """Characters and lines of the text in ``handle`` from where it stands,
-    read a chunk at a time; the handle is then rewound to ``start``."""
-    chars = breaks = 0
-    last = "\n"
-    while chunk := handle.read(CSV_CHUNK_CHARS):
-        chars += len(chunk)
-        breaks += chunk.count("\n")
-        last = chunk[-1]
-    handle.seek(start)
-    return chars, breaks + (last != "\n")
-
-
 def _csv_lines(source: str | Iterable[str]) -> tuple[int, Iterator[tuple[int, list[str]]]]:
     """The width of a channel CSV's first data row, and its data lines from
     that row on, as :func:`_data_lines` splits them; no number is parsed.
@@ -824,51 +801,44 @@ def _csv_blocks(
     found.check()
 
 
-def channel_from_csv(source: str | TextIO, max_cells: int | None = None) -> ChannelMatrix:
+def channel_from_csv(
+    source: str | TextIO, rows: int, max_cells: int | None = None
+) -> ChannelMatrix:
     """Parse a channel CSV (the text, or an open text file read from where
-    it stands) into one matrix, filled by :func:`_csv_blocks`.
+    it stands) of ``rows`` rows into one matrix, filled by :func:`_csv_blocks`
+    in one pass over the text, a line at a time, with no copy of it.
 
-    The rows fill one float64 array, which the channel keeps with no copy
-    and no second validation. Its size is set before the first row is
-    stored, from the width ``w`` of the first data row and a counting pass
-    over the text: at most one row per line, and at most
-    ``(chars + 1) // (2 w)`` rows for a text of ``chars`` characters, since
-    ``r`` rows need ``r (2 w - 1)`` characters of fields and commas and
-    ``r - 1`` line breaks. So the array takes at most about 4 bytes per
-    character of text, however many lines are comments; rows left unused
-    are cut off in place. A file is read twice, in chunks and then a line at
-    a time, and a string is split a line at a time: neither makes a copy of
-    the whole text (a file that cannot seek or tell its position is read
-    whole first). An array of more than ``max_cells`` cells (None: no cap)
-    is :class:`CapExceededError`, raised before it is allocated.
+    ``rows`` is the vertex count of the graph the channel is read against;
+    a caller with no graph takes it from ``measure(source).rows``. The rows
+    fill one float64 array of ``rows`` x the first data row's width, which
+    the channel keeps with no copy and no second validation. An array of
+    more than ``max_cells`` cells (None: no cap) is
+    :class:`CapExceededError`, raised before it is allocated. Rows past
+    ``rows`` are parsed and validated into one reused block, never into the
+    array, so their violations and malformed lines are still reported; then
+    a row count other than ``rows`` is :class:`InputError`.
     """
-    try:
-        if isinstance(source, str) or (start := _start(source)) is None:
-            source = source if isinstance(source, str) else source.read()
-            chars, line_count = len(source), source.count("\n") + (not source.endswith("\n"))
-        else:
-            chars, line_count = _measure(source, start)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"channel CSV: {exc}") from None
-    out = None
+    out = spare = None
 
     def place(first_row: int, width: int) -> np.ndarray:
-        nonlocal out
+        nonlocal out, spare
+        height = max(1, BLOCK_CELLS // width)
         if out is None:
-            shape = (min(line_count, (chars + 1) // (2 * width)), width)
-            if max_cells is not None and shape[0] * width > max_cells:
+            if max_cells is not None and rows * width > max_cells:
                 raise CapExceededError(
-                    f"channel may have {shape[0]} x {width} = {shape[0] * width} cells, "
+                    f"channel has {rows} x {width} = {rows * width} cells, "
                     f"exceeding the cap of {max_cells}"
                 )
-            out = np.empty(shape)
-        if first_row == len(out):  # the text changed after it was measured
-            raise SchemaError("more rows than the text held when it was measured")
-        return out[first_row : first_row + max(1, BLOCK_CELLS // width)]
+            out = np.empty((rows, width))
+        if first_row < rows:
+            return out[first_row : first_row + height]
+        if spare is None:
+            spare = np.empty((height, width))
+        return spare
 
     width, lines = _csv_lines(source)
     parse = functools.partial(np.fromiter, dtype=float, count=width)
-    rows = sum(map(len, _csv_blocks(_csv_rows(lines, width, parse), place)))
-    if rows < len(out):
-        out.resize((rows, out.shape[1]), refcheck=False)
+    found = sum(map(len, _csv_blocks(_csv_rows(lines, width, parse), place)))
+    if found != rows:
+        raise InputError(f"graph has {rows} vertices but channel has {found} rows")
     return ChannelMatrix._of_checked(out)

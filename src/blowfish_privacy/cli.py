@@ -343,7 +343,7 @@ def _cmd_symmetrise_run(args) -> int:
     adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
     with _opened(args.channel) as handle:
-        chan = channel_mod.channel_from_csv(handle, _max_cells(args))
+        chan = channel_mod.channel_from_csv(handle, graph.vertex_count, _max_cells(args))
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -518,10 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
     run.add_argument("--graph", help="graph JSON path")
     run.add_argument("--group", default="full", choices=["full", "lifted", "trivial"])
-    run.add_argument("--vertex-cap", type=int, default=graphcore.DEFAULT_VERTEX_CAP)
+    run.add_argument("--vertex-cap", type=_non_negative_int, default=graphcore.DEFAULT_VERTEX_CAP)
     run.add_argument(
         "--max-group",
-        type=int,
+        type=_non_negative_int,
         default=graphcore.DEFAULT_GROUP_CAP,
         help="cap on the group order, read from the stabiliser chain built from the "
         "generators and checked before any averaging; no group element is enumerated",

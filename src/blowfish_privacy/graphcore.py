@@ -513,7 +513,7 @@ def automorphism_group(
         raise CapExceededError(
             f"automorphism search limited to {vertex_cap} vertices, got {n}"
         )
-    dist = distances(graph).tolist()
+    dist = distance_lists(graph)
     adj = graph.neighbors
     profiles = []
     for v in range(n):

@@ -1,8 +1,10 @@
+import functools
 import io
 import itertools
 import math
 import os
 import random
+import threading
 import tracemalloc
 import weakref
 from unittest import mock
@@ -537,7 +539,10 @@ def test_streamed_reads_count_every_violation_of_the_channel(matrix, cells):
     expected = oracle_violations(matrix)
     with mock.patch.multiple(channel_mod, BLOCK_CELLS=cells, VALIDATE_CHUNK_CELLS=cells):
         reads = (
-            channel_mod.measure, numpy_measure, channel_from_csv, lambda t: ChannelMatrix(matrix)
+            channel_mod.measure,
+            numpy_measure,
+            functools.partial(channel_from_csv, rows=len(matrix)),
+            lambda t: ChannelMatrix(matrix),
         )
         for read in reads:
             if not expected:
@@ -551,7 +556,8 @@ def test_streamed_reads_count_every_violation_of_the_channel(matrix, cells):
 def test_an_invalid_row_in_the_last_block_is_named():
     rows = ["0.5,0.5"] * 6 + ["0.5,0.6"]  # blocks of two rows: the last holds row 6 alone
     with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
-        for read in (channel_mod.measure, numpy_measure, channel_from_csv):
+        dense = functools.partial(channel_from_csv, rows=7)
+        for read in (channel_mod.measure, numpy_measure, dense):
             with pytest.raises(InputError, match=r"^invalid channel matrix \(1 violation\(s\): "
                                r"row_sum@row 6\)$"):
                 read("\n".join(rows))
@@ -567,16 +573,22 @@ def test_a_malformed_line_after_an_invalid_row_is_reported_first(bad, message):
     as when the whole text is parsed before it is validated."""
     text = "0.5,0.5\n2.0,0.0\n0.5,0.5\n0.5,0.5\n" + bad + "\n0.5,0.5\n"
     with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
-        for read in (channel_mod.measure, numpy_measure, channel_from_csv):
+        dense = functools.partial(channel_from_csv, rows=6)
+        for read in (channel_mod.measure, numpy_measure, dense):
             with pytest.raises(SchemaError) as raised:
                 read(text)
             assert str(raised.value) == f"channel CSV line 5: {message}"
 
 
+def read_dense(source, graph):
+    """``channel_from_csv`` of ``source``, told the row count of ``graph``."""
+    return channel_from_csv(source, graph.vertex_count)
+
+
 @pytest.mark.parametrize("rows", [2, 4])
 def test_a_channel_of_another_height_than_the_graph_is_refused_after_the_read(rows):
     graph = Graph.from_edges(3, [(0, 1), (1, 2)])
-    for read in (channel_mod.measure, numpy_measure):
+    for read in (channel_mod.measure, numpy_measure, read_dense):
         with pytest.raises(InputError, match=f"graph has 3 vertices but channel has {rows} rows"):
             read("0.5,0.5\n" * rows, graph)
 
@@ -658,8 +670,9 @@ def test_complete_graph_on_256_vertices_on_both_paths():
     for source in (text, random_text):
         found = channel_mod.measure(source, graph)
         assert python_measure(source, graph) == found
-    assert found.minimal_epsilon == oracle_minimal_epsilon(channel_from_csv(source), graph)
-    assert tuple(found.leakage) == oracle_leakage(channel_from_csv(source))
+    dense = read_dense(source, graph)
+    assert found.minimal_epsilon == oracle_minimal_epsilon(dense, graph)
+    assert tuple(found.leakage) == oracle_leakage(dense)
 
 
 @pytest.mark.parametrize(
@@ -680,7 +693,7 @@ def test_reads_at_the_threshold_and_one_cell_past_it(cols, vertices, chord, pyth
         found = channel_mod.measure(text, graph)
     assert spy.called == python
     assert (numpy_measure if python else python_measure)(text, graph) == found
-    assert found.minimal_epsilon == oracle_minimal_epsilon(channel_from_csv(text), graph) > 0
+    assert found.minimal_epsilon == oracle_minimal_epsilon(read_dense(text, graph), graph) > 0
 
 
 def test_python_read_ring_holds_the_bandwidth():
@@ -759,7 +772,7 @@ def test_grr_respects_epsilon_over_random_pairs():
 def test_channel_csv_round_trip():
     chan = graph_randomized_response(path3(), 1.0)
     text = "".join(channel_to_csv(chan))
-    again = channel_from_csv(text)
+    again = channel_from_csv(text, chan.rows)
     assert np.array_equal(again.probs, chan.probs)
 
 
@@ -785,7 +798,7 @@ def channels(draw):
 @given(channels())
 def test_channel_csv_round_trip_property(chan):
     text = "".join(channel_to_csv(chan))
-    again = channel_from_csv(text)
+    again = channel_from_csv(text, chan.rows)
     assert np.array_equal(again.probs, chan.probs)
     assert "".join(channel_to_csv(again)) == text
 
@@ -847,19 +860,19 @@ def test_csv_writer_reads_a_transposed_array_in_row_order():
 
 def test_channel_csv_header_round_trip():
     text = "# a,b\n1.0,0.0\n0.0,1.0\n"
-    again = channel_from_csv(text)
+    again = channel_from_csv(text, 2)
     assert np.array_equal(again.probs, np.eye(2))
     assert "".join(channel_to_csv(again)) == "1.0,0.0\n0.0,1.0\n"
 
 
 def test_channel_csv_rejects_ragged_rows():
     with pytest.raises(SchemaError):
-        channel_from_csv("0.5,0.5\n1.0\n")
+        channel_from_csv("0.5,0.5\n1.0\n", 2)
 
 
 def test_channel_csv_rejects_empty():
     with pytest.raises(SchemaError):
-        channel_from_csv("")
+        channel_from_csv("", 1)
 
 
 def read_bits(read, source):
@@ -871,6 +884,14 @@ def read_bits(read, source):
         except SchemaError:
             return SchemaError
     return probs.shape, probs.view(np.int64).tolist()
+
+
+def loadtxt_read(text):
+    """``channel_from_csv`` told the row count ``np.loadtxt`` reads from
+    ``text`` (0 where it refuses the text), as a caller knows it from its
+    graph: a count the reader finds otherwise raises InputError, not a result."""
+    found = read_bits(oracle_channel_from_csv, text)
+    return functools.partial(channel_from_csv, rows=0 if found is SchemaError else found[0][0])
 
 
 @pytest.mark.parametrize(
@@ -937,7 +958,7 @@ def test_csv_reader_matches_loadtxt_on_pinned_cases(text, accepted, as_file, tmp
         with open(path, encoding="utf-8") as handle:
             return read_bits(read, handle)
 
-    found = outcome(channel_from_csv)
+    found = outcome(loadtxt_read(text))
     assert found == outcome(oracle_channel_from_csv)
     assert (found is not SchemaError) == accepted
 
@@ -947,7 +968,7 @@ def test_csv_reader_names_the_empty_field(text):
     """An empty field fails as a number, even where the text is too short
     for a row of the first row's width."""
     with pytest.raises(SchemaError, match="line 1: cannot read '' as a number"):
-        channel_from_csv(text)
+        channel_from_csv(text, 1)
 
 
 @pytest.mark.parametrize(
@@ -965,7 +986,7 @@ def test_csv_reader_reads_a_file_from_where_it_stands(skip, line_end, tmp_path):
             handle.readline() if skip == "readline" else next(handle)
             return read_bits(read, handle)
 
-    found = outcome(channel_from_csv)
+    found = outcome(functools.partial(channel_from_csv, rows=2))
     assert found == outcome(oracle_channel_from_csv)
     assert found[0] == (2, 2)
 
@@ -976,23 +997,14 @@ def test_csv_reader_reads_a_file_that_cannot_seek():
     os.close(write_end)
     with open(read_end, encoding="utf-8") as handle:
         assert not handle.seekable()
-        chan = channel_from_csv(handle)
+        chan = channel_from_csv(handle, 2)
     assert chan.probs.tolist() == [[0.25, 0.75], [1.0, 0.0]]
-
-
-def test_csv_reader_rejects_rows_the_counting_pass_did_not_see():
-    class Changed(io.StringIO):
-        def read(self, size=-1):  # the text looks empty when it is measured
-            return ""
-
-    with pytest.raises(SchemaError, match="more rows than the text held"):
-        channel_from_csv(Changed("1.0\n"))
 
 
 def test_csv_reader_rejects_bytes_that_are_not_utf8_inside_a_comment(tmp_path):
     path = tmp_path / "k.csv"
     path.write_bytes(b"0.5,0.5\n# \xff\n")
-    for read in (channel_from_csv, oracle_channel_from_csv):
+    for read in (functools.partial(channel_from_csv, rows=1), oracle_channel_from_csv):
         with open(path, encoding="utf-8") as handle, pytest.raises(SchemaError):
             read(handle)
 
@@ -1003,7 +1015,7 @@ def test_csv_reader_rejects_a_quoted_field_left_open(text):
     end of the text) and reads these as [[0.5, 0.5]]; a channel number never
     spans lines, so the reader rejects them."""
     with pytest.raises(SchemaError, match="line 1"):
-        channel_from_csv(text)
+        channel_from_csv(text, 1)
 
 
 NUMBER_TEXTS = st.one_of(
@@ -1054,7 +1066,7 @@ def csv_texts(draw):
 @example("-0.0,nan\n")
 @example("1\r")
 def test_csv_reader_matches_loadtxt_bit_for_bit(text):
-    assert read_bits(channel_from_csv, text) == read_bits(oracle_channel_from_csv, text)
+    assert read_bits(loadtxt_read(text), text) == read_bits(oracle_channel_from_csv, text)
 
 
 def product_channel_text(line_end="\n"):
@@ -1077,7 +1089,7 @@ def test_csv_reader_holds_one_array_and_no_copy_of_the_text(as_file, tmp_path):
     with open(path, encoding="utf-8") as handle:
         tracemalloc.start()
         try:
-            chan = channel_from_csv(handle if as_file else text)
+            chan = channel_from_csv(handle if as_file else text, 256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1094,7 +1106,7 @@ def test_csv_reader_parses_each_distinct_field_text_once(line_end):
     text = product_channel_text(line_end)
     parse = mock.Mock(wraps=channel_mod._field_number)
     with mock.patch.object(channel_mod, "_field_number", parse):
-        chan = channel_from_csv(text)
+        chan = channel_from_csv(text, 256)
     parsed = [texts for (texts,), _ in parse.call_args_list]
     distinct = {field for line in text.splitlines(keepends=True) for field in line.split(",")}
     assert len(parsed) == len(set(parsed)) == len(distinct) < chan.probs.size // 100
@@ -1110,7 +1122,7 @@ def test_csv_reader_forgets_parsed_fields_past_the_cache_size():
     ):
         tracemalloc.start()
         try:
-            chan = channel_from_csv(text)
+            chan = channel_from_csv(text, 256)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1119,25 +1131,119 @@ def test_csv_reader_forgets_parsed_fields_past_the_cache_size():
 
 
 def test_csv_reader_sizes_the_array_by_the_text_not_its_lines():
-    """A wide row among many comment lines: the array is sized by the
-    characters the rows could fill, not one row per line."""
+    """A wide row among many comment lines: the array is the one row the
+    caller names by the first row's width, not one row per line."""
     text = "#\n" * 5000 + ",".join(["0.0"] * 999 + ["1.0"]) + "\n"
     with mock.patch.object(channel_mod.np, "empty", wraps=np.empty) as empty:
-        chan = channel_from_csv(text)
+        chan = channel_from_csv(text, 1)
     assert chan.probs.shape == (1, 1000)
     ((shape,), _), = empty.call_args_list
-    assert shape == ((len(text) + 1) // 2000, 1000) and shape[0] < 10
+    assert shape == (1, 1000)
 
 
 def test_csv_reader_checks_the_cells_cap_before_it_allocates():
-    """The cap bounds the array about to be sized: 3 x 2 cells for three
-    lines of two fields, refused under 6 cells before ``np.empty``."""
+    """The cap bounds the array about to be allocated, the caller's rows by
+    the first row's width: refused under 6 cells for 3 x 2 before
+    ``np.empty``, and for 4 x 2 on the same three lines."""
     text = "1.0,0.0\n0.0,1.0\n0.5,0.5\n"
     with mock.patch.object(channel_mod.np, "empty", side_effect=AssertionError("allocated")):
-        with pytest.raises(CapExceededError, match=r"3 x 2 = 6 cells, exceeding the cap of 5"):
-            channel_from_csv(text, max_cells=5)
-    assert channel_from_csv(text, max_cells=6).probs.shape == (3, 2)
-    assert channel_from_csv(io.StringIO(text), max_cells=6).probs.shape == (3, 2)
+        with pytest.raises(CapExceededError, match=r"^channel has 3 x 2 = 6 cells, exceeding "
+                           r"the cap of 5$"):
+            channel_from_csv(text, 3, max_cells=5)
+        with pytest.raises(CapExceededError, match=r"^channel has 4 x 2 = 8 cells"):
+            channel_from_csv(text, 4, max_cells=6)
+    assert channel_from_csv(text, 3, max_cells=6).probs.shape == (3, 2)
+    assert channel_from_csv(io.StringIO(text), 3, max_cells=6).probs.shape == (3, 2)
+
+
+ROW_COUNT_FAULTS = {  # a text read as three rows: the fault reported
+    "fewer-rows": ("0.5,0.5\n" * 2, InputError, "graph has 3 vertices but channel has 2 rows"),
+    "more-rows": ("0.5,0.5\n" * 5, InputError, "graph has 3 vertices but channel has 5 rows"),
+    "invalid-row-of-fewer": (
+        "0.5,0.5\n0.5,0.6\n",
+        InputError,
+        "invalid channel matrix (1 violation(s): row_sum@row 1)",
+    ),
+    "invalid-row-before-more": (
+        "0.5,0.5\n0.5,0.6\n" + "0.5,0.5\n" * 3,
+        InputError,
+        "invalid channel matrix (1 violation(s): row_sum@row 1)",
+    ),
+    "invalid-row-past": (
+        "0.5,0.5\n" * 4 + "2.0,0.0\n",
+        InputError,
+        "invalid channel matrix (2 violation(s): range@row 4 col 0, row_sum@row 4)",
+    ),
+    "malformed-line-past": (
+        "0.5,0.5\n0.5,0.6\n" + "0.5,0.5\n" * 2 + "x,0.5\n",
+        SchemaError,
+        "channel CSV line 5: cannot read 'x' as a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_COUNT_FAULTS))
+def test_csv_reader_validates_every_row_before_it_refuses_the_count(case):
+    """A row count other than the caller's is refused only after the whole
+    text is parsed and validated. Rows past the count go through the same
+    parse and validation a block at a time, into a block of their own: an
+    invalid row, before or past the count, and a malformed line past it are
+    reported instead of the count. Blocks of two rows, so the count ends
+    inside one."""
+    text, error, message = ROW_COUNT_FAULTS[case]
+    with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
+        with pytest.raises(error) as raised:
+            channel_from_csv(text, 3)
+    assert str(raised.value) == message
+
+
+def traced_peak(read):
+    """The tracemalloc peak while ``read()`` runs, and what it raised or returned."""
+    tracemalloc.start()
+    try:
+        try:
+            found = read()
+        except InputError as exc:
+            found = exc
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, found
+
+
+def test_csv_reader_holds_one_block_for_ten_times_the_rows_past_the_count():
+    """The 256-row product channel eleven times over, read as 256 rows: the
+    2,560 rows past the count are parsed and validated in one reused block
+    of ``BLOCK_CELLS`` cells, never in the channel's 512 KiB array."""
+    text = product_channel_text() * 11
+    peak, found = traced_peak(lambda: channel_from_csv(text, 256))
+    assert str(found) == "graph has 256 vertices but channel has 2816 rows"
+    assert peak < 256 * 256 * 8 + channel_mod.BLOCK_CELLS * 8 + 2**18
+
+
+def test_csv_reader_reads_a_pipe_a_line_at_a_time():
+    """A source that cannot seek is read as a file is, not read whole first:
+    the 1.4 MB product channel through a pipe peaks under its 512 KiB array
+    and 256 KiB more."""
+    data = product_channel_text().encode("utf-8")
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with open(read_end, encoding="utf-8") as handle:
+            assert not handle.seekable()
+            peak, chan = traced_peak(lambda: channel_from_csv(handle, 256))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert chan.probs.shape == (256, 256) and len(data) > 2 * chan.probs.nbytes
+    assert "".join(channel_to_csv(chan)).encode("utf-8") == data
+    assert peak < chan.probs.nbytes + 2**18
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1136,7 +1136,7 @@ def test_symmetrise_over_the_cells_cap_exits_three_without_output(
         assert run(*argv, "--max-cells", "255") == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            "error: channel may have 16 x 16 = 256 cells, exceeding the cap of 255\n"
+            "error: channel has 16 x 16 = 256 cells, exceeding the cap of 255\n"
         )
         assert captured.out == ""
         monkeypatch.setenv("BLOWFISH_MAX_CELLS", "255")
@@ -1146,6 +1146,30 @@ def test_symmetrise_over_the_cells_cap_exits_three_without_output(
     monkeypatch.setenv("BLOWFISH_MAX_CELLS", "256")
     assert run(*argv) == 0
     assert all(out.exists() for out in outs)
+
+
+@pytest.mark.parametrize("rows", [15, 17])
+def test_symmetrise_refuses_a_channel_of_another_height_after_validation(
+    tmp_path, capsys, rows
+):
+    """n = 2: 16 databases. The channel's array is sized by the graph, so
+    a 17-row channel within the cap of 16 x 16 cells is refused for its
+    rows, not the cap; an invalid row is reported first."""
+    policy, channel = build_path_policy(tmp_path), tmp_path / "k.csv"
+    outs = [tmp_path / name for name in ("report.txt", "grouped.csv", "averaged.csv")]
+    argv = ["symmetrise", "run", str(channel), "--policy", str(policy), "--max-cells", "256",
+            "--out", str(outs[0]), "--out-grouped", str(outs[1]), "--out-averaged", str(outs[2])]
+    row = ",".join(["0.0625"] * 16) + "\n"
+    channel.write_text(row * rows)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: graph has 16 vertices but channel has {rows} rows\n"
+    channel.write_text(row * (rows - 1) + row.replace("0.0625", "0.5", 1))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid channel matrix (1 violation(s): row_sum@row {rows - 1})\n"
+    )
+    assert not any(out.exists() for out in outs)
 
 
 BAD_CELL_CAPS = {
@@ -1213,6 +1237,27 @@ def test_bad_database_cap_exits_two_without_output(tmp_path, monkeypatch, capsys
         assert captured.err == (
             f"error: BLOWFISH_MAX_DATABASES must be a non-negative integer, got {env!r}\n"
         )
+
+
+@pytest.mark.parametrize("flag, group", [("--max-group", "lifted"), ("--vertex-cap", "full")])
+def test_bad_group_cap_exits_two_without_output(tmp_path, capsys, flag, group):
+    """A negative group cap used to be exceeded by every group (exit 3)."""
+    policy, channel = build_path_policy(tmp_path), tmp_path / "k.csv"
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+               "--out", str(channel)) == 0
+    outs = [tmp_path / name for name in ("report.txt", "grouped.csv", "averaged.csv")]
+    capsys.readouterr()
+    assert exit_code(
+        "symmetrise", "run", str(channel), "--policy", str(policy), "--group", group,
+        flag, "-1", "--out", str(outs[0]), "--out-grouped", str(outs[1]),
+        "--out-averaged", str(outs[2]),
+    ) == 2
+    assert not any(out.exists() for out in outs)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: invalid non-negative integer value: '-1'\n"
+    )
 
 
 @pytest.fixture(scope="module")
