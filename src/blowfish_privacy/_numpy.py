@@ -9,8 +9,12 @@ counting a graph's edges as rows): ``channel.response_lines`` over
 ``graphcore.distance_lists`` of the induced graph, and
 ``channel.measure`` of a CSV, which is all of ``channel generate``,
 ``channel leakage`` (without ``--prior``), ``channel verify`` and
-``bound compute --channel`` at that size. Modules bind ``np`` to the stand-in below
-instead of the module: its first attribute read imports numpy through the
+``bound compute --channel`` at that size. Nor does ``symmetrise run`` on a
+channel within ``symmetrise.PYTHON_AVERAGE_CELLS``
+(``symmetrise.read_channel`` and ``symmetrise.run``): the group layer it
+builds on (stabiliser chains, point orbits, lifting and the automorphism
+search) is pure Python at every size. Modules bind ``np`` to the stand-in
+below instead of the module: its first attribute read imports numpy through the
 normal import system, and every attribute it reads is kept on the stand-in,
 so later reads are plain attribute lookups. Type checkers see numpy itself.
 

@@ -314,17 +314,18 @@ class ChannelMeasures(NamedTuple):
     leakage: LeakageReport | None  # None when not asked for
 
 
-def small_channel(rows: int, cols: int, edges: int = 0) -> bool:
+def small_channel(rows: int, cols: int, edges: int = 0, cells: int | None = None) -> bool:
     """Whether a channel command works in Python floats and imports no numpy.
 
     It does when the cells it computes on, ``(rows + edges) x cols`` (a
-    graph's every edge compares two rows), are at most ``PYTHON_CELLS``:
-    there the Python loops cost less than numpy's import (see
-    ``PYTHON_CELLS`` for how far that is known). The command knows
-    these sizes before it allocates anything; a read takes the columns from
-    its first row.
+    graph's every edge compares two rows), are at most ``cells``, by
+    default ``PYTHON_CELLS``: there the Python loops cost less than numpy's
+    import (see ``PYTHON_CELLS`` for how far that is known; ``symmetrise
+    run``, which does more per cell, passes its own crossover). The command
+    knows these sizes before it allocates anything; a read takes the
+    columns from its first row.
     """
-    return (rows + edges) * cols <= PYTHON_CELLS
+    return (rows + edges) * cols <= (PYTHON_CELLS if cells is None else cells)
 
 
 def measure(
@@ -801,6 +802,15 @@ def _csv_blocks(
     found.check()
 
 
+def check_cells(rows: int, cols: int, max_cells: int | None) -> None:
+    """Raise :class:`CapExceededError` when a channel of ``rows`` x ``cols``
+    cells has more than ``max_cells`` (None: no cap)."""
+    if max_cells is not None and rows * cols > max_cells:
+        raise CapExceededError(
+            f"channel has {rows} x {cols} = {rows * cols} cells, exceeding the cap of {max_cells}"
+        )
+
+
 def channel_from_csv(
     source: str | TextIO, rows: int, max_cells: int | None = None
 ) -> ChannelMatrix:
@@ -813,30 +823,34 @@ def channel_from_csv(
     fill one float64 array of ``rows`` x the first data row's width, which
     the channel keeps with no copy and no second validation. An array of
     more than ``max_cells`` cells (None: no cap) is
-    :class:`CapExceededError`, raised before it is allocated. Rows past
-    ``rows`` are parsed and validated into one reused block, never into the
-    array, so their violations and malformed lines are still reported; then
-    a row count other than ``rows`` is :class:`InputError`.
+    :class:`CapExceededError`, raised from that width before any number is
+    parsed. Rows past ``rows`` are parsed and validated into one reused
+    block, never into the array, so their violations and malformed lines
+    are still reported; then a row count other than ``rows`` is
+    :class:`InputError`.
     """
-    out = spare = None
+    width, lines = _csv_lines(source)
+    check_cells(rows, width, max_cells)
+    return _matrix_of_lines(width, lines, rows)
+
+
+def _matrix_of_lines(
+    width: int, lines: Iterable[tuple[int, list[str]]], rows: int
+) -> ChannelMatrix:
+    """:func:`channel_from_csv` of the data lines of :func:`_csv_lines`,
+    their cells already checked against the cap."""
+    out = np.empty((rows, width))
+    spare = None
 
     def place(first_row: int, width: int) -> np.ndarray:
-        nonlocal out, spare
+        nonlocal spare
         height = max(1, BLOCK_CELLS // width)
-        if out is None:
-            if max_cells is not None and rows * width > max_cells:
-                raise CapExceededError(
-                    f"channel has {rows} x {width} = {rows * width} cells, "
-                    f"exceeding the cap of {max_cells}"
-                )
-            out = np.empty((rows, width))
         if first_row < rows:
             return out[first_row : first_row + height]
         if spare is None:
             spare = np.empty((height, width))
         return spare
 
-    width, lines = _csv_lines(source)
     parse = functools.partial(np.fromiter, dtype=float, count=width)
     found = sum(map(len, _csv_blocks(_csv_rows(lines, width, parse), place)))
     if found != rows:

@@ -313,10 +313,7 @@ def _cmd_channel_generate(args) -> int:
         size = policy_mod.capped_permissible_size(source, cap)
     else:
         size = len(source.vertices)
-    if size * size > cell_cap:
-        raise CapExceededError(
-            f"channel has {size} x {size} = {size * size} cells, exceeding the cap of {cell_cap}"
-        )
+    channel_mod.check_cells(size, size, cell_cap)
     columns = None
     if args.shuffle_outputs:
         columns = list(range(size))
@@ -343,7 +340,7 @@ def _cmd_symmetrise_run(args) -> int:
     adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
     with _opened(args.channel) as handle:
-        chan = channel_mod.channel_from_csv(handle, graph.vertex_count, _max_cells(args))
+        chan = symmetrise_mod.read_channel(handle, graph, _max_cells(args))
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -363,16 +360,13 @@ def _cmd_symmetrise_run(args) -> int:
         )
     order = group.order  # from the stabiliser chain: a --max-group overflow exits 3 here
 
-    grouped, _ = symmetrise_mod.diagonal_maximise(chan, graph)
-    averaged = symmetrise_mod.group_average(
-        grouped, group, strategy=args.strategy, cross_check=args.cross_check
+    grouped, averaged, report = symmetrise_mod.run(
+        chan, graph, group, args.strategy, args.cross_check
     )
-    report = symmetrise_mod.check_symmetrisation(chan, grouped, averaged, group, graph)
-
     if args.out_grouped:
-        _write_output(args.out_grouped, channel_mod.channel_to_csv(grouped))
+        _write_output(args.out_grouped, grouped)
     if args.out_averaged:
-        _write_output(args.out_averaged, channel_mod.channel_to_csv(averaged))
+        _write_output(args.out_averaged, averaged)
     _write_output(args.out, render_kv([("group_order", order)]) + render_report(report))
     return 0 if report.all_passed else 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from ._frozen import Frozen, Value
@@ -238,8 +239,11 @@ def identity_permutation(degree: int) -> Permutation:
 
 
 def compose(sigma: Permutation, gamma: Permutation) -> Permutation:
-    """Composition sigma after gamma: ``compose(s, g)[i] == s[g[i]]``."""
-    return tuple(sigma[g] for g in gamma)
+    """Composition sigma after gamma: ``compose(s, g)[i] == s[g[i]]``, by one
+    ``itemgetter`` gather."""
+    if len(gamma) < 2:  # itemgetter of one item returns it bare
+        return tuple(sigma[g] for g in gamma)
+    return itemgetter(*gamma)(sigma)
 
 
 def is_valid_permutation(perm: Sequence[int], degree: int) -> bool:
@@ -264,23 +268,27 @@ def is_automorphism(graph: Graph, perm: Permutation) -> bool:
 class StabiliserChain(NamedTuple):
     """Base and transversals of a permutation group.
 
-    ``transversals[i]`` stacks one element per point of the orbit of
+    ``transversals[i]`` holds one element per point of the orbit of
     ``base[i]`` under the pointwise stabiliser of ``base[:i]``, identity
-    first; row ``u`` maps ``base[i]`` to its orbit point. Every group
-    element factors uniquely as ``u_0 ∘ u_1 ∘ … ∘ u_k`` with ``u_i`` a row
-    of ``transversals[i]``, so the order is the product of their lengths.
+    first, each a tuple in one-line notation; element ``u`` maps ``base[i]``
+    to its orbit point. Every group element factors uniquely as
+    ``u_0 ∘ u_1 ∘ … ∘ u_k`` with ``u_i`` in ``transversals[i]``, so the
+    order is the product of their lengths.
     """
 
     base: tuple[int, ...]
-    transversals: tuple[np.ndarray, ...]
+    transversals: tuple[tuple[Permutation, ...], ...]
 
     @property
     def order(self) -> int:
         return math.prod(len(u) for u in self.transversals)
 
 
-# Permutation entries per batch of sifted Schreier generators (bounds memory).
-_SIFT_BATCH = 1 << 18
+def _inverse(perm: Permutation) -> Permutation:
+    inverse = [0] * len(perm)
+    for i, image in enumerate(perm):
+        inverse[image] = i
+    return tuple(inverse)
 
 
 class _Level:
@@ -294,82 +302,59 @@ class _Level:
 
     def __init__(self, point: int, degree: int):
         self.point = point
-        self.gens: list[np.ndarray] = []
+        self.gens: list[Permutation] = []
         self.tested: list[int] = []
-        self.position = np.full(degree, -1, dtype=np.intp)
+        self.position = [-1] * degree
         self.position[point] = 0
         self.orbit = [point]
-        ident = np.arange(degree)
+        ident = identity_permutation(degree)
         self.rows, self.inverse_rows = [ident], [ident]
-        self.transversal = self.inverse = ident[None, :]
 
-    def add(self, gen: np.ndarray) -> None:
+    def add(self, gen: Permutation) -> None:
         """Add a strong generator and extend the orbit breadth-first."""
         self.gens.append(gen)
         self.tested.append(0)
         for k, beta in enumerate(self.orbit):  # grows while it is read: a FIFO queue
             for s in self.gens:
-                gamma = int(s[beta])
+                gamma = s[beta]
                 if self.position[gamma] < 0:
                     self.position[gamma] = len(self.orbit)
                     self.orbit.append(gamma)
-                    u = s[self.rows[k]]
+                    u = compose(s, self.rows[k])
                     self.rows.append(u)
-                    self.inverse_rows.append(np.argsort(u))
-        if len(self.rows) > len(self.transversal):
-            self.transversal = np.stack(self.rows)
-            self.inverse = np.stack(self.inverse_rows)
+                    self.inverse_rows.append(_inverse(u))
 
 
-def _after(table: np.ndarray, rows: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Row ``r`` is ``table[rows[r]] ∘ perms[r]``, by one flat gather."""
-    degree = table.shape[1]
-    return table.ravel()[(rows * degree)[:, None] + perms]
-
-
-def _first_residue(levels: list[_Level], i: int) -> tuple[np.ndarray, int] | None:
+def _first_residue(levels: list[_Level], i: int) -> tuple[Permutation, int] | None:
     """First untested Schreier generator of level ``i`` that does not sift
     to the identity through the deeper levels, as its residue and the level
     it stopped at (``len(levels)`` when it passed them all); ``None`` when
     every Schreier generator of the level sifts.
     """
     level = levels[i]
-    degree = level.transversal.shape[1]
-    ident = np.arange(degree)
-    batch = max(1, _SIFT_BATCH // degree)
+    ident = level.rows[0]
     for g, s in enumerate(level.gens):
         while level.tested[g] < len(level.orbit):
-            lo = level.tested[g]
-            su = s[level.transversal[lo : lo + batch]]  # s ∘ u_beta
-            h = _after(level.inverse, level.position[su[:, level.point]], su)
-            # Sift the batch; only rows before the first stuck one still matter.
-            found = None
+            su = compose(s, level.rows[level.tested[g]])  # s ∘ u_beta
+            h = compose(level.inverse_rows[level.position[su[level.point]]], su)
             for depth in range(i + 1, len(levels)):
                 deeper = levels[depth]
-                pos = deeper.position[h[:, deeper.point]]
-                stuck = np.flatnonzero(pos < 0)
-                if len(stuck):
-                    row = int(stuck[0])
-                    found = (row, h[row].copy(), depth)
-                    h, pos = h[:row], pos[:row]
-                h = _after(deeper.inverse, pos, h)
-            nontrivial = np.flatnonzero((h != ident).any(axis=1))
-            if len(nontrivial):
-                row = int(nontrivial[0])
-                found = (row, h[row].copy(), len(levels))
-            if found is not None:
-                row, residue, depth = found
-                level.tested[g] = lo + row
-                return residue, depth
-            level.tested[g] = min(len(level.orbit), lo + batch)
+                k = deeper.position[h[deeper.point]]
+                if k < 0:
+                    return h, depth
+                h = compose(deeper.inverse_rows[k], h)
+            if h != ident:
+                return h, len(levels)
+            level.tested[g] += 1
     return None
 
 
 def _schreier_sims(
     generators: Sequence[Permutation], degree: int, cap: int
 ) -> StabiliserChain:
-    """Stabiliser chain of the group generated by ``generators``, by the
-    deterministic Schreier–Sims algorithm (Seress 2003, ch. 4).
+    """Stabiliser chain of the group generated by ``generators``, none of
+    them the identity, by the deterministic Schreier–Sims algorithm (Seress
+    2003, ch. 4), over tuples in Python.
 
     Levels are completed from the deepest up: a level is done when every
     Schreier generator ``u_{s(beta)}^-1 ∘ s ∘ u_beta`` of its orbit sifts to
@@ -384,18 +369,18 @@ def _schreier_sims(
     """
     levels: list[_Level] = []
 
-    def add(perm: np.ndarray, first: int, last: int) -> None:
+    def add(perm: Permutation, first: int, last: int) -> None:
         """Add ``perm`` to levels ``first .. last``; ``last == len(levels)``
         opens a new level at the first point ``perm`` moves."""
         if last == len(levels):
-            levels.append(_Level(int(np.flatnonzero(perm != np.arange(degree))[0]), degree))
+            levels.append(_Level(next(j for j, x in enumerate(perm) if x != j), degree))
         for level in levels[first : last + 1]:
             level.add(perm)
         if math.prod(len(level.orbit) for level in levels) > cap:
             raise CapExceededError(f"group order exceeds cap of {cap} elements")
 
     for gen in generators:
-        gen = np.asarray(gen, dtype=np.intp)
+        gen = tuple(gen)
         moves = (j for j, level in enumerate(levels) if gen[level.point] != level.point)
         add(gen, 0, next(moves, len(levels)))
 
@@ -410,7 +395,7 @@ def _schreier_sims(
         i = j
     return StabiliserChain(
         tuple(level.point for level in levels),
-        tuple(level.transversal for level in levels),
+        tuple(tuple(level.rows) for level in levels),
     )
 
 
@@ -455,12 +440,11 @@ class PermutationGroup(Frozen):
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
         """Every element, as the products ``u_0 ∘ … ∘ u_k`` of the chain's
-        transversal rows, in lexicographic order."""
-        products = np.arange(self.degree)[None, :]
+        transversal elements, in lexicographic order."""
+        products = [identity_permutation(self.degree)]
         for transversal in reversed(self.chain.transversals):
-            products = transversal[:, products].reshape(-1, self.degree)
-        products = products[np.lexsort(products.T[::-1])]
-        return tuple(map(tuple, products.tolist()))
+            products = [compose(u, p) for u in transversal for p in products]
+        return tuple(sorted(products))
 
 
 def generate_group(
@@ -500,7 +484,7 @@ def automorphism_group(
     Level ``k`` of the search fixes the first ``k`` vertices of the search
     order. From the deepest level up, the first automorphism that maps the
     level's vertex to a given image is kept only when that image is not yet
-    in the vertex's orbit (its :func:`orbit_labels` label) under the kept
+    in the vertex's orbit (its :func:`orbit_minima` label) under the kept
     generators; the kept set then generates each level's pointwise
     stabiliser, hence the whole group.
 
@@ -566,7 +550,7 @@ def automorphism_group(
         return None
 
     gens: list[Permutation] = []
-    orbit_of = orbit_labels(gens, n)
+    orbit_of = orbit_minima(gens, n)
     for k in reversed(range(n)):
         v = order[k]
         image[v] = -1
@@ -576,7 +560,7 @@ def automorphism_group(
                 found = first_completion(k, w)
                 if found is not None:
                     gens.append(found)
-                    orbit_of = orbit_labels(gens, n)
+                    orbit_of = orbit_minima(gens, n)
     return PermutationGroup(n, tuple(gens), element_cap)
 
 
@@ -593,12 +577,38 @@ class OrbitPartition(NamedTuple):
         return len(self.orbits)
 
 
-def orbit_labels(perms: Sequence[Permutation], degree: int, arity: int = 1) -> np.ndarray:
+def orbit_minima(perms: Sequence[Permutation], degree: int, arity: int = 1) -> list[int]:
     """Smallest orbit member of each point (``arity`` 1) or ordered pair
     (``arity`` 2) under the group generated by ``perms``, flat, pair
-    ``(a, b)`` being ``a * degree + b``. Each label starts as its own index
-    and takes the smallest label one generator step away, forwards or
-    backwards, with pointer jumping between rounds, until nothing changes.
+    ``(a, b)`` being ``a * degree + b``, in Python ints with no numpy.
+
+    Each point in increasing order that no orbit holds yet opens one, which
+    is the union of its images under the generators, taken breadth-first
+    (a finite group's orbit is closed under forward images alone); the
+    point, the first of its orbit seen, is the smallest member and labels
+    it. The work is one step per tuple and generator, so this is meant for
+    sizes where that costs less than importing numpy (:func:`orbit_labels`).
+    """
+    label = [-1] * degree**arity
+    for x, seen in enumerate(label):
+        if seen < 0:
+            label[x] = x
+            orbit = [x]
+            for y in orbit:  # grows while it is read: a FIFO queue
+                a, b = divmod(y, degree)  # (0, y) for a point
+                for perm in perms:
+                    z = perm[a] * degree + perm[b] if arity == 2 else perm[b]
+                    if label[z] < 0:
+                        label[z] = x
+                        orbit.append(z)
+    return label
+
+
+def orbit_labels(perms: Sequence[Permutation], degree: int, arity: int = 1) -> np.ndarray:
+    """:func:`orbit_minima` as a numpy array, for the pair orbits of a
+    channel too large for it. Each label starts as its own index and takes
+    the smallest label one generator step away, forwards or backwards, with
+    pointer jumping between rounds, until nothing changes.
     """
     steps = []  # label[np.ix_(q, …, q)][t] is the label of tuple q(t)
     for perm in perms:
@@ -632,15 +642,14 @@ def orbit_slices(label: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def orbits(group: PermutationGroup) -> OrbitPartition:
     """Orbit partition of ``0 .. degree - 1`` under ``group``'s generators,
-    from the point labels of :func:`orbit_labels`, by smallest member."""
-    label = orbit_labels(group.generators, group.degree)
-    _, orbit_index = np.unique(label, return_inverse=True)
-    order, cuts = orbit_slices(label)
-    members = order.tolist()
-    return OrbitPartition(
-        tuple(orbit_index.tolist()),
-        tuple(tuple(members[lo:hi]) for lo, hi in zip(cuts, cuts[1:])),
-    )
+    from the point labels of :func:`orbit_minima`, by smallest member."""
+    label = orbit_minima(group.generators, group.degree)
+    number: dict[int, int] = {}
+    orbit_index = tuple(number.setdefault(smallest, len(number)) for smallest in label)
+    members: list[list[int]] = [[] for _ in number]
+    for point, k in enumerate(orbit_index):
+        members[k].append(point)
+    return OrbitPartition(orbit_index, tuple(map(tuple, members)))
 
 
 def transporter(group: PermutationGroup, u: int, v: int) -> tuple[Permutation, ...]:

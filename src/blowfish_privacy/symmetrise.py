@@ -14,16 +14,40 @@ Two square transforms with well-understood effects on privacy and leakage:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from ._numpy import np
-from .channel import ChannelMatrix, minimal_epsilon
+from .channel import (
+    ChannelMatrix,
+    _csv_lines,
+    _csv_rows,
+    _matrix_of_lines,
+    _measure_rows,
+    _row_violations,
+    _Violations,
+    channel_to_csv,
+    check_cells,
+    minimal_epsilon,
+    small_channel,
+)
 from .errors import BlowfishError, InputError
-from .graphcore import Graph, PermutationGroup, is_automorphism, orbit_labels, orbit_slices, orbits
+from .graphcore import (
+    Graph,
+    PermutationGroup,
+    is_automorphism,
+    orbit_labels,
+    orbit_minima,
+    orbit_slices,
+    orbits,
+)
 
 EQUALITY_TOLERANCE = 1e-12
 # Entries of the channel that one block of diagonal_maximise's column adds covers.
 GROUPING_CHUNK_CELLS = 2**16
+# Cells, counted as by channel.small_channel, up to which symmetrise run works
+# in Python floats (:func:`read_channel`).
+PYTHON_AVERAGE_CELLS = 2**16
 
 
 def diagonal_maximise(
@@ -113,7 +137,7 @@ def group_average(
         averaged = channel.probs.astype(np.longdouble)
         for transversal in group.chain.transversals:
             acc = np.zeros_like(averaged)
-            for u in transversal:
+            for u in np.array(transversal):
                 acc += averaged[np.ix_(u, u)]
             averaged = acc / len(transversal)
         results["full"] = np.asarray(averaged, dtype=float)
@@ -155,18 +179,6 @@ class SymmetrisationReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _column_maxima_sum(matrix: np.ndarray) -> float:
-    return math.fsum(float(x) for x in matrix.max(axis=0))
-
-
-def _diagonal_sum(matrix: np.ndarray) -> float:
-    return math.fsum(float(x) for x in np.diag(matrix))
-
-
-def _diagonal_max_gap(matrix: np.ndarray) -> float:
-    return float(np.max(matrix.max(axis=0) - np.diag(matrix)))
-
-
 def _epsilon_check(before: float, after: float) -> tuple[bool, float]:
     if math.isinf(before):
         return True, 0.0
@@ -195,19 +207,31 @@ def check_symmetrisation(
     if original.rows != ell or group.degree != ell:
         raise InputError("original channel, group, and graph sizes must agree")
 
-    eps_input = minimal_epsilon(original, graph)
-    eps_grouped = minimal_epsilon(grouped, graph)
-    eps_averaged = minimal_epsilon(averaged, graph)
+    return _report(
+        [minimal_epsilon(m, graph) for m in (original, grouped, averaged)],
+        original.probs.max(axis=0).tolist(),
+        *[(np.diag(m.probs).tolist(), m.probs.max(axis=0).tolist()) for m in (grouped, averaged)],
+        group,
+    )
 
-    colmax_input = _column_maxima_sum(original.probs)
-    diag_grouped = _diagonal_sum(grouped.probs)
-    diag_averaged = _diagonal_sum(averaged.probs)
 
-    checks = []
+def _report(
+    epsilons: list[float],
+    input_maxima: list[float],
+    grouped: tuple[list[float], list[float]],
+    averaged: tuple[list[float], list[float]],
+    group: PermutationGroup,
+) -> SymmetrisationReport:
+    """The report of :func:`check_symmetrisation` from the three channels'
+    privacy levels, the input's column maxima, and the diagonal and column
+    maxima of the grouped and of the averaged channel, in Python floats."""
+    eps_input, eps_grouped, eps_averaged = epsilons
+    colmax_input = math.fsum(input_maxima)
+    diag_grouped, diag_averaged = math.fsum(grouped[0]), math.fsum(averaged[0])
 
-    # A ChannelMatrix is validated when built, so both are row-stochastic.
-    checks.append(PropertyCheck("grouped_row_stochastic", True, 0.0))
-    gap = _diagonal_max_gap(grouped.probs)
+    # A channel is validated when built or read, so both are row-stochastic.
+    checks = [PropertyCheck("grouped_row_stochastic", True, 0.0)]
+    gap = max(map(sub, grouped[1], grouped[0]))
     checks.append(
         PropertyCheck("grouped_diagonal_max", gap <= EQUALITY_TOLERANCE, max(0.0, gap))
     )
@@ -219,15 +243,14 @@ def check_symmetrisation(
     )
 
     checks.append(PropertyCheck("averaged_row_stochastic", True, 0.0))
-    gap = _diagonal_max_gap(averaged.probs)
+    gap = max(map(sub, averaged[1], averaged[0]))
     checks.append(
         PropertyCheck("averaged_diagonal_max", gap <= EQUALITY_TOLERANCE, max(0.0, gap))
     )
-    diag = np.diag(averaged.probs)
     orbit_gap = 0.0
     for orbit in orbits(group).orbits:
-        values = diag[list(orbit)]
-        orbit_gap = max(orbit_gap, float(values.max() - values.min()))
+        values = [averaged[0][i] for i in orbit]
+        orbit_gap = max(orbit_gap, max(values) - min(values))
     checks.append(
         PropertyCheck(
             "averaged_orbit_diagonals", orbit_gap <= EQUALITY_TOLERANCE, orbit_gap
@@ -249,3 +272,153 @@ def check_symmetrisation(
         diagonal_sum_averaged=diag_averaged,
         checks=tuple(checks),
     )
+
+
+# ---------------------------------------------------------------------------
+# The pipeline of ``symmetrise run``, on one route per channel size
+
+
+def read_channel(
+    source: str | TextIO, graph: Graph, max_cells: int | None = None
+) -> ChannelMatrix | list[list[float]]:
+    """The channel CSV ``source`` (the text, or an open text file read from
+    where it stands), one row per vertex of ``graph``, in the form
+    :func:`run` takes for its route.
+
+    The first data row's width is read before any number is parsed, and a
+    channel of more than ``max_cells`` cells (None: no cap) is
+    :class:`CapExceededError`. A channel that ``channel.small_channel``
+    admits at ``PYTHON_AVERAGE_CELLS``, counting the graph's vertices and
+    edges by that width, is read into lists of Python floats, each row
+    checked by the exact scan of ``channel._row_violations``, rows past the
+    vertex count validated but not kept; a larger one is read into a
+    :class:`ChannelMatrix` as ``channel_from_csv`` reads it. On both routes
+    every violation is raised once the text is read, and then a row count
+    other than the vertex count.
+    """
+    rows = graph.vertex_count
+    width, lines = _csv_lines(source)
+    check_cells(rows, width, max_cells)
+    if not small_channel(rows, width, graph.edge_count, PYTHON_AVERAGE_CELLS):
+        return _matrix_of_lines(width, lines, rows)
+    found = _Violations("channel matrix")
+    kept: list[list[float]] = []
+    for count, row in enumerate(_csv_rows(lines, width, list), 1):
+        found.add(_row_violations(count - 1, row))
+        if count <= rows:
+            kept.append(row)
+    found.check()
+    if count != rows:
+        raise InputError(f"graph has {rows} vertices but channel has {count} rows")
+    return kept
+
+
+def run(
+    channel: ChannelMatrix | list[list[float]],
+    graph: Graph,
+    group: PermutationGroup,
+    strategy: str = "orbit",
+    cross_check: bool = False,
+) -> tuple[Iterator[str], Iterator[str], SymmetrisationReport]:
+    """The CSV lines of the grouped and of the averaged channel, and the
+    report of :func:`check_symmetrisation`, for a channel from
+    :func:`read_channel`, ``group`` being automorphisms of ``graph``.
+
+    A :class:`ChannelMatrix` goes through :func:`diagonal_maximise`,
+    :func:`group_average` and :func:`check_symmetrisation`. Rows in Python
+    floats take the same steps with no numpy: columns grouped in column
+    order, as ``np.add.at`` adds them; ``"orbit"`` averaged by the pair
+    labels of :func:`orbit_minima` with one ``math.fsum`` per orbit, so it
+    writes the same bytes; ``"full"`` through the chain's transversals with
+    one ``fsum`` per entry per level, which agrees with the extended
+    precision of :func:`group_average` within ``EQUALITY_TOLERANCE``; and
+    the privacy levels measured, and the rows validated, by
+    ``channel._measure_rows``.
+    """
+    if isinstance(channel, ChannelMatrix):
+        grouped, _ = diagonal_maximise(channel, graph)
+        averaged = group_average(grouped, group, strategy=strategy, cross_check=cross_check)
+        report = check_symmetrisation(channel, grouped, averaged, group, graph)
+        return channel_to_csv(grouped), channel_to_csv(averaged), report
+    maxima, grouped = _grouped_rows(channel, graph.vertex_count)
+    results = {}
+    if strategy == "full" or cross_check:
+        results["full"] = _full_average(grouped, group)
+    if strategy == "orbit" or cross_check:
+        results["orbit"] = _orbit_average(grouped, group)
+    if cross_check:
+        gap = max(
+            abs(a - b) for x, y in zip(results["full"], results["orbit"]) for a, b in zip(x, y)
+        )
+        if gap > EQUALITY_TOLERANCE:
+            raise BlowfishError(
+                f"group-average strategies disagree by {gap} (> {EQUALITY_TOLERANCE})"
+            )
+    averaged = results[strategy]
+    edges = sorted(graph.edges, key=itemgetter(1))
+    epsilons = [
+        _measure_rows(m, edges, graph, None, False).minimal_epsilon
+        for m in (channel, grouped, averaged)
+    ]
+    diagonals_and_maxima = [
+        ([row[i] for i, row in enumerate(m)], [max(column) for column in zip(*m)])
+        for m in (grouped, averaged)
+    ]
+    report = _report(epsilons, maxima, *diagonals_and_maxima, group)
+    return _rows_to_lines(grouped), _rows_to_lines(averaged), report
+
+
+def _grouped_rows(
+    rows: list[list[float]], ell: int
+) -> tuple[list[float], list[list[float]]]:
+    """The column maxima of ``rows`` and :func:`diagonal_maximise` of them
+    into ``ell`` columns, in Python floats: each column goes to the first
+    row attaining its maximum and is added there in column order."""
+    maxima, assignment = list(rows[0]), [0] * len(rows[0])
+    for r, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x > maxima[j]:
+                maxima[j], assignment[j] = x, r
+    grouped = []
+    for row in rows:
+        out = [0.0] * ell
+        for j, x in zip(assignment, row):
+            out[j] += x
+        grouped.append(out)
+    return maxima, grouped
+
+
+def _full_average(rows: list[list[float]], group: PermutationGroup) -> list[list[float]]:
+    """``group_average(strategy="full")`` in Python floats: at each level of
+    the chain, entry ``(i, j)`` is the ``fsum`` of ``M[u(i), u(j)]`` over the
+    transversal's elements ``u``, over their count."""
+    for transversal in group.chain.transversals:
+        n = len(transversal)
+        gathers = [itemgetter(*u) for u in transversal]
+        rows = [
+            [
+                math.fsum(images) / n
+                for images in zip(*[get(rows[u[i]]) for u, get in zip(transversal, gathers)])
+            ]
+            for i in range(len(rows))
+        ]
+    return rows
+
+
+def _orbit_average(rows: list[list[float]], group: PermutationGroup) -> list[list[float]]:
+    """``group_average(strategy="orbit")`` in Python floats: each entry is
+    the ``fsum`` of its pair orbit's entries over their count."""
+    ell = len(rows)
+    labels = orbit_minima(group.generators, ell, arity=2)
+    members: dict[int, list[float]] = {}
+    for label, x in zip(labels, (x for row in rows for x in row)):
+        members.setdefault(label, []).append(x)
+    means = {label: math.fsum(xs) / len(xs) for label, xs in members.items()}
+    flat = [means[label] for label in labels]
+    return [flat[i : i + ell] for i in range(0, len(flat), ell)]
+
+
+def _rows_to_lines(rows: Iterable[list[float]]) -> Iterator[str]:
+    """The CSV lines of rows of Python floats, as ``channel.rows_to_csv``
+    writes them: ``repr`` of each entry."""
+    return (",".join(map(repr, row)) + "\n" for row in rows)

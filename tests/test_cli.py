@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import channel as channel_mod
+from blowfish_privacy import symmetrise as symmetrise_mod
 from blowfish_privacy import custom_policy, graphcore, induce_adjacency_graph, policy_to_json
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
@@ -24,6 +26,7 @@ from blowfish_privacy.adjacency import (
 )
 from blowfish_privacy.channel import channel_to_csv
 from blowfish_privacy.cli import build_parser, main
+from blowfish_privacy.errors import BlowfishError
 
 from helpers import (
     oracle_distances,
@@ -1002,6 +1005,116 @@ def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, n, permis
     assert written["python"] == written["numpy"]
 
 
+def test_symmetrise_on_a_small_channel_imports_no_numpy(tmp_path):
+    """symmetrise run on a channel within ``PYTHON_AVERAGE_CELLS`` works in
+    Python floats: the lifted group of complete m = 3, n = 4 by both
+    strategies, cross-checked and writing both channels, and the full
+    automorphism group of complete m = 4, n = 2 leave numpy unloaded, and
+    so does a one-vertex channel of exactly that many cells. One cell more
+    loads numpy; that command runs last."""
+    edge = symmetrise_mod.PYTHON_AVERAGE_CELLS
+    for name, width in (("at.csv", edge), ("past.csv", edge + 1)):
+        (tmp_path / name).write_text(",".join(["1.0"] + ["0.0"] * (width - 1)) + "\n")
+    lifted = ["--policy", "p3.json", "--group", "lifted"]
+    calls = [
+        ["policy", "build", "--kind", "complete", "--m", "3", "--n", "4", "--out", "p3.json"],
+        ["channel", "generate", "--policy", "p3.json", "--epsilon", "0.5",
+         "--shuffle-outputs", "--out", "k3.csv"],
+        ["symmetrise", "run", "k3.csv", *lifted, "--strategy", "full", "--cross-check",
+         "--out-grouped", "g.csv", "--out-averaged", "a.csv", "--out", "full.txt"],
+        ["symmetrise", "run", "k3.csv", *lifted, "--strategy", "orbit", "--out", "orbit.txt"],
+        ["policy", "build", "--kind", "complete", "--m", "4", "--n", "2", "--out", "p4.json"],
+        ["channel", "generate", "--policy", "p4.json", "--epsilon", "0.5", "--out", "k4.csv"],
+        ["symmetrise", "run", "k4.csv", "--policy", "p4.json", "--group", "full",
+         "--out", "aut.txt"],
+        ["policy", "build", "--kind", "custom", "--tuples", "a", "--n", "1", "--out", "p1.json"],
+        ["symmetrise", "run", "at.csv", "--policy", "p1.json", "--out", "at.txt"],
+        ["symmetrise", "run", "past.csv", "--policy", "p1.json", "--out", "past.txt"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", DEFERRAL_SCRIPT, json.dumps(calls)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [[0, False, False, False, False]] * (len(calls) - 1) + [
+        [0, True, False, False, False]
+    ]
+    for name in ("full.txt", "orbit.txt", "aut.txt", "at.txt", "past.txt"):
+        assert parse_report((tmp_path / name).read_text())["all_passed"] == "true"
+
+
+SYMMETRISE_CASES = {
+    "complete-81-lifted": (["--kind", "complete", "--m", "3", "--n", "4"], "lifted"),
+    "threshold-64-lifted": (
+        ["--kind", "distance-threshold", "--values", "1,2,3,4", "--theta", "1", "--n", "3"],
+        "lifted",
+    ),
+    "complete-16-full": (["--kind", "complete", "--m", "4", "--n", "2"], "full"),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRISE_CASES)
+def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case):
+    """symmetrise run in Python floats and with numpy, whichever route
+    ``PYTHON_AVERAGE_CELLS`` sends it down: the orbit strategy's report,
+    grouped and averaged channels and a cross-checked report are the same
+    bytes; the full strategy's averaged channel and report numbers agree
+    within 1e-12. On each route, --cross-check trips when that route's pair
+    labels put every pair alone in its orbit, and no file is written. The
+    channel is randomized response with each entry scaled by a seeded
+    factor in [1, 2) and its rows renormalised, so that grouping does not
+    give back a channel the group already fixes."""
+    kind, group = SYMMETRISE_CASES[case]
+    policy, channel = tmp_path / "p.json", tmp_path / "k.csv"
+    assert run("policy", "build", *kind, "--out", str(policy)) == 0
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+               "--shuffle-outputs", "--seed", "2", "--out", str(channel)) == 0
+    rng, lines = random.Random(7), []
+    for line in channel.read_text().splitlines():
+        row = [float(x) * (1 + rng.random()) for x in line.split(",")]
+        lines.append(",".join(repr(x / math.fsum(row)) for x in row) + "\n")
+    channel.write_text("".join(lines))
+    common = ["symmetrise", "run", str(channel), "--policy", str(policy), "--group", group]
+    labels = {"python": "orbit_minima", "numpy": "orbit_labels"}
+    written = {}
+    for route, cells in (("python", math.inf), ("numpy", -1)):
+        out = tmp_path / route
+        out.mkdir()
+        with mock.patch.object(symmetrise_mod, "PYTHON_AVERAGE_CELLS", cells):
+            codes = [
+                run(*common, "--out-grouped", str(out / "grouped.csv"),
+                    "--out-averaged", str(out / "orbit.csv"), "--out", str(out / "orbit.txt")),
+                run(*common, "--cross-check", "--out", str(out / "cross-checked.txt")),
+                run(*common, "--strategy", "full", "--out-averaged", str(out / "full.csv"),
+                    "--out", str(out / "full.txt")),
+            ]
+            alone = lambda perms, degree, arity=1: np.arange(degree**arity)  # noqa: E731
+            if route == "python":
+                alone = lambda perms, degree, arity=1: list(range(degree**arity))  # noqa: E731
+            with mock.patch.object(symmetrise_mod, labels[route], alone):
+                with pytest.raises(BlowfishError, match="group-average strategies disagree"):
+                    run(*common, "--cross-check", "--out", str(tmp_path / "sabotaged.txt"))
+        assert codes == [0] * len(codes)
+        assert not (tmp_path / "sabotaged.txt").exists()
+        written[route] = {f.name: f.read_text() for f in sorted(out.iterdir())}
+    python, numpy_ = written["python"], written["numpy"]
+    assert len(python) == 6
+    for name in ("grouped.csv", "orbit.csv", "orbit.txt", "cross-checked.txt"):
+        assert python[name] == numpy_[name], name
+    full = [np.loadtxt(io.StringIO(w["full.csv"]), delimiter=",") for w in (python, numpy_)]
+    assert np.max(np.abs(full[0] - full[1])) <= 1e-12
+    reports = [parse_report(w["full.txt"]) for w in (python, numpy_)]
+    assert reports[0].keys() == reports[1].keys()
+    for key, value in reports[0].items():
+        if value in ("pass", "fail", "true", "false"):
+            assert reports[1][key] == value, key
+        else:
+            assert float(value) == pytest.approx(float(reports[1][key]), abs=1e-12), key
+
+
 # ---------------------------------------------------------------------------
 # Streamed channel generation and the cells cap
 
@@ -1123,8 +1236,9 @@ def test_symmetrise_over_the_cells_cap_exits_three_without_output(
     tmp_path, monkeypatch, capsys
 ):
     """n = 2: a 16 x 16 channel CSV. The cap admits 256 cells and refuses
-    255, by flag or by environment variable, before the channel's array is
-    allocated and before any output is written."""
+    255, by flag or by environment variable, before any data row is parsed
+    (so before the channel's array is allocated, on either route) and
+    before any output is written."""
     policy, channel = build_path_policy(tmp_path), tmp_path / "k.csv"
     assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
                "--out", str(channel)) == 0
@@ -1132,7 +1246,10 @@ def test_symmetrise_over_the_cells_cap_exits_three_without_output(
     argv = ["symmetrise", "run", str(channel), "--policy", str(policy), "--group", "lifted",
             "--out", str(outs[0]), "--out-grouped", str(outs[1]), "--out-averaged", str(outs[2])]
     capsys.readouterr()
-    with mock.patch.object(channel_mod.np, "empty", side_effect=AssertionError("allocated")):
+    parsed = mock.patch.object(channel_mod, "_field_number", side_effect=AssertionError("parsed"))
+    with parsed, mock.patch.object(
+        channel_mod.np, "empty", side_effect=AssertionError("allocated")
+    ):
         assert run(*argv, "--max-cells", "255") == 3
         captured = capsys.readouterr()
         assert captured.err == (

@@ -314,11 +314,11 @@ def test_stabiliser_chain_matches_closure_oracle(data):
     assert group.elements == tuple(sorted(closure))
     chain = group.chain
     for i, (point, transversal) in enumerate(zip(chain.base, chain.transversals)):
-        assert transversal[0].tolist() == list(identity_permutation(degree))
-        images = transversal[:, point].tolist()
+        assert list(transversal[0]) == list(identity_permutation(degree))
+        images = [u[point] for u in transversal]
         assert len(set(images)) == len(images)
         fixed = list(chain.base[:i])
-        assert transversal[:, fixed].tolist() == [fixed] * len(transversal)
+        assert [[u[f] for f in fixed] for u in transversal] == [fixed] * len(transversal)
 
 
 def test_lifted_wreath_order_comes_from_the_chain():

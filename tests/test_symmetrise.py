@@ -245,11 +245,12 @@ def test_orbit_average_builds_no_per_pair_objects():
 
 
 def test_group_average_cross_check_mode_raises_on_mismatch(monkeypatch):
-    # sabotage the orbit labels to prove the cross-check trips
+    # sabotage the pair labels of each route to prove its cross-check trips
     import blowfish_privacy.symmetrise as sym
 
     m = ChannelMatrix(np.array([[0.7, 0.3], [0.4, 0.6]]))
     group = generate_group([(1, 0)])
+    graph = Graph.from_edges(2, [(0, 1)])
 
     def broken(perms, degree, arity=1):
         return np.arange(degree**arity)  # every tuple alone in its orbit
@@ -257,6 +258,41 @@ def test_group_average_cross_check_mode_raises_on_mismatch(monkeypatch):
     monkeypatch.setattr(sym, "orbit_labels", broken)
     with pytest.raises(BlowfishError):
         sym.group_average(m, group, cross_check=True)
+    sym.run(m.probs.tolist(), graph, group, cross_check=True)  # the Python route's labels
+    monkeypatch.setattr(sym, "orbit_minima", lambda *args, **kw: broken(*args, **kw).tolist())
+    with pytest.raises(BlowfishError, match="group-average strategies disagree"):
+        sym.run(m.probs.tolist(), graph, group, cross_check=True)
+
+
+def test_both_routes_of_the_pipeline_agree_on_random_channels():
+    """``symmetrise.run`` on rows of Python floats against the same channel
+    as a ``ChannelMatrix``, cross-checked, over random graphs and channels
+    of 2-6 columns (fewer or more than the vertices), every other one made
+    of copies of two rows so that column maxima tie: the grouped lines, the
+    orbit-averaged lines and the orbit report are equal; the full strategy's
+    averaged entries and report numbers agree within 1e-12."""
+    rng = np.random.default_rng(20261020)
+    for k in range(40):
+        graph = random_graph(rng)
+        group = automorphism_group(graph, element_cap=2000)
+        chan = random_private_channel(rng, graph)
+        if k % 2:
+            chan = ChannelMatrix(chan.probs[rng.integers(0, 2, size=graph.vertex_count)])
+        for strategy in ("orbit", "full"):
+            python, numpy_ = (
+                symmetrise_mod.run(c, graph, group, strategy, cross_check=True)
+                for c in (chan.probs.tolist(), chan)
+            )
+            assert list(python[0]) == list(numpy_[0])
+            averaged = [list(route[1]) for route in (python, numpy_)]
+            if strategy == "orbit":
+                assert averaged[0] == averaged[1]
+                assert python[2] == numpy_[2]
+                continue
+            a, b = (np.loadtxt(lines, delimiter=",", ndmin=2) for lines in averaged)
+            assert np.max(np.abs(a - b)) <= 1e-12
+            assert python[2][:6] == pytest.approx(numpy_[2][:6], abs=1e-12)
+            assert [c.passed for c in python[2].checks] == [c.passed for c in numpy_[2].checks]
 
 
 # ---------------------------------------------------------------------------
