@@ -3,20 +3,17 @@
 Building or validating a policy, inducing an adjacency graph, the
 closed-form bounds, the bound figure and the tightness sweep (which measures
 its 6x6 kernel in Python floats) build no array, so importing the package
-does not import numpy, and neither do they. Nor do the channel paths for a
-small channel (``channel.small_channel``: at most ``PYTHON_CELLS`` cells,
-counting a graph's edges as rows): ``channel.response_lines`` over
-``graphcore.distance_lists`` of the induced graph, and
-``channel.measure`` of a CSV, which is all of ``channel generate``,
-``channel leakage`` (without ``--prior``), ``channel verify`` and
-``bound compute --channel`` at that size. Nor does ``symmetrise run`` on a
-channel within ``symmetrise.PYTHON_AVERAGE_CELLS``
-(``symmetrise.read_channel`` and ``symmetrise.run``): the group layer it
-builds on (stabiliser chains, point orbits, lifting and the automorphism
-search) is pure Python at every size. Modules bind ``np`` to the stand-in
-below instead of the module: its first attribute read imports numpy through the
-normal import system, and every attribute it reads is kept on the stand-in,
-so later reads are plain attribute lookups. Type checkers see numpy itself.
+does not import numpy, and neither do they. Nor does ``channel generate`` on
+an unconstrained policy, at any size (``channel.product_lines``). Nor do the
+other channel commands (``channel leakage`` without ``--prior``) on a small
+channel (``channel.small_channel``: at most ``PYTHON_CELLS`` cells, counting
+a graph's edges as rows), nor ``symmetrise run`` within
+``symmetrise.PYTHON_AVERAGE_CELLS``: the group layer (stabiliser chains,
+point orbits, lifting and the automorphism search) is pure Python at every
+size. Modules bind ``np`` to the stand-in below instead of the module: its
+first attribute read imports numpy through the normal import system, and
+every attribute it reads is kept on the stand-in, so later reads are plain
+attribute lookups. Type checkers see numpy itself.
 
 ``importlib.util.LazyLoader`` does not serve: ``import numpy as np`` reads
 the lazy module's ``__spec__``, which loads it at once, and the loader

@@ -17,14 +17,12 @@ import json
 import warnings
 from typing import Iterator, NamedTuple, Sequence
 
-from ._numpy import np
 from .errors import InputError, SchemaError
-from .graphcore import UNREACHABLE, Graph, distance_lists
+from .graphcore import Graph
 from .policy import (
     BlowfishPolicy,
     DEFAULT_DATABASE_CAP,
     Database,
-    capped_permissible_size,
     custom_policy,
     enumerate_permissible,
     label_lists,
@@ -171,66 +169,6 @@ def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> froz
                 other = db[:pos] + (labels[other_rank],) + db[pos + 1 :]
                 edges.add((idx, index_of[other]))
     return frozenset(edges)
-
-
-def product_distance_blocks(
-    policy: BlowfishPolicy, cells: int, cap: int = DEFAULT_DATABASE_CAP
-) -> Iterator[np.ndarray]:
-    """All-pairs distances of an unconstrained policy's adjacency graph, not
-    induced, a block of about ``cells`` cells of rows at a time.
-
-    That graph is the n-fold Cartesian product of the secret graph, so the
-    distance between two databases is the sum of their per-record secret
-    distances, and ``UNREACHABLE`` when any record's pair is unreachable
-    (Imrich & Klavžar, *Product Graphs*, 2000). In the mixed-radix canonical
-    order (record 0 most significant), a database is a prefix of its first
-    ``n - k`` records and a suffix of its last ``k``, and its row is the
-    Kronecker sum of its prefix's sums over the first records and its
-    suffix's row of a table of the last ``k`` records' distances. ``k`` is
-    the largest, at least 1, whose ``m**k x m**k`` table fits in ``cells``.
-    A block's rows each take one broadcast of their prefix's sums against
-    their suffix's table row. The stacked blocks equal
-    :func:`graphcore.distances` of the induced graph. The policy and the
-    database count (against ``cap``) are checked when this is called,
-    before any distance is computed.
-    """
-    if not policy.unconstrained:
-        raise InputError("product distances need an unconstrained policy")
-    size = capped_permissible_size(policy, cap)
-    secret = np.array(distance_lists(policy.secret_graph.index_graph))
-    m, n = len(secret), policy.n
-    # An unreachable record pair counts as more than any sum of finite ones.
-    # The dtype is the smallest signed one that holds the largest sum,
-    # n * beyond (the negated bound minus one keeps e.g. 128 out of int8).
-    beyond = n * (m - 1) + 1
-    per_record = secret.astype(np.min_scalar_type(-n * beyond - 1))
-    per_record[secret == UNREACHABLE] = beyond
-    k = 1
-    while k < n and m ** (2 * k + 2) <= cells:
-        k += 1
-    tail = per_record
-    for _ in range(k - 1):
-        width = len(tail) * m
-        tail = (tail[:, None, :, None] + per_record[None, :, None, :]).reshape(width, width)
-    return _product_rows(per_record, tail, n - k, size, beyond, max(1, cells // size))
-
-
-def _product_rows(
-    per_record: np.ndarray, tail: np.ndarray, head: int, size: int, beyond: int, rows: int
-) -> Iterator[np.ndarray]:
-    """The blocks of :func:`product_distance_blocks`, ``rows`` rows each,
-    with ``head`` records before the table ``tail``."""
-    m, width = len(per_record), len(tail)
-    for lo in range(0, size, rows):
-        index = np.arange(lo, min(size, lo + rows))
-        prefix, suffix = np.divmod(index, width)
-        sums = np.zeros((len(index), 1), per_record.dtype)  # over no record yet
-        for p in range(head):
-            digit = prefix // m ** (head - 1 - p) % m  # each row's value at record p
-            sums = (sums[:, :, None] + per_record[digit][:, None, :]).reshape(len(index), -1)
-        block = (sums[:, :, None] + tail[suffix][:, None, :]).reshape(len(index), size)
-        block[block >= beyond] = UNREACHABLE
-        yield block
 
 
 def _induce_definition(

@@ -20,18 +20,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 from ._frozen import Frozen
 from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
-from .graphcore import Graph, distance_blocks
+from .graphcore import UNREACHABLE, Graph, distance_blocks, distance_lists
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
 # Channel cells that randomized response weighs, checks and formats at once.
 BLOCK_CELLS = 2**16
 # Cells a channel command computes on, at most, to work in Python floats
-# rather than import numpy (:func:`small_channel`). Not a measured crossover:
-# at 2**19 cells the Python path was still the faster and smaller one, and at
-# 8.4 million (the complete graph on 256 vertices) numpy was; this lies
-# between the 160-database constrained scan (437,600 cells against its graph)
-# and the 1,024-database channels (2**20 cells and more).
+# rather than import numpy (:func:`small_channel`); an unconstrained policy's
+# channel is generated in Python floats at every size. Not a measured
+# crossover: numpy was slower at 2**19 cells and faster at 8.4 million.
 PYTHON_CELLS = 2**19
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
@@ -519,6 +517,13 @@ def _measure_rows(
     return _channel_measures((r + 1, cols), graph, (hi, lo), maxima, prior, leak)
 
 
+def _weights(epsilon: float, longest: int) -> list[float]:
+    """exp(-epsilon/2 * d) for each distance d from 0 to ``longest``, then the
+    0 that ``UNREACHABLE`` (-1) indexes. Distance 0 weighs 1 also at epsilon =
+    inf, where exp(-inf * 0) is NaN, so that limit is the identity channel."""
+    return [1.0, *(math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)), 0.0]
+
+
 def response_blocks(
     dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None = None
 ) -> Iterator[np.ndarray]:
@@ -546,11 +551,8 @@ def response_blocks(
 def _response_rows(
     dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None
 ) -> Iterator[np.ndarray]:
-    # One weight per distance; distance -1 (unreachable) indexes the trailing
-    # 0. Distance 0 weighs 1 also at epsilon = inf, where exp(-inf * 0) is
-    # NaN, so that limit is the identity channel. The table grows with the
-    # longest distance seen so far.
-    table = np.array([1.0, 0.0])
+    # The table grows with the longest distance seen so far.
+    table = np.array(_weights(epsilon, 0))
     order = None if columns is None else np.asarray(columns, dtype=np.intp)
     first_row = 0
     for dist in dist_blocks:
@@ -561,8 +563,7 @@ def _response_rows(
                 block = np.take(block, order, axis=1)
             longest = int(block.max())
             if longest > len(table) - 2:
-                weights = [math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)]
-                table = np.array([1.0, *weights, 0.0])
+                table = np.array(_weights(epsilon, longest))
             rows = table[block]
             for row in rows:
                 row /= math.fsum(memoryview(row))
@@ -595,11 +596,11 @@ def response_lines(
 def _response_lines(
     dist_rows: Iterable[list[int]], epsilon: float, columns: Sequence[int] | None
 ) -> Iterator[str]:
-    table = [1.0, 0.0]  # as in _response_rows: UNREACHABLE (-1) indexes the 0
+    table = _weights(epsilon, 0)  # grown as in _response_rows
     for i, dist in enumerate(dist_rows):
         longest = max(dist)
         if longest > len(table) - 2:
-            table = [1.0, *(math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)), 0.0]
+            table = _weights(epsilon, longest)
         weights = [table[d] for d in dist]
         total = math.fsum(weights)
         row = [w / total for w in weights]
@@ -607,6 +608,71 @@ def _response_lines(
             row = [row[j] for j in columns]
         _check(_row_violations(i, row), "channel matrix")
         yield ",".join(map(repr, row)) + "\n"
+
+
+def product_lines(
+    secret: Graph, n: int, epsilon: float, columns: Sequence[int] | None = None
+) -> Iterator[str]:
+    """:func:`response_lines` of the adjacency graph of the unconstrained
+    policy on the secret graph ``secret`` (universe indices) with ``n``
+    records, byte for byte, with no graph induced and no numpy.
+
+    That graph is the n-fold Cartesian product of the secret graph (Imrich
+    & Klavžar, *Product Graphs*, 2000): in the mixed-radix canonical order,
+    row ``p * width + s`` holds ``head[p][q] + tail[s][t]`` in column
+    ``q * width + t``, the summed secret distances of the first ``n - k``
+    and the last ``k = (n + 1) // 2`` records (an unreachable pair counts
+    as ``beyond``, past any reachable sum). Rows whose databases hold the
+    same values in another order are permutations of one another, with the
+    same ``fsum`` normaliser to the bit: it is summed and the row validated
+    once per multiset of values. ``epsilon`` is checked when this is called.
+    """
+    if not epsilon > 0:
+        raise InputError(f"epsilon must be positive, got {epsilon}")
+    return _product_lines(secret, n, epsilon, columns)
+
+
+def _kronecker_sum(per: list[list[int]], records: int) -> list[list[int]]:
+    """Row ``r * m + v``, column ``c * m + w``: entry ``(r, c)`` plus ``per[v][w]``."""
+    table = per if records else [[0]]
+    for _ in range(records - 1):
+        table = [[a + b for a in row for b in per_row] for row in table for per_row in per]
+    return table
+
+
+def _product_lines(
+    secret: Graph, n: int, epsilon: float, columns: Sequence[int] | None
+) -> Iterator[str]:
+    per = distance_lists(secret)
+    m, beyond = len(per), n * (len(per) - 1) + 1
+    for per_row in per:
+        if UNREACHABLE in per_row:
+            per_row[:] = [beyond if d == UNREACHABLE else d for d in per_row]
+    weights = _weights(epsilon, beyond - 1) + [0.0] * ((n - 1) * beyond)  # to n * beyond
+    head, tail = _kronecker_sum(per, n - (n + 1) // 2), _kronecker_sum(per, (n + 1) // 2)
+    width = len(tail)
+    if columns is not None and len(columns) > 1:  # one column stays put (and gives no tuple)
+        order = itemgetter(*columns)
+    else:
+        columns = None
+    totals: dict[tuple[int, ...], float] = {}
+    for i in range(m**n):
+        head_row, tail_row = head[i // width], tail[i % width]
+        key = tuple(sorted(i // m**r % m for r in range(n)))
+        if (total := totals.get(key)) is None:
+            row = [weights[a + b] for a in head_row for b in tail_row]
+            total = totals[key] = math.fsum(row)
+            row = row if columns is None else order(row)
+            _check(_row_violations(i, [w / total for w in row]), "channel matrix")
+        head_set, tail_set = set(head_row), set(tail_row)
+        texts = {d: repr(weights[d] / total) for d in {a + b for a in head_set for b in tail_set}}
+        segments = {a: [texts[a + b] for b in tail_row] for a in head_set}
+        if columns is None:
+            joined = {a: ",".join(segment) for a, segment in segments.items()}
+            yield ",".join(map(joined.__getitem__, head_row)) + "\n"
+        else:
+            entries = [*itertools.chain.from_iterable(map(segments.__getitem__, head_row))]
+            yield ",".join(order(entries)) + "\n"
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:

@@ -30,7 +30,7 @@ from . import graphcore
 from . import policy as policy_mod
 from . import symmetrise as symmetrise_mod
 from . import tightness as tightness_mod
-from .errors import CapExceededError, InputError, SchemaError
+from .errors import BlowfishError, CapExceededError, InputError, SchemaError
 from .reporting import render_csv, render_kv, render_report
 
 ENV_MAX_DATABASES = "BLOWFISH_MAX_DATABASES"
@@ -309,27 +309,27 @@ def _cmd_channel_leakage(args) -> int:
 def _cmd_channel_generate(args) -> int:
     cap, cell_cap = _max_databases(args), _max_cells(args)
     source = _resolve_source(args, cap)
-    if isinstance(source, policy_mod.BlowfishPolicy):
-        size = policy_mod.capped_permissible_size(source, cap)
-    else:
-        size = len(source.vertices)
+    by_policy = isinstance(source, policy_mod.BlowfishPolicy)
+    size = policy_mod.capped_permissible_size(source, cap) if by_policy else len(source.vertices)
     channel_mod.check_cells(size, size, cell_cap)
     columns = None
     if args.shuffle_outputs:
         columns = list(range(size))
         random.Random(args.seed).shuffle(columns)
-    if channel_mod.small_channel(size, size):
-        # In Python floats, with no numpy: a policy is induced, which loads none.
-        dist = graphcore.distance_lists(_induced(source, cap).to_graph())
-        lines = channel_mod.response_lines(dist, args.epsilon, columns)
+    if by_policy and source.unconstrained:
+        # The adjacency graph is the secret graph's n-fold Cartesian product:
+        # its distances are sums over records, with no graph induced.
+        secret = source.secret_graph.index_graph
+        lines = channel_mod.product_lines(secret, source.n, args.epsilon, columns)
     else:
-        if isinstance(source, policy_mod.BlowfishPolicy) and source.unconstrained:
-            # The adjacency graph is the secret graph's n-fold Cartesian product:
-            # its distances are sums over records, with no graph induced.
-            dist = adjacency_mod.product_distance_blocks(source, channel_mod.BLOCK_CELLS, cap)
+        graph = _induced(source, cap).to_graph()  # inducing a policy loads no numpy
+        if channel_mod.small_channel(size, size):  # in Python floats, with no numpy
+            dist = graphcore.distance_lists(graph)
+            lines = channel_mod.response_lines(dist, args.epsilon, columns)
         else:
-            dist = graphcore.distance_blocks(_induced(source, cap).to_graph())
-        lines = channel_mod.rows_to_csv(channel_mod.response_blocks(dist, args.epsilon, columns))
+            dist = graphcore.distance_blocks(graph)
+            blocks = channel_mod.response_blocks(dist, args.epsilon, columns)
+            lines = channel_mod.rows_to_csv(blocks)
     _write_output(args.out, lines)
     return 0
 
@@ -412,14 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--max-databases",
         type=_non_negative_int,
-        default=None,
         help=f"cap on materialised databases (default 100000, env {ENV_MAX_DATABASES})",
     )
     cells = argparse.ArgumentParser(add_help=False)
     cells.add_argument(
         "--max-cells",
         type=_non_negative_int,
-        default=None,
         help=f"cap on the channel's rows x columns, checked before it is computed or "
         f"read into memory (default 2**25, env {ENV_MAX_CELLS})",
     )
@@ -568,15 +566,15 @@ def main(argv=None) -> int:
         except MemoryError as exc:  # numpy's _ArrayMemoryError included
             print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
             return 3
-        except InputError as exc:  # SchemaError is an InputError
+        except (InputError, OSError) as exc:  # SchemaError is an InputError
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except json.JSONDecodeError as exc:
             print(f"error: invalid JSON input ({exc})", file=sys.stderr)
             return 2
-        except OSError as exc:
+        except BlowfishError as exc:  # e.g. a failed --cross-check: a requested check failed
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 1
 
 
 if __name__ == "__main__":

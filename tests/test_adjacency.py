@@ -1,16 +1,15 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 import warnings
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import (
-    CapExceededError,
     InputError,
     SchemaError,
     complete_policy,
@@ -26,8 +25,8 @@ from blowfish_privacy.adjacency import (
     AdjacencyGraph,
     adjacency_from_json,
     adjacency_to_json,
-    product_distance_blocks,
 )
+from blowfish_privacy.channel import product_lines, response_lines
 from blowfish_privacy.graphcore import components_and_diameters
 
 from helpers import (
@@ -193,44 +192,35 @@ def unconstrained_policies(draw, max_tuples=5, max_n=4):
     return custom_policy(labels, edges, n=draw(st.integers(1, max_n)))
 
 
-def product_distances(pol, cells=2**16):
-    """The stacked blocks of :func:`product_distance_blocks`."""
-    return np.concatenate(list(product_distance_blocks(pol, cells)))
+EPSILONS = st.sampled_from([1e-300, 0.5, math.inf])
 
 
 @settings(max_examples=40, deadline=None)
-@given(unconstrained_policies(), st.integers(1, 600))
-@example(custom_policy(["a", "b", "c"], [], n=3), 2**16)
-@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3), 2**16)
-@example(custom_policy(["a"], [], n=4), 2**16)
-@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("b", "c")], n=4), 70)
-@example(PATH_OF_127_AND_ONE, 2**16)
-@example(PATH_OF_127_AND_ONE, 1)
-def test_product_distances_equal_bfs_on_the_induced_graph(pol, cells):
-    """Cell budgets from 1 (one row a block, a table of one record) up to
-    a few hundred (tables of two or three records, blocks of many rows)."""
-    bfs = np.array(oracle_distances(induce_adjacency_graph(pol).to_graph()))
-    product_dist = product_distances(pol, cells)
-    assert product_dist.shape == bfs.shape
-    assert np.array_equal(product_dist, bfs)
-
-
-def test_product_distances_check_the_cap_and_the_policy():
-    """Both are checked on the call, before the first block is asked for."""
-    with pytest.raises(CapExceededError, match="81 databases"):
-        product_distance_blocks(complete_policy(3, n=4), 2**16, cap=80)
-    with pytest.raises(InputError, match="unconstrained"):
-        product_distance_blocks(complete_policy(3, n=1, permissible=[("1",), ("2",)]), 2**16)
-
-
-@pytest.mark.parametrize("cells", [1, 100, 2**16])
-def test_product_distance_blocks_hold_at_most_their_cells(cells):
-    """n = 5 threshold policy, 1,024 databases: each block has the rows that
-    fit in ``cells`` (one when a row is longer), the last one part-full."""
-    pol = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
-    heights = [len(block) for block in product_distance_blocks(pol, cells)]
-    rows = max(1, cells // 1024)
-    assert heights == [rows] * (1024 // rows) + ([1024 % rows] if 1024 % rows else [])
+@given(unconstrained_policies(), EPSILONS, st.none() | st.integers(0, 2**32))
+@example(custom_policy(["a", "b", "c"], [], n=3), 0.5, None)
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3), 0.5, None)
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3), 0.5, 3)
+@example(custom_policy(["a"], [], n=4), 0.5, None)
+@example(custom_policy(["a"], [], n=1), 0.5, 1)
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("b", "c")], n=4), 0.5, 2)
+@example(PATH_OF_127_AND_ONE, 0.5, None)
+@example(PATH_OF_127_AND_ONE, 0.5, 5)
+@example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), 1e-300, None)
+@example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), 1e-300, 3)
+@example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), math.inf, None)
+@example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), math.inf, 3)
+def test_product_distances_equal_bfs_on_the_induced_graph(pol, epsilon, seed):
+    """``channel.product_lines`` writes the bytes of ``response_lines`` over
+    the oracle's BFS distances of the induced graph, with the columns
+    shuffled by ``seed`` or in order (``None``)."""
+    graph = induce_adjacency_graph(pol).to_graph()
+    columns = None
+    if seed is not None:
+        columns = list(range(graph.vertex_count))
+        random.Random(seed).shuffle(columns)
+    bfs = response_lines(oracle_distances(graph), epsilon, columns)
+    secret = pol.secret_graph.index_graph
+    assert list(product_lines(secret, pol.n, epsilon, columns)) == list(bfs)
 
 
 @settings(max_examples=40)

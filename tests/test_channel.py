@@ -245,11 +245,10 @@ def test_channel_keeps_a_handed_over_array():
 
 
 def test_randomized_response_holds_one_matrix_at_its_peak():
-    from blowfish_privacy import distance_threshold_policy
-    from blowfish_privacy.adjacency import product_distance_blocks
+    from blowfish_privacy import distance_threshold_policy, induce_adjacency_graph
 
-    blocks = product_distance_blocks(distance_threshold_policy([1, 2, 3, 4], 1, n=5), 2**16)
-    dist = np.concatenate(list(blocks))
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
+    dist = graphcore.distances(induce_adjacency_graph(policy).to_graph())
     matrix_bytes = 1024 * 1024 * 8
     tracemalloc.start()
     try:
@@ -1072,11 +1071,10 @@ def test_csv_reader_matches_loadtxt_bit_for_bit(text):
 def product_channel_text(line_end="\n"):
     """CSV text of a 256 x 256 randomized-response channel of an
     unconstrained policy, whose entries take few distinct values."""
-    from blowfish_privacy import distance_threshold_policy
-    from blowfish_privacy.adjacency import product_distance_blocks
+    from blowfish_privacy import distance_threshold_policy, induce_adjacency_graph
 
-    blocks = product_distance_blocks(distance_threshold_policy([1, 2, 3, 4], 1, n=4), 2**16)
-    dist = np.concatenate(list(blocks))
+    policy = distance_threshold_policy([1, 2, 3, 4], 1, n=4)
+    dist = graphcore.distances(induce_adjacency_graph(policy).to_graph())
     lines = channel_to_csv(randomized_response(dist, 0.1))
     return "".join(line[:-1] + line_end for line in lines)
 

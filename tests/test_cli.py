@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tokenize
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,7 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from blowfish_privacy import channel as channel_mod
 from blowfish_privacy import symmetrise as symmetrise_mod
-from blowfish_privacy import custom_policy, graphcore, induce_adjacency_graph, policy_to_json
+from blowfish_privacy import (
+    custom_policy,
+    distance_threshold_policy,
+    graphcore,
+    induce_adjacency_graph,
+    policy_to_json,
+)
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
     adjacency_from_json,
@@ -26,7 +33,6 @@ from blowfish_privacy.adjacency import (
 )
 from blowfish_privacy.channel import channel_to_csv
 from blowfish_privacy.cli import build_parser, main
-from blowfish_privacy.errors import BlowfishError
 
 from helpers import (
     oracle_distances,
@@ -632,27 +638,26 @@ def test_input_that_is_not_utf8_exits_two_without_output(tmp_path, capsys, case)
 
 
 def test_allocation_beyond_memory_exits_three_without_output(tmp_path):
-    """n = 8 has 65,536 databases. With the cells cap lifted and a block
-    budget of the whole channel, its distances alone take 4 GiB in one
-    block; under a 1 GiB address-space limit the allocation fails in the
-    child alone. (The default budget would stream the channel, 94 GB of
-    CSV, so the prelude refuses to run without the constant it sets.)"""
-    policy = build_path_policy(tmp_path, n=8)
-    whole = 65536**2
+    """``channel generate`` streams its rows, so the allocation that fails
+    here is a dense read: ``symmetrise run`` on a 16,384-vertex graph, with
+    the cells cap lifted, sizes its channel from the first row's width and
+    asks for 16,384 x 16,384 float64 cells (2 GiB) before parsing a number.
+    Under a 1 GiB address-space limit that fails in the child alone."""
+    vertices = 2**14
+    graph, channel = tmp_path / "g.json", tmp_path / "k.csv"
+    graph.write_text(json.dumps({"vertices": [[str(v)] for v in range(vertices)], "edges": []}))
+    channel.write_text(",".join(["1.0"] + ["0.0"] * (vertices - 1)) + "\n")
     done = run_cli_with_address_limit(
-        ["channel", "generate", "--policy", policy.name, "--epsilon", "1",
-         "--max-cells", str(whole), "--out", "k8.csv"],
+        ["symmetrise", "run", channel.name, "--graph", graph.name, "--group", "trivial",
+         "--max-cells", str(vertices**2), "--out-averaged", "a.csv", "--out", "r.txt"],
         cwd=tmp_path,
         limit_bytes=2**30,
-        prelude="from blowfish_privacy import channel\n"
-        "assert hasattr(channel, 'BLOCK_CELLS')\n"
-        f"channel.BLOCK_CELLS = {whole}",
     )
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: out of memory: ")
     assert done.stderr.count("\n") == 1
     assert done.stdout == ""
-    assert list(tmp_path.iterdir()) == [policy]
+    assert sorted(tmp_path.iterdir()) == [graph, channel]
 
 
 def test_sweep_at_large_n_measures_without_the_dense_channel(tmp_path):
@@ -743,8 +748,7 @@ def test_generate_from_a_policy_matches_the_induced_graph_path(tmp_path, build):
 
 
 def test_unconstrained_generate_induces_no_graph(tmp_path, monkeypatch):
-    """Past ``PYTHON_CELLS`` (patched to 0 here, so 64 databases are past
-    it) the distances are product sums; a smaller channel is induced."""
+    """An unconstrained channel's distances are product sums at every size."""
     from blowfish_privacy import adjacency
 
     def refuse(*args, **kwargs):
@@ -752,11 +756,21 @@ def test_unconstrained_generate_induces_no_graph(tmp_path, monkeypatch):
 
     policy = build_path_policy(tmp_path, n=3)
     monkeypatch.setattr(adjacency, "induce_adjacency_graph", refuse)
-    monkeypatch.setattr(channel_mod, "PYTHON_CELLS", 0)
     out = tmp_path / "k.csv"
     assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.1",
                "--out", str(out)) == 0
     assert len(out.read_text().splitlines()) == 64
+
+
+def test_unconstrained_generate_checks_the_database_cap(tmp_path, capsys):
+    """81 databases against a cap of 80: exit 3 before any row, no file."""
+    policy, out = tmp_path / "p.json", tmp_path / "never.csv"
+    assert run("policy", "build", "--kind", "complete", "--m", "3", "--n", "4",
+               "--out", str(policy)) == 0
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+               "--max-databases", "80", "--out", str(out)) == 3
+    assert "81 databases" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unconstrained_generate_refuses_a_bad_epsilon(tmp_path, capsys):
@@ -891,7 +905,9 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     measures its kernel in Python floats, and so do the channel commands on
     a channel small enough for their Python path: leakage, generate by
     policy and by graph, verify and bound compute --channel, on an
-    unconstrained and on a constrained policy. A channel just past
+    unconstrained and on a constrained policy. An unconstrained generate
+    works in Python floats at every size, so n = 5's 1,024 databases, past
+    ``PYTHON_CELLS``, load no numpy either. A channel read just past
     ``PYTHON_CELLS`` (one 725-wide row: 725 x 725 cells) does load numpy.
     No command imports numpy.random (not even a shuffled generate) or
     dataclasses, and only the sweep imports fractions. The commands run in
@@ -901,6 +917,7 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     (tmp_path / "perm.json").write_text(json.dumps(
         [["1", "1", "1"], ["1", "2", "1"], ["2", "2", "1"], ["2", "2", "3"], ["4", "4", "4"]]
     ))
+    (tmp_path / "p5.json").write_text(policy_to_json(distance_threshold_policy([1, 2, 3, 4], 1, 5)))
     assert 724**2 <= channel_mod.PYTHON_CELLS < 725**2
     calls = [
         ["--help"],
@@ -915,6 +932,7 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["channel", "generate", "--policy", "p.json", "--epsilon", "0.5",
          "--shuffle-outputs", "--seed", "1", "--out", "pk.csv"],
         ["channel", "verify", "pk.csv", "--policy", "p.json"],
+        ["channel", "generate", "--policy", "p5.json", "--epsilon", "0.5", "--out", "p5k.csv"],
         ["policy", "build", "--kind", "distance-threshold", "--values", "1,2,3,4",
          "--theta", "1", "--n", "3", "--permissible", "perm.json", "--out", "c.json"],
         ["adjacency", "induce", "c.json", "--out", "cg.json"],
@@ -1057,13 +1075,14 @@ SYMMETRISE_CASES = {
 
 
 @pytest.mark.parametrize("case", SYMMETRISE_CASES)
-def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case):
+def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case, capsys):
     """symmetrise run in Python floats and with numpy, whichever route
     ``PYTHON_AVERAGE_CELLS`` sends it down: the orbit strategy's report,
     grouped and averaged channels and a cross-checked report are the same
     bytes; the full strategy's averaged channel and report numbers agree
     within 1e-12. On each route, --cross-check trips when that route's pair
-    labels put every pair alone in its orbit, and no file is written. The
+    labels put every pair alone in its orbit: it exits 1 with an error line
+    (a requested check failed) and no file is written. The
     channel is randomized response with each entry scaled by a seeded
     factor in [1, 2) and its rows renormalised, so that grouping does not
     give back a channel the group already fixes."""
@@ -1094,9 +1113,10 @@ def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case):
             alone = lambda perms, degree, arity=1: np.arange(degree**arity)  # noqa: E731
             if route == "python":
                 alone = lambda perms, degree, arity=1: list(range(degree**arity))  # noqa: E731
+            capsys.readouterr()
             with mock.patch.object(symmetrise_mod, labels[route], alone):
-                with pytest.raises(BlowfishError, match="group-average strategies disagree"):
-                    run(*common, "--cross-check", "--out", str(tmp_path / "sabotaged.txt"))
+                assert run(*common, "--cross-check", "--out", str(tmp_path / "sabotaged.txt")) == 1
+            assert capsys.readouterr().err.startswith("error: group-average strategies disagree")
         assert codes == [0] * len(codes)
         assert not (tmp_path / "sabotaged.txt").exists()
         written[route] = {f.name: f.read_text() for f in sorted(out.iterdir())}
@@ -1469,3 +1489,15 @@ def test_leakage_reads_the_prior_before_the_channel(tmp_path, capsys):
     assert run("channel", "leakage", str(channel), "--prior", str(prior), "--out", str(out)) == 2
     assert "invalid prior" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_module_holds_fewer_than_4096_tokens():
+    """Every command compiles ``cli.py`` when no bytecode is cached, and
+    CPython's parser grows its token array by doubling: past 4,096 tokens
+    (comments and NL left out, as ``tokenize`` counts them) that compile
+    raises every command's peak RSS by about 0.23 MiB."""
+    import blowfish_privacy.cli as cli
+
+    with open(cli.__file__, encoding="utf-8") as handle:
+        kinds = [token.type for token in tokenize.generate_tokens(handle.readline)]
+    assert sum(kind not in (tokenize.COMMENT, tokenize.NL) for kind in kinds) < 4096
