@@ -4,13 +4,11 @@ from .adjacency import (
     AdjacencyGraph,
     embed_graph_as_policy,
     induce_adjacency_graph,
-    is_adjacent,
 )
 from .bounds import (
     BoundReport,
     audit,
     leakage_upper_bound,
-    min_entropy_lower_bound,
     unconstrained_audit,
 )
 from .channel import (

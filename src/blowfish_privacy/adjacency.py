@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .errors import InputError, SchemaError
+from .errors import SchemaError
 from .graphcore import Graph
 from .policy import (
     BlowfishPolicy,
@@ -31,16 +31,6 @@ from .policy import (
 
 class AdjacencyAsymmetryWarning(UserWarning):
     """The minimally-secretly-different relation disagreed by direction."""
-
-
-def _index_rows(
-    policy: BlowfishPolicy, databases: Sequence[Database], n: int
-) -> list[tuple[int, ...]]:
-    """The databases as tuples of universe indices."""
-    if any(len(db) != n for db in databases):
-        raise InputError(f"databases must all have {n} records")
-    index = policy.universe.index
-    return [tuple(map(index, db)) for db in databases]
 
 
 def _value_sets(rows: list[tuple[int, ...]], n: int, m: int) -> list[list[int]]:
@@ -121,26 +111,6 @@ def _adjacent_from(
     return adjacent
 
 
-def is_adjacent(
-    base: Database,
-    other: Database,
-    policy: BlowfishPolicy,
-    universe_databases: Sequence[Database],
-) -> bool:
-    """Directional adjacency test over an explicit permissible set."""
-    # Once each: with a repeat, neither copy's total difference is minimal.
-    databases = {db: k for k, db in enumerate(dict.fromkeys(map(tuple, universe_databases)))}
-    if tuple(base) not in databases:
-        raise InputError(f"database {base!r} is not permissible")
-    if tuple(other) not in databases:
-        raise InputError(f"database {other!r} is not permissible")
-    rows = _index_rows(policy, list(databases), len(base))
-    sets = _value_sets(rows, len(base), len(policy.universe))
-    neighbors = policy.secret_graph.index_graph.neighbors
-    adjacent = _adjacent_from(rows[databases[tuple(base)]], rows, sets, neighbors)
-    return bool(adjacent >> databases[tuple(other)] & 1)
-
-
 class AdjacencyGraph(NamedTuple):
     """Adjacency graph over permissible databases in canonical order."""
 
@@ -174,7 +144,7 @@ def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> froz
 def _induce_definition(
     policy: BlowfishPolicy, vertices: tuple[Database, ...]
 ) -> tuple[frozenset, tuple[tuple[int, int], ...]]:
-    rows = _index_rows(policy, vertices, policy.n)
+    rows = [tuple(map(policy.universe.index, db)) for db in vertices]
     sets = _value_sets(rows, policy.n, len(policy.universe))
     neighbors = policy.secret_graph.index_graph.neighbors
     arcs = [_adjacent_from(base, rows, sets, neighbors) for base in rows]

@@ -45,11 +45,6 @@ def leakage_upper_bound(graph: Graph, epsilon: float) -> float:
     return component_bound_bits(components_and_diameters(graph).diameters, epsilon)
 
 
-def min_entropy_lower_bound(graph: Graph, epsilon: float) -> float:
-    """Lower bound (bits) on uniform-prior conditional min-entropy."""
-    return math.log2(graph.vertex_count) - leakage_upper_bound(graph, epsilon)
-
-
 class BoundReport(NamedTuple):
     """Bound evaluation for a policy, optionally audited against a channel."""
 

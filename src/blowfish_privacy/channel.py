@@ -174,6 +174,31 @@ def _check(problems: list[Violation], what: str, first_row: int = 0) -> None:
     found.check()
 
 
+def _check_count(rows: int, count: int | None) -> None:
+    """Raise :class:`InputError` when a channel of ``rows`` rows is read
+    against a graph of ``count`` vertices (None: no graph) and they differ."""
+    if count is not None and rows != count:
+        raise InputError(f"graph has {count} vertices but channel has {rows} rows")
+
+
+def _valid_rows(rows: Iterable[list[float]], count: int | None) -> Iterator[list[float]]:
+    """The channel rows ``rows``, lists of floats, each validated by the
+    exact scan :func:`_row_violations`, up to ``count`` of them (None: all).
+
+    As in :func:`_csv_blocks`, no row is yielded after a violation, but the
+    rest are still read and validated; once they end, every violation is
+    raised in one :class:`InputError`, and then a row count other than
+    ``count``.
+    """
+    found = _Violations("channel matrix")
+    r = -1
+    for r, row in enumerate(rows):
+        if found.add(_row_violations(r, row)) and (count is None or r < count):
+            yield row
+    found.check()
+    _check_count(r + 1, count)
+
+
 class ChannelMatrix(Frozen):
     """Validated row-stochastic matrix; the backing array is read-only.
 
@@ -231,24 +256,27 @@ class ChannelMatrix(Frozen):
 
 
 class Prior(Frozen):
-    """Probability vector over channel inputs."""
+    """Probability vector over channel inputs, a tuple of Python floats
+    checked as one channel row by :func:`_row_violations`."""
 
-    probabilities: np.ndarray
+    probabilities: tuple[float, ...]
 
     def __init__(self, probabilities):
-        arr = np.array(probabilities, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
+        try:
+            values = () if isinstance(probabilities, str) else tuple(map(float, probabilities))
+        except (TypeError, ValueError):  # not a vector of numbers: a scalar, or nested
+            values = ()
+        if not values:
             raise InputError("prior must be a non-empty vector")
-        _check(validate_channel(arr[None, :]), "prior")
-        arr.setflags(write=False)
-        self._set(probabilities=arr)
+        _check(_row_violations(0, values), "prior")
+        self._set(probabilities=values)
 
     @classmethod
     def uniform(cls, length: int) -> "Prior":
-        return cls(np.full(length, 1.0 / length))
+        return cls([1.0 / length] * length)
 
     def __len__(self) -> int:
-        return int(self.probabilities.shape[0])
+        return len(self.probabilities)
 
 
 class LeakageReport(NamedTuple):
@@ -370,13 +398,14 @@ def measure(
     :class:`InputError`.
     """
     edges = sorted(() if graph is None else graph.edges, key=itemgetter(1))
+    count = None if graph is None else graph.vertex_count
     if isinstance(channel, ChannelMatrix):
+        _check_count(channel.rows, count)
         ring = channel.probs
         blocks = [ring]
     else:
         width, lines = _csv_lines(channel)
-        height = width if graph is None else graph.vertex_count
-        if small_channel(height, width, len(edges)):
+        if small_channel(width if count is None else count, width, len(edges)):
             return _measure_rows(_csv_rows(lines, width, list), edges, graph, prior, leak)
         ring = None
         bandwidth = max((b - a for a, b in edges), default=0)
@@ -393,15 +422,16 @@ def measure(
             return ring[start : start + height]
 
         parse = functools.partial(np.fromiter, dtype=float, count=width)
-        blocks = _csv_blocks(_csv_rows(lines, width, parse), place)
+        blocks = _csv_blocks(_csv_rows(lines, width, parse), place, count)
     later = [b for _, b in edges]
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    weights = None if prior is None else np.asarray(prior.probabilities)
     hi = lo = 1.0
     maxima, rows = None, 0
     for block in blocks:
         end = rows + len(block)
-        if leak and (prior is None or end <= len(prior)):
-            weighted = block if prior is None else block * prior.probabilities[rows:end, None]
+        if leak and (weights is None or end <= len(weights)):
+            weighted = block if weights is None else block * weights[rows:end, None]
             top = weighted.max(axis=0)
             maxima = top if maxima is None else np.maximum(maxima, top, out=maxima)
         if hi < math.inf:
@@ -419,20 +449,18 @@ def _channel_measures(
     prior: Prior | None,
     leak: bool,
 ) -> ChannelMeasures:
-    """The :class:`ChannelMeasures` of a channel of ``shape`` whose edge
-    ratios ran between the ``extremes`` and whose column maxima are
-    ``maxima``, once its rows agree with the graph and, given ``leak``, the
-    prior."""
+    """The :class:`ChannelMeasures` of a channel of ``shape``, one row per
+    vertex of ``graph``, whose edge ratios ran between the ``extremes`` and
+    whose column maxima are ``maxima``, once, given ``leak``, its rows agree
+    with the prior."""
     rows = shape[0]
-    if graph is not None and graph.vertex_count != rows:
-        raise InputError(f"graph has {graph.vertex_count} vertices but channel has {rows} rows")
     report = None
     if leak and prior is None:
         report = uniform_leakage(maxima, rows)
     elif leak:
         if len(prior) != rows:
             raise InputError(f"prior length {len(prior)} != input count {rows}")
-        v_prior = float(prior.probabilities.max())
+        v_prior = max(prior.probabilities)
         report = _leakage_report(v_prior, math.fsum(maxima))
     epsilon = None
     if graph is not None:
@@ -478,10 +506,9 @@ def _measure_rows(
 ) -> ChannelMeasures:
     """:func:`measure` of a channel's rows, lists of floats, in Python floats.
 
-    Each row is validated by the exact scan :func:`_row_violations`; as in
-    :func:`_csv_blocks`, the rows after a violation are still read and
-    validated but not folded, and all the violations are raised at the end.
-    The column maxima fold with ``max``. For the edges (sorted by their
+    The rows are validated by :func:`_valid_rows`, which folds none after a
+    violation or past the graph's vertex count and raises at the end. The
+    column maxima fold with ``max``. For the edges (sorted by their
     later row) each row is kept, until no edge needs it, as its bytes of
     positive flags and an ``array('d')`` of its positive entries, in a ring
     of the bandwidth plus one rows; two rows of an edge must have equal
@@ -490,14 +517,11 @@ def _measure_rows(
     from array import array  # only this path needs it: kept out of start-up
 
     ring: list = [None] * (1 + max((b - a for a, b in edges), default=0))
-    weights = None if prior is None else prior.probabilities.tolist()
-    found = _Violations("channel matrix")
+    weights = None if prior is None else prior.probabilities
     hi = lo = 1.0
     maxima, cols, done, r = None, 0, 0, -1
-    for r, row in enumerate(rows):
+    for r, row in enumerate(_valid_rows(rows, None if graph is None else graph.vertex_count)):
         cols = len(row)
-        if not found.add(_row_violations(r, row)):
-            continue
         if leak and (weights is None or r < len(weights)):
             top = row if weights is None else [x * weights[r] for x in row]
             maxima = top if maxima is None else list(map(max, maxima, top))
@@ -513,7 +537,6 @@ def _measure_rows(
                     break
                 ratios = list(map(truediv, theirs, mine))
                 hi, lo = max(hi, max(ratios)), min(lo, min(ratios))
-    found.check()
     return _channel_measures((r + 1, cols), graph, (hi, lo), maxima, prior, leak)
 
 
@@ -837,9 +860,10 @@ def _csv_rows(
 
 
 def _csv_blocks(
-    rows: Iterable[np.ndarray], place: Callable[[int, int], np.ndarray]
+    rows: Iterable[np.ndarray], place: Callable[[int, int], np.ndarray], count: int | None
 ) -> Iterator[np.ndarray]:
-    """The rows of :func:`_csv_rows`, stored and validated a block at a time.
+    """The rows of :func:`_csv_rows`, stored and validated a block at a time,
+    as :func:`_valid_rows` validates rows of Python floats.
 
     A block is stored into ``place(first_row, width)``: the array, as high
     as the block is to be, in which the caller keeps the rows from channel
@@ -849,9 +873,10 @@ def _csv_blocks(
     its parsed field texts are dropped. Each block is validated as channel
     rows numbered from the channel's first. After a block with a violation
     none is yielded, but the text is still parsed and validated to its end,
-    where all the violations are raised in one :class:`InputError`; so a
-    malformed field on a later line is reported instead, as by a reader
-    that parses the whole text before it validates.
+    where all the violations are raised in one :class:`InputError`, and then
+    a row count other than ``count`` (None: any); so a malformed field on a
+    later line is reported instead, as by a reader that parses the whole
+    text before it validates.
     """
     found = _Violations("channel matrix")
     start, block, held = 0, (), 0
@@ -866,6 +891,7 @@ def _csv_blocks(
     if found.add(validate_channel(block[:held]), start):
         yield block[:held]
     found.check()
+    _check_count(start + held, count)
 
 
 def check_cells(rows: int, cols: int, max_cells: int | None) -> None:
@@ -881,30 +907,43 @@ def channel_from_csv(
     source: str | TextIO, rows: int, max_cells: int | None = None
 ) -> ChannelMatrix:
     """Parse a channel CSV (the text, or an open text file read from where
-    it stands) of ``rows`` rows into one matrix, filled by :func:`_csv_blocks`
-    in one pass over the text, a line at a time, with no copy of it.
+    it stands) of ``rows`` rows into one matrix: :func:`read_channel`'s
+    dense case.
 
     ``rows`` is the vertex count of the graph the channel is read against;
-    a caller with no graph takes it from ``measure(source).rows``. The rows
-    fill one float64 array of ``rows`` x the first data row's width, which
-    the channel keeps with no copy and no second validation. An array of
-    more than ``max_cells`` cells (None: no cap) is
-    :class:`CapExceededError`, raised from that width before any number is
-    parsed. Rows past ``rows`` are parsed and validated into one reused
-    block, never into the array, so their violations and malformed lines
-    are still reported; then a row count other than ``rows`` is
-    :class:`InputError`.
+    a caller with no graph takes it from ``measure(source).rows``.
+    """
+    return read_channel(source, rows, max_cells)
+
+
+def read_channel(
+    source: str | TextIO,
+    rows: int,
+    max_cells: int | None = None,
+    edges: int = 0,
+    python_cells: int | None = None,
+) -> ChannelMatrix | list[list[float]]:
+    """The channel CSV ``source`` (the text, or an open text file read from
+    where it stands), one row per vertex of a graph of ``rows`` vertices and
+    ``edges`` edges, read in one pass, a line at a time, with no copy of it.
+
+    The first data row's width is read before any number is parsed, and a
+    channel of more than ``max_cells`` cells (None: no cap) is
+    :class:`CapExceededError`. A channel that :func:`small_channel` admits
+    at ``python_cells`` (None: none is), counting the edges by that width,
+    is read into lists of Python floats by :func:`_valid_rows`, as
+    ``symmetrise run`` works on it. Any other fills, by :func:`_csv_blocks`,
+    one float64 array of ``rows`` x that width, which the channel keeps with
+    no copy and no second validation. On both routes rows past ``rows`` are
+    parsed and validated but not kept (into one reused block on the dense
+    route), so their violations and malformed lines are still reported;
+    every violation is raised once the text is read, and then a row count
+    other than ``rows``.
     """
     width, lines = _csv_lines(source)
     check_cells(rows, width, max_cells)
-    return _matrix_of_lines(width, lines, rows)
-
-
-def _matrix_of_lines(
-    width: int, lines: Iterable[tuple[int, list[str]]], rows: int
-) -> ChannelMatrix:
-    """:func:`channel_from_csv` of the data lines of :func:`_csv_lines`,
-    their cells already checked against the cap."""
+    if python_cells is not None and small_channel(rows, width, edges, python_cells):
+        return list(_valid_rows(_csv_rows(lines, width, list), rows))
     out = np.empty((rows, width))
     spare = None
 
@@ -918,7 +957,6 @@ def _matrix_of_lines(
         return spare
 
     parse = functools.partial(np.fromiter, dtype=float, count=width)
-    found = sum(map(len, _csv_blocks(_csv_rows(lines, width, parse), place)))
-    if found != rows:
-        raise InputError(f"graph has {rows} vertices but channel has {found} rows")
+    for _ in _csv_blocks(_csv_rows(lines, width, parse), place, rows):
+        pass
     return ChannelMatrix._of_checked(out)

@@ -5,14 +5,16 @@ Subcommands: ``policy build|validate``, ``adjacency induce``,
 ``tightness sweep``, ``figure bound-sweep``.
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad input, 3 a
-resource cap was exceeded or memory ran out. Output files are written
-atomically after all computation succeeds, so a non-zero exit never leaves
-partial files; all outputs are deterministic for fixed inputs and ``--seed``.
+resource cap was exceeded, memory ran out or the disk filled up. Output
+files are written atomically after all computation succeeds, so a non-zero
+exit never leaves partial files; all outputs are deterministic for fixed
+inputs and ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -340,7 +342,10 @@ def _cmd_symmetrise_run(args) -> int:
     adjacency = _induced(source, cap)
     graph = adjacency.to_graph()
     with _opened(args.channel) as handle:
-        chan = symmetrise_mod.read_channel(handle, graph, _max_cells(args))
+        chan = channel_mod.read_channel(
+            handle, graph.vertex_count, _max_cells(args), graph.edge_count,
+            symmetrise_mod.PYTHON_AVERAGE_CELLS,
+        )
 
     if args.group == "trivial":
         group = graphcore.PermutationGroup(graph.vertex_count)
@@ -548,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+# warnings.showwarning: the category, file and line go unprinted.
+def _print_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
@@ -560,21 +566,20 @@ def main(argv=None) -> int:
         warnings.showwarning = _print_warning
         try:
             return args.handler(args)
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
         except MemoryError as exc:  # numpy's _ArrayMemoryError included
             print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
             return 3
-        except (InputError, OSError) as exc:  # SchemaError is an InputError
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         except json.JSONDecodeError as exc:
             print(f"error: invalid JSON input ({exc})", file=sys.stderr)
             return 2
-        except BlowfishError as exc:  # e.g. a failed --cross-check: a requested check failed
+        except (BlowfishError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
+            # 3 for a cap or a full disk; 2 for bad input (SchemaError is an
+            # InputError) or another OS error; 1 for a requested check that
+            # failed, such as --cross-check.
+            if isinstance(exc, OSError):
+                return 3 if exc.errno in (errno.ENOSPC, errno.EDQUOT) else 2
+            return 3 if isinstance(exc, CapExceededError) else 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

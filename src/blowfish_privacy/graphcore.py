@@ -667,11 +667,12 @@ def pair_orbits(
     perms: Sequence[Permutation], degree: int
 ) -> list[list[tuple[int, int]]]:
     """Orbits of ordered index pairs under the group generated by ``perms``:
-    the pair labels of :func:`orbit_labels` as lists of ``(a, b)`` tuples,
-    orbits by smallest pair, members in increasing order."""
-    order, cuts = orbit_slices(orbit_labels(perms, degree, arity=2))
-    pairs = list(zip(*(x.tolist() for x in divmod(order, degree))))
-    return [pairs[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    the pair labels of :func:`orbit_minima` grouped into lists of ``(a, b)``
+    tuples, orbits by smallest pair, members in increasing order."""
+    members: dict[int, list[tuple[int, int]]] = {}
+    for pair, label in enumerate(orbit_minima(perms, degree, arity=2)):
+        members.setdefault(label, []).append(divmod(pair, degree))
+    return list(members.values())
 
 
 # ---------------------------------------------------------------------------

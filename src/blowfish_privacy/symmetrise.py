@@ -15,22 +15,10 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple
 
 from ._numpy import np
-from .channel import (
-    ChannelMatrix,
-    _csv_lines,
-    _csv_rows,
-    _matrix_of_lines,
-    _measure_rows,
-    _row_violations,
-    _Violations,
-    channel_to_csv,
-    check_cells,
-    minimal_epsilon,
-    small_channel,
-)
+from .channel import ChannelMatrix, _measure_rows, channel_to_csv, minimal_epsilon
 from .errors import BlowfishError, InputError
 from .graphcore import (
     Graph,
@@ -45,8 +33,8 @@ from .graphcore import (
 EQUALITY_TOLERANCE = 1e-12
 # Entries of the channel that one block of diagonal_maximise's column adds covers.
 GROUPING_CHUNK_CELLS = 2**16
-# Cells, counted as by channel.small_channel, up to which symmetrise run works
-# in Python floats (:func:`read_channel`).
+# Cells, counted as by channel.small_channel, up to which symmetrise run reads
+# its channel into Python floats (channel.read_channel) and works in them.
 PYTHON_AVERAGE_CELLS = 2**16
 
 
@@ -278,41 +266,6 @@ def _report(
 # The pipeline of ``symmetrise run``, on one route per channel size
 
 
-def read_channel(
-    source: str | TextIO, graph: Graph, max_cells: int | None = None
-) -> ChannelMatrix | list[list[float]]:
-    """The channel CSV ``source`` (the text, or an open text file read from
-    where it stands), one row per vertex of ``graph``, in the form
-    :func:`run` takes for its route.
-
-    The first data row's width is read before any number is parsed, and a
-    channel of more than ``max_cells`` cells (None: no cap) is
-    :class:`CapExceededError`. A channel that ``channel.small_channel``
-    admits at ``PYTHON_AVERAGE_CELLS``, counting the graph's vertices and
-    edges by that width, is read into lists of Python floats, each row
-    checked by the exact scan of ``channel._row_violations``, rows past the
-    vertex count validated but not kept; a larger one is read into a
-    :class:`ChannelMatrix` as ``channel_from_csv`` reads it. On both routes
-    every violation is raised once the text is read, and then a row count
-    other than the vertex count.
-    """
-    rows = graph.vertex_count
-    width, lines = _csv_lines(source)
-    check_cells(rows, width, max_cells)
-    if not small_channel(rows, width, graph.edge_count, PYTHON_AVERAGE_CELLS):
-        return _matrix_of_lines(width, lines, rows)
-    found = _Violations("channel matrix")
-    kept: list[list[float]] = []
-    for count, row in enumerate(_csv_rows(lines, width, list), 1):
-        found.add(_row_violations(count - 1, row))
-        if count <= rows:
-            kept.append(row)
-    found.check()
-    if count != rows:
-        raise InputError(f"graph has {rows} vertices but channel has {count} rows")
-    return kept
-
-
 def run(
     channel: ChannelMatrix | list[list[float]],
     graph: Graph,
@@ -322,7 +275,7 @@ def run(
 ) -> tuple[Iterator[str], Iterator[str], SymmetrisationReport]:
     """The CSV lines of the grouped and of the averaged channel, and the
     report of :func:`check_symmetrisation`, for a channel from
-    :func:`read_channel`, ``group`` being automorphisms of ``graph``.
+    ``channel.read_channel``, ``group`` being automorphisms of ``graph``.
 
     A :class:`ChannelMatrix` goes through :func:`diagonal_maximise`,
     :func:`group_average` and :func:`check_symmetrisation`. Rows in Python

@@ -376,7 +376,7 @@ def oracle_leakage(channel, prior=None):
         v_prior = 1.0 / len(rows)
         v_cond = math.fsum(max(column) for column in zip(*rows)) / len(rows)
     else:
-        weights = prior.probabilities.tolist()
+        weights = list(prior.probabilities)
         v_prior = max(weights)
         v_cond = math.fsum(
             max(w * entry for w, entry in zip(weights, column)) for column in zip(*rows)

@@ -18,11 +18,12 @@ from blowfish_privacy import (
     embed_graph_as_policy,
     enumerate_permissible,
     induce_adjacency_graph,
-    is_adjacent,
 )
 from blowfish_privacy.adjacency import (
     AdjacencyAsymmetryWarning,
     AdjacencyGraph,
+    _adjacent_from,
+    _value_sets,
     adjacency_from_json,
     adjacency_to_json,
 )
@@ -46,6 +47,27 @@ from helpers import (
 @pytest.fixture(scope="module")
 def path_policy():
     return distance_threshold_policy([1, 2, 3, 4], 1, n=2)
+
+
+def adjacent_from(base, policy, databases):
+    """The indices of ``databases`` (the permissible set, in order) adjacent
+    from ``base`` in one pass of the definition path, which induction runs
+    once from every database."""
+    rows = [tuple(map(policy.universe.index, db)) for db in databases]
+    sets = _value_sets(rows, policy.n, len(policy.universe))
+    neighbors = policy.secret_graph.index_graph.neighbors
+    found = _adjacent_from(rows[databases.index(base)], rows, sets, neighbors)
+    return {k for k in range(len(databases)) if found >> k & 1}
+
+
+def assert_directions_match_oracle(pol, dbs):
+    """Each database's adjacent databases, in one direction, are the
+    oracle's, written from the definition."""
+    edge_set = pol.secret_graph.edges
+    for a in dbs:
+        found = adjacent_from(a, pol, dbs)
+        for k, b in enumerate(dbs):
+            assert (k in found) == oracle_minimally_secretly_different(a, b, edge_set, dbs)
 
 
 def test_total_difference_single_position():
@@ -78,28 +100,6 @@ def test_secret_difference_complete_equals_total():
     g = complete_policy(4, n=2).secret_graph
     for d1, d2 in [(("1", "1"), ("2", "3")), (("1", "4"), ("4", "1"))]:
         assert secret_difference(d1, d2, g) == total_difference(d1, d2)
-
-
-def test_is_adjacent_cases(path_policy):
-    dbs = enumerate_permissible(path_policy)
-    assert is_adjacent(("1", "1"), ("1", "2"), path_policy, dbs)
-    assert not is_adjacent(("1", "1"), ("1", "3"), path_policy, dbs)
-    # two positions differ and ("2","1") realises a strictly smaller difference
-    assert not is_adjacent(("1", "1"), ("2", "2"), path_policy, dbs)
-
-
-def test_is_adjacent_reads_a_repeated_database_once(path_policy):
-    dbs = [("1", "1"), ("1", "2"), ("1", "2"), ("2", "1"), ("2", "2"), ("2", "2")]
-    for a in dict.fromkeys(dbs):
-        for b in dict.fromkeys(dbs):
-            expected = oracle_minimally_secretly_different(a, b, path_policy.secret_graph.edges, dbs)
-            assert is_adjacent(a, b, path_policy, dbs) == expected
-
-
-def test_is_adjacent_requires_membership(path_policy):
-    dbs = enumerate_permissible(path_policy)
-    with pytest.raises(InputError):
-        is_adjacent(("1", "5"), ("1", "1"), path_policy, dbs)
 
 
 def test_induced_graph_matches_both_paths_and_oracle(path_policy):
@@ -156,14 +156,13 @@ def test_directional_asymmetry_detected_and_reported():
         permissible=[("1", "1"), ("2", "2"), ("3", "2")],
     )
     dbs = enumerate_permissible(pol)
-    assert not is_adjacent(("1", "1"), ("2", "2"), pol, dbs)
-    assert is_adjacent(("2", "2"), ("1", "1"), pol, dbs)
-
     with pytest.warns(AdjacencyAsymmetryWarning):
         ag = induce_adjacency_graph(pol)
     i, j = dbs.index(("1", "1")), dbs.index(("2", "2"))
-    assert (i, j) in ag.asymmetric_pairs
+    assert ag.asymmetric_pairs == ((i, j),)
     assert (i, j) in ag.edges
+    assert j not in adjacent_from(("1", "1"), pol, dbs)
+    assert i in adjacent_from(("2", "2"), pol, dbs)
 
 
 @settings(max_examples=60)
@@ -233,10 +232,7 @@ def test_definition_path_matches_oracle(pol):
     edge_set = pol.secret_graph.edges
     assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
     assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
-    for a in dbs:
-        for b in dbs:
-            expected = oracle_minimally_secretly_different(a, b, edge_set, dbs)
-            assert is_adjacent(a, b, pol, dbs) == expected
+    assert_directions_match_oracle(pol, dbs)
 
 
 @st.composite
@@ -261,10 +257,7 @@ def assert_definition_matches_oracle(pol):
     edge_set = pol.secret_graph.edges
     assert set(ag.edges) == oracle_adjacency_edges(edge_set, dbs)
     assert ag.asymmetric_pairs == tuple(sorted(oracle_asymmetric_pairs(edge_set, dbs)))
-    for a in dbs:
-        for b in dbs:
-            expected = oracle_minimally_secretly_different(a, b, edge_set, dbs)
-            assert is_adjacent(a, b, pol, dbs) == expected
+    assert_directions_match_oracle(pol, dbs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,8 +282,8 @@ def test_definition_path_groups_exactly_at_forty_records():
         ["1", "2", "3"], [("1", "2"), ("2", "3")], n=40, permissible=[base, a, b, *others]
     )
     dbs = enumerate_permissible(pol)
-    assert is_adjacent(base, a, pol, dbs)
-    assert not is_adjacent(base, b, pol, dbs)
+    assert dbs.index(a) in adjacent_from(base, pol, dbs)
+    assert dbs.index(b) not in adjacent_from(base, pol, dbs)
     assert_definition_matches_oracle(pol)
 
 
@@ -307,7 +300,7 @@ def test_one_large_minimal_group_stays_within_the_cells_budget():
     dbs = [base, *small, *large]
     tracemalloc.start()
     try:
-        adjacent = is_adjacent(base, large[-1], pol, dbs)
+        adjacent = len(dbs) - 1 in adjacent_from(base, pol, dbs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -367,7 +360,7 @@ def test_one_base_over_single_database_groups_stays_small():
     dbs = [base, *small, *large]
     tracemalloc.start()
     try:
-        adjacent = is_adjacent(base, large[-1], pol, dbs)
+        adjacent = len(dbs) - 1 in adjacent_from(base, pol, dbs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

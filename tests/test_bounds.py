@@ -13,11 +13,11 @@ from blowfish_privacy import (
     custom_policy,
     cycle_policy,
     distance_threshold_policy,
+    embed_graph_as_policy,
     graph_randomized_response,
     induce_adjacency_graph,
     leakage,
     leakage_upper_bound,
-    min_entropy_lower_bound,
     unconstrained_audit,
 )
 from blowfish_privacy.bounds import component_bound_bits
@@ -30,25 +30,30 @@ LOG2E = math.log2(math.e)
 
 
 @pytest.fixture(scope="module")
-def path16_graph():
-    pol = distance_threshold_policy([1, 2, 3, 4], 1, n=2)
-    return induce_adjacency_graph(pol).to_graph()
+def path16_policy():
+    return distance_threshold_policy([1, 2, 3, 4], 1, n=2)
 
 
-def test_min_entropy_lower_bound_16_vertex_example(path16_graph):
+@pytest.fixture(scope="module")
+def path16_graph(path16_policy):
+    return induce_adjacency_graph(path16_policy).to_graph()
+
+
+def test_min_entropy_lower_bound_16_vertex_example(path16_policy):
     # single component of diameter 6 on 16 inputs at eps = 0.1
     expected = 4.0 - 0.6 * LOG2E
-    assert min_entropy_lower_bound(path16_graph, 0.1) == pytest.approx(expected, abs=1e-12)
+    assert audit(path16_policy, 0.1).min_entropy_lower_bits == pytest.approx(expected, abs=1e-12)
 
 
 def test_min_entropy_lower_bound_edgeless():
     graph = Graph.from_edges(4, [])
-    assert min_entropy_lower_bound(graph, 1.3) == pytest.approx(0.0, abs=1e-12)
+    report = audit(embed_graph_as_policy(graph), 1.3)
+    assert report.min_entropy_lower_bits == pytest.approx(0.0, abs=1e-12)
     assert leakage_upper_bound(graph, 1.3) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_zero_epsilon_gives_full_entropy_floor(path16_graph):
-    assert min_entropy_lower_bound(path16_graph, 0.0) == pytest.approx(4.0, abs=1e-12)
+def test_zero_epsilon_gives_full_entropy_floor(path16_policy, path16_graph):
+    assert audit(path16_policy, 0.0).min_entropy_lower_bits == pytest.approx(4.0, abs=1e-12)
     assert leakage_upper_bound(path16_graph, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -82,12 +87,13 @@ def test_leakage_upper_bound_cycle_secrets():
     assert leakage_upper_bound(graph, 0.3) == pytest.approx(closed.leakage_upper_bits, abs=1e-9)
 
 
-def test_consistency_identity(path16_graph):
+def test_consistency_identity(path16_policy, path16_graph):
     for eps in (0.0, 0.1, 0.9, 2.3):
         upper = leakage_upper_bound(path16_graph, eps)
-        lower = min_entropy_lower_bound(path16_graph, eps)
-        assert lower == math.log2(16) - upper
-        assert abs(lower + upper - 4.0) <= 1e-12
+        report = audit(path16_policy, eps)
+        assert report.min_entropy_lower_bits == math.log2(16) - report.leakage_upper_bits
+        assert report.leakage_upper_bits == pytest.approx(upper, abs=1e-12)
+        assert abs(report.min_entropy_lower_bits + upper - 4.0) <= 1e-12
 
 
 def test_component_bound_rejects_negative_epsilon():

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -820,6 +821,43 @@ def test_streamed_output_that_fails_midway_leaves_no_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["k.csv"]
 
 
+@pytest.mark.parametrize(
+    "code, expected", [(errno.ENOSPC, 3), (errno.EDQUOT, 3), (errno.EIO, 2)],
+    ids=["disk-full", "quota-exceeded", "io-error"],
+)
+def test_a_full_disk_exits_three_without_output(tmp_path, capsys, code, expected):
+    """A write that fails for want of space (ENOSPC, or EDQUOT over a quota)
+    is a resource running out, not bad input: exit 3 with its error line,
+    and neither the output file nor its temporary file is left. Any other
+    OS error still exits 2."""
+    real_fdopen = os.fdopen
+
+    class FillingUp:
+        """An output file whose disk fills up after the first chunk."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def writelines(self, chunks):
+            self.handle.write(next(iter(chunks)))
+            raise OSError(code, os.strerror(code))
+
+    policy = build_path_policy(tmp_path)
+    out = tmp_path / "k.csv"
+    opened = lambda fd, *args, **kwargs: FillingUp(real_fdopen(fd, *args, **kwargs))  # noqa: E731
+    with mock.patch.object(os, "fdopen", opened):
+        assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+                   "--out", str(out)) == expected
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [policy.name]
+
+
 def test_library_warnings_are_one_stable_stderr_line(tmp_path, capsys):
     # Path secrets 1-2-3 over {(1,1), (2,2), (3,2)}: the relation disagrees by
     # direction on one pair, which adjacency induce reports as a warning.
@@ -911,8 +949,10 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     ``PYTHON_CELLS`` (one 725-wide row: 725 x 725 cells) does load numpy.
     No command imports numpy.random (not even a shuffled generate) or
     dataclasses, and only the sweep imports fractions. The commands run in
-    one process, so the one that loads numpy runs last."""
+    one process, so the one that loads numpy runs last. A leakage weighed by
+    a --prior loads no numpy either."""
     (tmp_path / "k.csv").write_text("1.0,0.0\n0.0,1.0\n")
+    (tmp_path / "prior.json").write_text("[0.25, 0.75]")
     (tmp_path / "wide.csv").write_text(",".join(["1.0"] + ["0.0"] * 724) + "\n")
     (tmp_path / "perm.json").write_text(json.dumps(
         [["1", "1", "1"], ["1", "2", "1"], ["2", "2", "1"], ["2", "2", "3"], ["4", "4", "4"]]
@@ -929,6 +969,7 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
         ["figure", "bound-sweep", "--n-max", "3"],
         ["tightness", "sweep", "--n", "2", "--delta", "0.5"],
         ["channel", "leakage", "k.csv"],
+        ["channel", "leakage", "k.csv", "--prior", "prior.json"],
         ["channel", "generate", "--policy", "p.json", "--epsilon", "0.5",
          "--shuffle-outputs", "--seed", "1", "--out", "pk.csv"],
         ["channel", "verify", "pk.csv", "--policy", "p.json"],
@@ -986,10 +1027,17 @@ def test_constrained_induction_and_bound_import_no_numpy(tmp_path):
                                  ["2", "2", "3"], ["3", "2", "3"], ["4", "4", "4"]])],
     ids=["unconstrained-64", "unconstrained-256", "constrained-6"],
 )
-def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, n, permissible):
+def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, capsys, n, permissible):
     """generate (by policy, shuffled, and by graph), verify, leakage and
     bound compute --channel write the same files in Python floats as with
-    numpy, whichever path ``PYTHON_CELLS`` sends them down."""
+    numpy, whichever path ``PYTHON_CELLS`` sends them down.
+
+    Bad channels (a malformed field, a NaN row, a row sum off by 2e-9, one
+    row too many or too few) read by verify, bound compute --channel and
+    symmetrise run, on either path of ``PYTHON_CELLS`` and
+    ``PYTHON_AVERAGE_CELLS``, give one exit code and one error line per
+    case. leakage, read against no graph, gives the same on the first
+    three and has no row count to refuse on the last two."""
     policy = tmp_path / "p.json"
     extra = ()
     if permissible is not None:
@@ -999,11 +1047,44 @@ def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, n, permis
                "--theta", "1", "--n", str(n), *extra, "--out", str(policy)) == 0
     graph = tmp_path / "g.json"
     assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    assert run("channel", "generate", "--graph", str(graph), "--epsilon", "0.5",
+               "--out", str(tmp_path / "good.csv")) == 0
+    lines = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+    off = [float(x) for x in lines[1].split(",")]
+    off[0] += 2e-9
+    bad = {
+        "malformed-field": [lines[0], "x" + lines[1], *lines[2:]],
+        "nan-row": [lines[0], ",".join(["nan"] * len(off)) + "\n", *lines[2:]],
+        "row-sum-off": [lines[0], ",".join(map(repr, off)) + "\n", *lines[2:]],
+        "row-too-many": [*lines, lines[0]],
+        "row-too-few": lines[:-1],
+    }
+    for name, text in bad.items():
+        bad[name] = tmp_path / f"{name}.csv"
+        bad[name].write_text("".join(text))
+    refused = tmp_path / "refused.txt"
+    outcomes = {name: {} for name in bad}
     written = {}
     for path, cells in (("python", math.inf), ("numpy", 0)):
         out = tmp_path / path
         out.mkdir()
-        with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
+        with mock.patch.object(channel_mod, "PYTHON_CELLS", cells), \
+                mock.patch.object(symmetrise_mod, "PYTHON_AVERAGE_CELLS", cells):
+            capsys.readouterr()
+            for name, channel in bad.items():
+                for command in (
+                    ("channel", "verify", str(channel), "--graph", str(graph), "--out", str(refused)),
+                    ("bound", "compute", str(policy), "--epsilon", "0.5", "--channel", str(channel),
+                     "--out", str(refused)),
+                    ("symmetrise", "run", str(channel), "--graph", str(graph), "--group", "trivial",
+                     "--out", str(refused)),
+                    ("channel", "leakage", str(channel)),
+                ):
+                    code = run(*command)
+                    # bound compute induces a constrained graph, which may warn first.
+                    err = capsys.readouterr().err.splitlines()
+                    errors = tuple(line for line in err if not line.startswith("warning: "))
+                    outcomes[name][path, command[:2]] = code, errors
             codes = [
                 run("channel", "generate", "--policy", str(policy), "--epsilon", "0.3",
                     "--shuffle-outputs", "--seed", "3", "--out", str(out / "ks.csv")),
@@ -1021,6 +1102,13 @@ def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, n, permis
         written[path] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
     assert len(written["python"]) == 6
     assert written["python"] == written["numpy"]
+    assert not refused.exists()
+    for name, seen in outcomes.items():
+        leaked = {seen.pop((path, ("channel", "leakage"))) for path in ("python", "numpy")}
+        (outcome,) = set(seen.values())
+        code, (error,) = outcome
+        assert code == 2 and error.startswith("error: "), name
+        assert leaked == {(0, ()) if name.startswith("row-too") else outcome}, name
 
 
 def test_symmetrise_on_a_small_channel_imports_no_numpy(tmp_path):
