@@ -33,9 +33,9 @@ BLOCK_CELLS = 2**16
 PYTHON_CELLS = 2**19
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
-# Entries of the rows that validate_channel screens at once, and that
-# measure stores and folds at once from a CSV on the numpy path: its ring
-# holds one such block beyond the graph's bandwidth.
+# Entries of the rows that validate_channel screens at once, and that a CSV
+# read on the numpy path stores, validates and folds at once (_csv_blocks):
+# measure's ring holds one such block beyond the graph's bandwidth.
 VALIDATE_CHUNK_CELLS = 2**14
 # Distinct field texts a channel CSV read keeps parsed before it forgets them.
 CSV_CACHE_FIELDS = 2**12
@@ -225,19 +225,6 @@ class ChannelMatrix(Frozen):
         self._set(probs=arr)
 
     @classmethod
-    def _of_checked_rows(
-        cls, blocks: Iterable[np.ndarray], shape: tuple[int, int]
-    ) -> "ChannelMatrix":
-        """The channel of ``shape`` whose rows ``blocks`` hold in order, each
-        block validated already, so the stacked matrix is not checked again."""
-        arr = np.empty(shape)
-        start = 0
-        for block in blocks:
-            arr[start : start + len(block)] = block
-            start += len(block)
-        return cls._of_checked(arr)
-
-    @classmethod
     def _of_checked(cls, arr: np.ndarray) -> "ChannelMatrix":
         """The channel of the float64 array ``arr``, which owns its memory and
         whose rows are validated already; ``arr`` is made read-only."""
@@ -371,8 +358,9 @@ def measure(
     graph's vertex and edge counts (the row count is taken as the first
     row's width without a graph) and the first row's width. A small
     channel is parsed into lists and folded in Python floats by
-    :func:`_measure_rows`; a larger one is parsed into arrays and stored
-    by :func:`_csv_blocks` in numpy blocks of at most
+    :func:`_measure_rows`; a larger one is parsed into arrays by
+    :func:`_csv_blocks`, which stores channel row ``r`` at row
+    ``r % len(ring)`` of a ring and yields blocks of at most
     ``VALIDATE_CHUNK_CELLS`` cells of rows. Both give the same result, bit
     for bit.
 
@@ -381,15 +369,15 @@ def measure(
     infinity, two zeros contribute nothing, and an edgeless graph yields 0.
     It is taken as ``max(ln hi, -ln lo)`` over the largest and smallest
     ratios: ``ln`` is monotonic, so this is that maximum, and one logarithm
-    of the same two floats on both paths. An edge is compared when the block holding its later row arrives, its two
-    rows gathered by index a chunk at a time whose rows hold at most
-    ``EPSILON_CHUNK_CELLS`` entries (one edge when a single row is longer).
-    So a CSV read keeps the rows it reads in a ring indexed by row number
-    modulo its length: the block, and before it the graph's bandwidth (the
-    longest distance between an edge's two rows) rounded up to whole
-    blocks. A channel with other than one row per vertex is an
-    :class:`InputError`, raised once the whole channel is read and
-    validated.
+    of the same two floats on both paths. An edge is compared when the
+    block holding its later row arrives, its two rows gathered by index a
+    chunk at a time whose rows hold at most ``EPSILON_CHUNK_CELLS`` entries
+    (one edge when a single row is longer). So the ring, allocated from the
+    first row's width before any number is parsed, holds the graph's
+    bandwidth (the longest distance between an edge's two rows) rounded up
+    to whole blocks, plus one block, and at most one row per vertex. A
+    channel with other than one row per vertex is an :class:`InputError`,
+    raised once the whole channel is read and validated.
 
     The leakage keeps the running column maxima of the blocks (of each
     block times its rows' prior probabilities, given a prior), which are
@@ -407,22 +395,11 @@ def measure(
         width, lines = _csv_lines(channel)
         if small_channel(width if count is None else count, width, len(edges)):
             return _measure_rows(_csv_rows(lines, width, list), edges, graph, prior, leak)
-        ring = None
+        height = max(1, VALIDATE_CHUNK_CELLS // width)
         bandwidth = max((b - a for a, b in edges), default=0)
-
-        def place(first_row: int, width: int) -> np.ndarray:
-            nonlocal ring
-            height = max(1, VALIDATE_CHUNK_CELLS // width)
-            if ring is None:
-                length = (-(-bandwidth // height) + 1) * height
-                if graph is not None:  # one row per vertex, or the read fails
-                    length = min(length, graph.vertex_count)
-                ring = np.empty((length, width))
-            start = first_row % len(ring)
-            return ring[start : start + height]
-
-        parse = functools.partial(np.fromiter, dtype=float, count=width)
-        blocks = _csv_blocks(_csv_rows(lines, width, parse), place, count)
+        length = (-(-bandwidth // height) + 1) * height
+        ring = np.empty((length if count is None else min(length, count), width))
+        blocks = _csv_blocks(lines, ring, count)
     later = [b for _, b in edges]
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     weights = None if prior is None else np.asarray(prior.probabilities)
@@ -707,9 +684,13 @@ def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
     matrix is block-diagonal over the components.
     """
     n = graph.vertex_count
-    return ChannelMatrix._of_checked_rows(
-        response_blocks(distance_blocks(graph), epsilon), (n, n)
-    )
+    arr = np.empty((n, n))
+    start = 0
+    # Each block is validated already, so the stacked matrix is not checked again.
+    for block in response_blocks(distance_blocks(graph), epsilon):
+        arr[start : start + len(block)] = block
+        start += len(block)
+    return ChannelMatrix._of_checked(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -860,32 +841,37 @@ def _csv_rows(
 
 
 def _csv_blocks(
-    rows: Iterable[np.ndarray], place: Callable[[int, int], np.ndarray], count: int | None
+    lines: Iterable[tuple[int, list[str]]], store: np.ndarray, count: int | None
 ) -> Iterator[np.ndarray]:
-    """The rows of :func:`_csv_rows`, stored and validated a block at a time,
-    as :func:`_valid_rows` validates rows of Python floats.
+    """The rows of a channel CSV's data lines (:func:`_csv_lines`), parsed
+    into float64 by :func:`_csv_rows` and stored and validated a block at a
+    time, as :func:`_valid_rows` validates rows of Python floats.
 
-    A block is stored into ``place(first_row, width)``: the array, as high
-    as the block is to be, in which the caller keeps the rows from channel
-    row ``first_row`` on. It is asked for once the block's first row has
-    been parsed. A full block is yielded once the row after it has been
-    parsed, and the last one at the end of the text, after the parser and
-    its parsed field texts are dropped. Each block is validated as channel
-    rows numbered from the channel's first. After a block with a violation
-    none is yielded, but the text is still parsed and validated to its end,
-    where all the violations are raised in one :class:`InputError`, and then
-    a row count other than ``count`` (None: any); so a malformed field on a
-    later line is reported instead, as by a reader that parses the whole
-    text before it validates.
+    Channel row ``r`` is stored at row ``r % len(store)`` of ``store``, an
+    array as wide as the rows. A block holds at most
+    ``VALIDATE_CHUNK_CELLS`` cells of rows (one row when a row is longer)
+    and ends early at the end of ``store``. A full block is yielded once the
+    row after it has been parsed, and the last one at the end of the text,
+    after the parser and its parsed field texts are dropped. Each block is
+    validated as channel rows numbered from the channel's first. After a
+    block with a violation none is yielded, but the text is still parsed
+    and validated to its end, where all the violations are raised in one
+    :class:`InputError`, and then a row count other than ``count`` (None:
+    any); so a malformed field on a later line is reported instead, as by a
+    reader that parses the whole text before it validates.
     """
+    width = store.shape[1]
+    height = max(1, VALIDATE_CHUNK_CELLS // width)
+    parse = functools.partial(np.fromiter, dtype=float, count=width)
     found = _Violations("channel matrix")
     start, block, held = 0, (), 0
-    for row in rows:
+    for row in _csv_rows(lines, width, parse):
         if held == len(block):
             if held and found.add(validate_channel(block), start):
                 yield block
             start += held
-            block, held = place(start, len(row)), 0
+            at = start % len(store)
+            block, held = store[at : at + height], 0
         block[held] = row
         held += 1
     if found.add(validate_channel(block[:held]), start):
@@ -935,28 +921,16 @@ def read_channel(
     ``symmetrise run`` works on it. Any other fills, by :func:`_csv_blocks`,
     one float64 array of ``rows`` x that width, which the channel keeps with
     no copy and no second validation. On both routes rows past ``rows`` are
-    parsed and validated but not kept (into one reused block on the dense
-    route), so their violations and malformed lines are still reported;
-    every violation is raised once the text is read, and then a row count
-    other than ``rows``.
+    parsed and validated but not kept (on the dense route they wrap into
+    that array, which is then never returned), so their violations and
+    malformed lines are still reported; every violation is raised once the
+    text is read, and then a row count other than ``rows``.
     """
     width, lines = _csv_lines(source)
     check_cells(rows, width, max_cells)
     if python_cells is not None and small_channel(rows, width, edges, python_cells):
         return list(_valid_rows(_csv_rows(lines, width, list), rows))
-    out = np.empty((rows, width))
-    spare = None
-
-    def place(first_row: int, width: int) -> np.ndarray:
-        nonlocal spare
-        height = max(1, BLOCK_CELLS // width)
-        if first_row < rows:
-            return out[first_row : first_row + height]
-        if spare is None:
-            spare = np.empty((height, width))
-        return spare
-
-    parse = functools.partial(np.fromiter, dtype=float, count=width)
-    for _ in _csv_blocks(_csv_rows(lines, width, parse), place, rows):
+    out = np.empty((max(1, rows), width))  # a row for rows past a count of 0 to wrap into
+    for _ in _csv_blocks(lines, out, rows):
         pass
     return ChannelMatrix._of_checked(out)

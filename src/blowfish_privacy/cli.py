@@ -5,7 +5,8 @@ Subcommands: ``policy build|validate``, ``adjacency induce``,
 ``tightness sweep``, ``figure bound-sweep``.
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad input, 3 a
-resource cap was exceeded, memory ran out or the disk filled up. Output
+resource cap was exceeded, memory ran out or the disk filled up; output
+to a stdout pipe whose reader has left is dropped, not an error. Output
 files are written atomically after all computation succeeds, so a non-zero
 exit never leaves partial files; all outputs are deterministic for fixed
 inputs and ``--seed``.
@@ -58,11 +59,17 @@ def _write_output(path: str | None, content: str | Iterable[str]) -> None:
     which is written chunk by chunk as it is produced, never joined. The
     chunks go to a temporary file beside ``path`` that replaces it only once
     all are written; if producing or writing one raises, the temporary file
-    is removed and ``path`` is left as it was.
+    is removed and ``path`` is left as it was. When stdout's reader has
+    left (a closed pipe), no more chunks are produced and nothing is raised.
     """
     chunks = [content] if isinstance(content, str) else content
     if path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The interpreter flushes stdout once more at exit: send that nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".blowfish-")
@@ -177,14 +184,14 @@ def _resolve_source(
 ) -> adjacency_mod.AdjacencyGraph | policy_mod.BlowfishPolicy:
     """The --graph adjacency graph (at most ``cap`` vertices), or the --policy
     policy, not yet induced."""
-    if getattr(args, "graph", None):
+    if args.graph:
         adjacency = adjacency_mod.adjacency_from_json(_read_text(args.graph))
         if len(adjacency.vertices) > cap:
             raise CapExceededError(
                 f"graph has {len(adjacency.vertices)} vertices, exceeding the cap of {cap}"
             )
         return adjacency
-    if getattr(args, "policy", None):
+    if args.policy:
         return _load_policy(args.policy)
     raise InputError("either --graph or --policy is required")
 
@@ -247,12 +254,13 @@ def _cmd_policy_validate(args) -> int:
         print(f"invalid: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
-        print(f"invalid: {exc}")
+        _write_output(None, f"invalid: {exc}\n")
         return 1
-    print(
+    _write_output(
+        None,
         f"valid: {len(built.universe)} tuples, "
         f"{built.secret_graph.edge_count} secret edges, n={built.n}, "
-        f"permissible={'all' if built.unconstrained else len(built.permissible)}"
+        f"permissible={'all' if built.unconstrained else len(built.permissible)}\n",
     )
     return 0
 
@@ -355,7 +363,7 @@ def _cmd_symmetrise_run(args) -> int:
         built = source  # the policy, parsed once, unless --graph gave the graph
         if not isinstance(built, policy_mod.BlowfishPolicy):
             built = _load_policy(args.policy)
-        generators = graphcore.lift_policy_automorphisms(built, adjacency)
+        generators = graphcore.lift_policy_automorphisms(built, adjacency, args.vertex_cap)
         group = graphcore.generate_group(
             generators, cap=args.max_group, degree=graph.vertex_count
         )
@@ -426,6 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cap on the channel's rows x columns, checked before it is computed or "
         f"read into memory (default 2**25, env {ENV_MAX_CELLS})",
     )
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
+    source.add_argument("--graph", help="graph JSON path")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (stdout when omitted)")
 
     parser = argparse.ArgumentParser(
         prog="blowfish",
@@ -436,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     policy_parser = top.add_parser("policy", help="build or validate policy documents")
     policy_sub = policy_parser.add_subparsers(dest="subcommand", required=True)
 
-    build = policy_sub.add_parser("build", help="construct a policy")
+    build = policy_sub.add_parser("build", parents=[out], help="construct a policy")
     build.add_argument(
         "--kind",
         required=True,
@@ -453,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' or a path to a JSON list of databases",
     )
-    build.add_argument("--out", help="output path (stdout when omitted)")
     build.set_defaults(handler=_cmd_policy_build)
 
     validate = policy_sub.add_parser("validate", help="validate a policy document")
@@ -462,40 +474,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     adjacency_parser = top.add_parser("adjacency", help="induce adjacency graphs")
     adjacency_sub = adjacency_parser.add_subparsers(dest="subcommand", required=True)
-    induce = adjacency_sub.add_parser("induce", parents=[capped])
+    induce = adjacency_sub.add_parser("induce", parents=[capped, out])
     induce.add_argument("policy", help="policy JSON path")
-    induce.add_argument("--out", help="graph JSON output path")
     induce.set_defaults(handler=_cmd_adjacency_induce)
 
     bound_parser = top.add_parser("bound", help="evaluate leakage and min-entropy bounds")
     bound_sub = bound_parser.add_subparsers(dest="subcommand", required=True)
-    compute = bound_sub.add_parser("compute", parents=[capped])
+    compute = bound_sub.add_parser("compute", parents=[capped, out])
     compute.add_argument("policy", help="policy JSON path")
     compute.add_argument("--epsilon", type=_float_arg, required=True)
     compute.add_argument("--channel", help="channel CSV to audit against the bounds")
-    compute.add_argument("--out", help="report output path")
     compute.set_defaults(handler=_cmd_bound_compute)
 
     channel_parser = top.add_parser("channel", help="verify, measure, or generate channels")
     channel_sub = channel_parser.add_subparsers(dest="subcommand", required=True)
 
-    verify = channel_sub.add_parser("verify", parents=[capped])
+    verify = channel_sub.add_parser("verify", parents=[capped, source, out])
     verify.add_argument("channel", help="channel CSV path")
-    verify.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
-    verify.add_argument("--graph", help="graph JSON path")
     verify.add_argument("--epsilon", type=_float_arg, help="target privacy level")
-    verify.add_argument("--out", help="report output path")
     verify.set_defaults(handler=_cmd_channel_verify)
 
-    leak = channel_sub.add_parser("leakage")
+    leak = channel_sub.add_parser("leakage", parents=[out])
     leak.add_argument("channel", help="channel CSV path")
     leak.add_argument("--prior", help="JSON list of prior probabilities")
-    leak.add_argument("--out", help="report output path")
     leak.set_defaults(handler=_cmd_channel_leakage)
 
-    generate = channel_sub.add_parser("generate", parents=[capped, cells])
-    generate.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
-    generate.add_argument("--graph", help="graph JSON path")
+    generate = channel_sub.add_parser("generate", parents=[capped, cells, source, out])
     generate.add_argument("--epsilon", type=_float_arg, required=True)
     generate.add_argument(
         "--shuffle-outputs",
@@ -505,15 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--seed", type=_non_negative_int, default=0, help="non-negative seed for --shuffle-outputs"
     )
-    generate.add_argument("--out", help="channel CSV output path")
     generate.set_defaults(handler=_cmd_channel_generate)
 
     symmetrise_parser = top.add_parser("symmetrise", help="run the channel symmetrisation pipeline")
     symmetrise_sub = symmetrise_parser.add_subparsers(dest="subcommand", required=True)
-    run = symmetrise_sub.add_parser("run", parents=[capped, cells])
+    run = symmetrise_sub.add_parser("run", parents=[capped, cells, source, out])
     run.add_argument("channel", help="channel CSV path")
-    run.add_argument("--policy", help="policy JSON (adjacency graph is induced)")
-    run.add_argument("--graph", help="graph JSON path")
     run.add_argument("--group", default="full", choices=["full", "lifted", "trivial"])
     run.add_argument("--vertex-cap", type=_non_negative_int, default=graphcore.DEFAULT_VERTEX_CAP)
     run.add_argument(
@@ -529,25 +530,22 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cross-check", action="store_true")
     run.add_argument("--out-grouped", help="CSV path for the column-grouped channel")
     run.add_argument("--out-averaged", help="CSV path for the group-averaged channel")
-    run.add_argument("--out", help="report output path")
     run.set_defaults(handler=_cmd_symmetrise_run)
 
     tightness_parser = top.add_parser("tightness", help="sharpness-family sweeps")
     tightness_sub = tightness_parser.add_subparsers(dest="subcommand", required=True)
-    sweep = tightness_sub.add_parser("sweep")
+    sweep = tightness_sub.add_parser("sweep", parents=[out])
     sweep.add_argument("--n", required=True, help="comma-separated component counts (each >= 2)")
     sweep.add_argument("--delta", required=True, help="comma-separated positive deltas")
-    sweep.add_argument("--out", help="CSV output path")
     sweep.set_defaults(handler=_cmd_tightness_sweep)
 
     figure_parser = top.add_parser("figure", help="figure-reproduction CSVs")
     figure_sub = figure_parser.add_subparsers(dest="subcommand", required=True)
-    bound_sweep = figure_sub.add_parser("bound-sweep")
+    bound_sweep = figure_sub.add_parser("bound-sweep", parents=[out])
     bound_sweep.add_argument("--values", default="1,2,3,4")
     bound_sweep.add_argument("--thetas", default="1,2,3")
     bound_sweep.add_argument("--n-max", type=int, default=8)
     bound_sweep.add_argument("--epsilon", type=_float_arg, default=0.1)
-    bound_sweep.add_argument("--out", help="CSV output path")
     bound_sweep.set_defaults(handler=_cmd_figure_bound_sweep)
 
     return parser

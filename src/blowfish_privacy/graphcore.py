@@ -682,6 +682,7 @@ def pair_orbits(
 def lift_policy_automorphisms(
     policy: "BlowfishPolicy",
     adjacency: "AdjacencyGraph",
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> tuple[Permutation, ...]:
     """Generators of an automorphism subgroup of the database adjacency graph.
 
@@ -693,7 +694,8 @@ def lift_policy_automorphisms(
     homomorphism, so the generated subgroup is unchanged. ``adjacency`` must
     list each of the policy's databases exactly once, in any order, or
     :class:`InputError` is raised. Every returned permutation is verified to
-    preserve adjacency on ``adjacency``.
+    preserve adjacency on ``adjacency``. The secret graph's automorphisms
+    are searched by :func:`automorphism_group` under ``vertex_cap``.
     """
     if not policy.unconstrained:
         raise UnsupportedLiftError(
@@ -702,7 +704,7 @@ def lift_policy_automorphisms(
         )
     universe = policy.secret_graph.universe
     labels = universe.labels
-    secret_aut = automorphism_group(policy.secret_graph.index_graph)
+    secret_aut = automorphism_group(policy.secret_graph.index_graph, vertex_cap=vertex_cap)
 
     vertices = adjacency.vertices
     n = policy.n

@@ -18,16 +18,16 @@ from operator import itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple
 
 from ._numpy import np
-from .channel import ChannelMatrix, _measure_rows, channel_to_csv, minimal_epsilon
+from .channel import ChannelMatrix, _check_count, _measure_rows, channel_to_csv, minimal_epsilon
 from .errors import BlowfishError, InputError
 from .graphcore import (
     Graph,
     PermutationGroup,
     is_automorphism,
     orbit_labels,
-    orbit_minima,
     orbit_slices,
     orbits,
+    pair_orbits,
 )
 
 EQUALITY_TOLERANCE = 1e-12
@@ -53,10 +53,7 @@ def diagonal_maximise(
     Returns the square channel and the per-column row assignment.
     """
     ell = graph.vertex_count
-    if channel.rows != ell:
-        raise InputError(
-            f"graph has {ell} vertices but channel has {channel.rows} rows"
-        )
+    _check_count(channel.rows, ell)
     probs, cols = channel.probs, channel.cols
     # A zero padding column goes to row 0 (its first maximum) and adds nothing.
     assignment = np.zeros(max(ell, cols), dtype=np.intp)
@@ -280,8 +277,8 @@ def run(
     A :class:`ChannelMatrix` goes through :func:`diagonal_maximise`,
     :func:`group_average` and :func:`check_symmetrisation`. Rows in Python
     floats take the same steps with no numpy: columns grouped in column
-    order, as ``np.add.at`` adds them; ``"orbit"`` averaged by the pair
-    labels of :func:`orbit_minima` with one ``math.fsum`` per orbit, so it
+    order, as ``np.add.at`` adds them; ``"orbit"`` averaged over
+    :func:`pair_orbits` with one ``math.fsum`` per orbit, so it
     writes the same bytes; ``"full"`` through the chain's transversals with
     one ``fsum`` per entry per level, which agrees with the extended
     precision of :func:`group_average` within ``EQUALITY_TOLERANCE``; and
@@ -360,15 +357,14 @@ def _full_average(rows: list[list[float]], group: PermutationGroup) -> list[list
 
 def _orbit_average(rows: list[list[float]], group: PermutationGroup) -> list[list[float]]:
     """``group_average(strategy="orbit")`` in Python floats: each entry is
-    the ``fsum`` of its pair orbit's entries over their count."""
-    ell = len(rows)
-    labels = orbit_minima(group.generators, ell, arity=2)
-    members: dict[int, list[float]] = {}
-    for label, x in zip(labels, (x for row in rows for x in row)):
-        members.setdefault(label, []).append(x)
-    means = {label: math.fsum(xs) / len(xs) for label, xs in members.items()}
-    flat = [means[label] for label in labels]
-    return [flat[i : i + ell] for i in range(0, len(flat), ell)]
+    the ``fsum`` of its pair orbit's entries (:func:`pair_orbits`) over
+    their count."""
+    out = [[0.0] * len(rows) for _ in rows]
+    for orbit in pair_orbits(group.generators, len(rows)):
+        mean = math.fsum(rows[a][b] for a, b in orbit) / len(orbit)
+        for a, b in orbit:
+            out[a][b] = mean
+    return out
 
 
 def _rows_to_lines(rows: Iterable[list[float]]) -> Iterator[str]:

@@ -1184,15 +1184,18 @@ ROW_COUNT_FAULTS = {  # a text read as three rows: the fault reported
 def test_csv_reader_validates_every_row_before_it_refuses_the_count(case):
     """A row count other than the caller's is refused only after the whole
     text is parsed and validated. Rows past the count go through the same
-    parse and validation a block at a time, into a block of their own: an
-    invalid row, before or past the count, and a malformed line past it are
-    reported instead of the count. Blocks of two rows, so the count ends
-    inside one."""
+    parse and validation a block at a time, wrapping into the rows the read
+    keeps: an invalid row, before or past the count, and a malformed line
+    past it are reported instead of the count. Blocks of two rows, so the
+    count ends inside one; the dense read keeps three rows, and ``measure``
+    on the numpy path against a 3-vertex path graph a ring of three."""
     text, error, message = ROW_COUNT_FAULTS[case]
+    reads = (lambda: channel_from_csv(text, 3), lambda: numpy_measure(text, path3()))
     with mock.patch.multiple(channel_mod, BLOCK_CELLS=4, VALIDATE_CHUNK_CELLS=4):
-        with pytest.raises(error) as raised:
-            channel_from_csv(text, 3)
-    assert str(raised.value) == message
+        for read in reads:
+            with pytest.raises(error) as raised:
+                read()
+            assert str(raised.value) == message
 
 
 def traced_peak(read):
@@ -1211,12 +1214,12 @@ def traced_peak(read):
 
 def test_csv_reader_holds_one_block_for_ten_times_the_rows_past_the_count():
     """The 256-row product channel eleven times over, read as 256 rows: the
-    2,560 rows past the count are parsed and validated in one reused block
-    of ``BLOCK_CELLS`` cells, never in the channel's 512 KiB array."""
+    2,560 rows past the count are parsed and validated as they wrap into the
+    channel's 512 KiB array, with no block of their own."""
     text = product_channel_text() * 11
     peak, found = traced_peak(lambda: channel_from_csv(text, 256))
     assert str(found) == "graph has 256 vertices but channel has 2816 rows"
-    assert peak < 256 * 256 * 8 + channel_mod.BLOCK_CELLS * 8 + 2**18
+    assert peak < 256 * 256 * 8 + 2**18
 
 
 def test_csv_reader_reads_a_pipe_a_line_at_a_time():

@@ -1185,7 +1185,7 @@ def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case, capsys)
         lines.append(",".join(repr(x / math.fsum(row)) for x in row) + "\n")
     channel.write_text("".join(lines))
     common = ["symmetrise", "run", str(channel), "--policy", str(policy), "--group", group]
-    labels = {"python": "orbit_minima", "numpy": "orbit_labels"}
+    labels = {"python": "pair_orbits", "numpy": "orbit_labels"}
     written = {}
     for route, cells in (("python", math.inf), ("numpy", -1)):
         out = tmp_path / route
@@ -1200,7 +1200,7 @@ def test_symmetrise_writes_the_same_bytes_on_both_routes(tmp_path, case, capsys)
             ]
             alone = lambda perms, degree, arity=1: np.arange(degree**arity)  # noqa: E731
             if route == "python":
-                alone = lambda perms, degree, arity=1: list(range(degree**arity))  # noqa: E731
+                alone = lambda perms, degree: [[divmod(p, degree)] for p in range(degree**2)]  # noqa: E731
             capsys.readouterr()
             with mock.patch.object(symmetrise_mod, labels[route], alone):
                 assert run(*common, "--cross-check", "--out", str(tmp_path / "sabotaged.txt")) == 1
@@ -1536,6 +1536,49 @@ def test_an_invalid_last_row_of_a_streamed_channel_exits_two_without_output(
     assert captured.err == (
         "error: invalid channel matrix (2 violation(s): range@row 1023 col 0, row_sum@row 1023)\n"
     )
+
+
+def test_output_to_a_closed_pipe_is_not_an_error(n5_inputs):
+    """stdout's read end is closed before the command writes: the n = 5
+    generator stops at its first full buffer and exits 0, and a verify whose
+    target fails still exits 1 after its short report fails to flush, as
+    does policy validate's one line with 0; none prints to stderr."""
+    directory, policy = n5_inputs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for argv, code in (
+        (["policy", "validate", policy], 0),
+        (["channel", "generate", "--policy", policy, "--epsilon", "0.1"], 0),
+        (["channel", "verify", "k.csv", "--policy", policy, "--epsilon", "0.01"], 1),
+    ):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "wb") as pipe:
+            done = subprocess.run(
+                [sys.executable, "-m", "blowfish_privacy.cli", *argv], cwd=directory, env=env,
+                stdout=pipe, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert (done.returncode, done.stderr) == (code, "")
+
+
+def test_lifted_group_searches_the_secret_graph_under_the_vertex_cap(tmp_path, capsys):
+    """The 17-cycle policy with one record: its secret graph is its adjacency
+    graph, which --group full searches under --vertex-cap; --group lifted
+    searches the secret graph under the same cap."""
+    policy, channel = tmp_path / "p.json", tmp_path / "k.csv"
+    assert run("policy", "build", "--kind", "cycle", "--m", "17", "--n", "1",
+               "--out", str(policy)) == 0
+    assert run("channel", "generate", "--policy", str(policy), "--epsilon", "0.5",
+               "--out", str(channel)) == 0
+    out = tmp_path / "report.txt"
+    argv = ("symmetrise", "run", str(channel), "--policy", str(policy), "--group", "lifted")
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: automorphism search limited to 16 vertices, got 17\n"
+    assert run(*argv, "--vertex-cap", "17", "--out", str(out)) == 0
+    assert parse_report(out.read_text())["group_order"] == "34"
 
 
 def test_channel_rows_are_checked_against_the_graph_after_validation(tmp_path, capsys):

@@ -259,7 +259,9 @@ def test_group_average_cross_check_mode_raises_on_mismatch(monkeypatch):
     with pytest.raises(BlowfishError):
         sym.group_average(m, group, cross_check=True)
     sym.run(m.probs.tolist(), graph, group, cross_check=True)  # the Python route's labels
-    monkeypatch.setattr(sym, "orbit_minima", lambda *args, **kw: broken(*args, **kw).tolist())
+    monkeypatch.setattr(
+        sym, "pair_orbits", lambda perms, degree: [[divmod(p, degree)] for p in range(degree**2)]
+    )
     with pytest.raises(BlowfishError, match="group-average strategies disagree"):
         sym.run(m.probs.tolist(), graph, group, cross_check=True)
 
