@@ -27,8 +27,9 @@ RANGE_TOLERANCE = 1e-12
 # Channel cells that randomized response weighs, checks and formats at once.
 BLOCK_CELLS = 2**16
 # Cells a channel command computes on, at most, to work in Python floats
-# rather than import numpy (:func:`small_channel`); an unconstrained policy's
-# channel is generated in Python floats at every size. Not a measured
+# rather than import numpy (:func:`small_channel`); such a channel is
+# generated by product_lines as its graph's one-record product, and an
+# unconstrained policy's by product_lines at every size. Not a measured
 # crossover: numpy was slower at 2**19 cells and faster at 8.4 million.
 PYTHON_CELLS = 2**19
 # Entries of row pairs that minimal_epsilon compares at once.
@@ -573,59 +574,28 @@ def _response_rows(
         dist = block = None  # dropped before the next block is made, not after
 
 
-def response_lines(
-    dist_rows: Iterable[list[int]], epsilon: float, columns: Sequence[int] | None = None
-) -> Iterator[str]:
-    """The CSV lines of :func:`response_blocks` over the distance rows
-    ``dist_rows``, lists of ints, made in Python floats with no array and no
-    numpy, for a channel small enough (:func:`small_channel`) that this
-    costs less than numpy's import.
-
-    Each row is weighed from the same ``math.exp`` table, divided by its
-    ``math.fsum``, its columns taken in the order ``columns``, validated by
-    the exact scan :func:`_row_violations` and written as ``repr`` of each
-    entry, so the lines are those :func:`rows_to_csv` writes of
-    :func:`response_blocks`, byte for byte. ``epsilon`` is checked when
-    this is called.
-    """
-    if not epsilon > 0:
-        raise InputError(f"epsilon must be positive, got {epsilon}")
-    return _response_lines(dist_rows, epsilon, columns)
-
-
-def _response_lines(
-    dist_rows: Iterable[list[int]], epsilon: float, columns: Sequence[int] | None
-) -> Iterator[str]:
-    table = _weights(epsilon, 0)  # grown as in _response_rows
-    for i, dist in enumerate(dist_rows):
-        longest = max(dist)
-        if longest > len(table) - 2:
-            table = _weights(epsilon, longest)
-        weights = [table[d] for d in dist]
-        total = math.fsum(weights)
-        row = [w / total for w in weights]
-        if columns is not None:
-            row = [row[j] for j in columns]
-        _check(_row_violations(i, row), "channel matrix")
-        yield ",".join(map(repr, row)) + "\n"
-
-
 def product_lines(
     secret: Graph, n: int, epsilon: float, columns: Sequence[int] | None = None
 ) -> Iterator[str]:
-    """:func:`response_lines` of the adjacency graph of the unconstrained
-    policy on the secret graph ``secret`` (universe indices) with ``n``
-    records, byte for byte, with no graph induced and no numpy.
+    """The CSV lines that :func:`rows_to_csv` writes of :func:`response_blocks`
+    over the adjacency graph of the unconstrained policy on the secret graph
+    ``secret`` with ``n`` records, byte for byte, made in Python floats with
+    no graph induced and no numpy. A graph is its own one-record product, so
+    ``n = 1`` gives the channel of ``secret`` itself.
 
-    That graph is the n-fold Cartesian product of the secret graph (Imrich
-    & Klavžar, *Product Graphs*, 2000): in the mixed-radix canonical order,
-    row ``p * width + s`` holds ``head[p][q] + tail[s][t]`` in column
-    ``q * width + t``, the summed secret distances of the first ``n - k``
-    and the last ``k = (n + 1) // 2`` records (an unreachable pair counts
-    as ``beyond``, past any reachable sum). Rows whose databases hold the
-    same values in another order are permutations of one another, with the
-    same ``fsum`` normaliser to the bit: it is summed and the row validated
-    once per multiset of values. ``epsilon`` is checked when this is called.
+    Each row is weighed from the ``math.exp`` table, divided by its
+    ``math.fsum``, its columns taken in the order ``columns``, validated by
+    the exact scan :func:`_row_violations` and written as ``repr`` of each
+    entry. The adjacency graph is the n-fold Cartesian product of the secret
+    graph (Imrich & Klavžar, *Product Graphs*, 2000): in the mixed-radix
+    canonical order, row ``p * width + s`` holds ``head[p][q] + tail[s][t]``
+    in column ``q * width + t``, the summed secret distances of the first
+    ``n - k`` and the last ``k = (n + 1) // 2`` records (an unreachable pair
+    counts as ``beyond``, past any reachable sum). Rows whose databases hold
+    the same values in another order are permutations of one another, with
+    the same ``fsum`` normaliser to the bit: it is summed and the row
+    validated once per multiset of values. ``epsilon`` is checked when this
+    is called.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")

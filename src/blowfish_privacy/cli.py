@@ -333,9 +333,8 @@ def _cmd_channel_generate(args) -> int:
         lines = channel_mod.product_lines(secret, source.n, args.epsilon, columns)
     else:
         graph = _induced(source, cap).to_graph()  # inducing a policy loads no numpy
-        if channel_mod.small_channel(size, size):  # in Python floats, with no numpy
-            dist = graphcore.distance_lists(graph)
-            lines = channel_mod.response_lines(dist, args.epsilon, columns)
+        if channel_mod.small_channel(size, size):  # a graph is its own one-record product
+            lines = channel_mod.product_lines(graph, 1, args.epsilon, columns)
         else:
             dist = graphcore.distance_blocks(graph)
             blocks = channel_mod.response_blocks(dist, args.epsilon, columns)

@@ -10,6 +10,8 @@ every downstream matrix row or vertex index uses that order.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -158,9 +160,23 @@ class BlowfishPolicy(Value):
 
 
 def permissible_size(policy: BlowfishPolicy) -> int:
-    if policy.unconstrained:
-        return len(policy.universe) ** policy.n
-    return len(policy.permissible)
+    """The number of permissible databases: ``m ** n`` for an unconstrained
+    policy on ``m`` values with ``n`` records. :class:`CapExceededError`
+    names it ``m^n`` when it has more decimal digits than Python writes out
+    (``sys.get_int_max_str_digits()``, unless 0), decided before the power
+    is taken, so every count derived from it (a component count is at most
+    it) can be printed."""
+    if not policy.unconstrained:
+        return len(policy.permissible)
+    m, n = len(policy.universe), policy.n
+    limit = sys.get_int_max_str_digits()
+    # An int is compared with a float exactly, however large n is; log10
+    # errs far less than a digit, so only a count near the limit is computed.
+    if limit and ((m > 1 and n > (limit + 1) / math.log10(m)) or m**n >= 10**limit):
+        raise CapExceededError(
+            f"permissible set has {m}^{n} databases, a count of more than {limit} digits"
+        )
+    return m**n
 
 
 def capped_permissible_size(policy: BlowfishPolicy, cap: int) -> int:

@@ -160,17 +160,21 @@ def build_sharpness_instance(n: int, delta: float) -> SharpnessInstance:
       dense row is a kernel row padded with zeros, which change neither its
       range check nor its ``fsum`` row sum;
     - leakage: the dense column maxima are the kernel's first four and its
-      last two n - 1 times each, and :func:`uniform_leakage` sums them with
-      ``fsum``, which depends on the multiset alone.
+      last two n - 1 times each. :func:`uniform_leakage` sums them with
+      ``fsum``, which rounds their exact sum once; that sum is taken here
+      by multiplicity in exact rationals and rounded once, so the one float
+      passed is the ``fsum`` of the 2n + 2 maxima, with no list of them.
     """
+    from fractions import Fraction
+
     bound_bits, leakage_bits, ratio = sharpness_ratio(n, delta)  # checks n and delta
     kernel = _kernel_rows(delta)
     _check(
         [v for i, row in enumerate(kernel) for v in _row_violations(i, row)], "channel matrix"
     )
-    maxima = [max(column) for column in zip(*kernel)]
-    dense_maxima = maxima[:4] + maxima[4:] * (n - 1)
-    measured_leak = uniform_leakage(dense_maxima, 2 * n + 2).leakage_bits
+    maxima = [Fraction(max(column)) for column in zip(*kernel)]
+    total = float(sum(maxima[:4]) + sum(maxima[4:]) * (n - 1))
+    measured_leak = uniform_leakage([total], 2 * n + 2).leakage_bits
     return SharpnessInstance(
         n=n,
         delta=float(delta),

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,7 +28,7 @@ from blowfish_privacy.adjacency import (
     adjacency_from_json,
     adjacency_to_json,
 )
-from blowfish_privacy.channel import product_lines, response_lines
+from blowfish_privacy.channel import product_lines, response_blocks, rows_to_csv
 from blowfish_privacy.graphcore import components_and_diameters
 
 from helpers import (
@@ -209,7 +210,7 @@ EPSILONS = st.sampled_from([1e-300, 0.5, math.inf])
 @example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), math.inf, None)
 @example(distance_threshold_policy([1, 2, 3, 4], 1, n=3), math.inf, 3)
 def test_product_distances_equal_bfs_on_the_induced_graph(pol, epsilon, seed):
-    """``channel.product_lines`` writes the bytes of ``response_lines`` over
+    """``channel.product_lines`` writes the bytes of the numpy route over
     the oracle's BFS distances of the induced graph, with the columns
     shuffled by ``seed`` or in order (``None``)."""
     graph = induce_adjacency_graph(pol).to_graph()
@@ -217,7 +218,7 @@ def test_product_distances_equal_bfs_on_the_induced_graph(pol, epsilon, seed):
     if seed is not None:
         columns = list(range(graph.vertex_count))
         random.Random(seed).shuffle(columns)
-    bfs = response_lines(oracle_distances(graph), epsilon, columns)
+    bfs = rows_to_csv(response_blocks([np.array(oracle_distances(graph))], epsilon, columns))
     secret = pol.secret_graph.index_graph
     assert list(product_lines(secret, pol.n, epsilon, columns)) == list(bfs)
 

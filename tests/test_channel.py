@@ -646,12 +646,12 @@ def numpy_lines(graph, epsilon, columns=None):
     st.sampled_from([1e-300, 0.1, 0.5, math.log(4), 30.0, 1e300, math.inf]),
     st.none() | st.integers(0, 2**32),
 )
-def test_python_response_lines_are_the_numpy_bytes(graph, epsilon, seed):
+def test_one_record_product_lines_are_the_numpy_bytes(graph, epsilon, seed):
     columns = None
     if seed is not None:
         columns = list(range(graph.vertex_count))
         random.Random(seed).shuffle(columns)
-    lines = channel_mod.response_lines(graphcore.distance_lists(graph), epsilon, columns)
+    lines = channel_mod.product_lines(graph, 1, epsilon, columns)
     assert "".join(lines) == numpy_lines(graph, epsilon, columns)
 
 
@@ -661,7 +661,7 @@ def test_complete_graph_on_256_vertices_on_both_paths():
     on randomized response and on a random channel, and so does the
     entrywise oracle."""
     graph = Graph.from_edges(256, itertools.combinations(range(256), 2))
-    text = "".join(channel_mod.response_lines(graphcore.distance_lists(graph), 0.5))
+    text = "".join(channel_mod.product_lines(graph, 1, 0.5))
     assert text == numpy_lines(graph, 0.5)
     assert not channel_mod.small_channel(256, 256, graph.edge_count)
     weights = np.random.default_rng(256).random((256, 256)) + 0.01

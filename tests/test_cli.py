@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 import tracemalloc
 import warnings
@@ -293,6 +294,29 @@ def test_bound_compute_unconstrained_uses_closed_form(tmp_path, capsys):
     assert report["component_count"] == "1"
     assert report["max_diameter"] == "60"
     assert float(report["leakage_upper_bits"]) == pytest.approx(60 * 0.1 * LOG2E, abs=1e-9)
+
+
+def test_a_count_past_the_digit_limit_exits_three(tmp_path, capsys, digit_limit):
+    """4^7142 has 4,300 digits, as many as Python writes out: the closed form
+    reports it. 4^7143 and 4^(10^8) exit 3 within a second with one
+    ``error:`` line naming the count as a power, and no output."""
+    policies = {n: build_path_policy(tmp_path, n=n) for n in (7142, 7143, 10**8)}
+    capsys.readouterr()
+    assert run("bound", "compute", str(policies[7142]), "--epsilon", "0.1") == 0
+    assert parse_report(capsys.readouterr().out)["input_count"] == str(4**7142)
+    for n in (7143, 10**8):
+        start = time.perf_counter()
+        assert run("bound", "compute", str(policies[n]), "--epsilon", "0.1") == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: permissible set has 4^{n} databases, a count of more than 4300 digits\n"
+        )
+    out = tmp_path / "g.json"
+    assert run("adjacency", "induce", str(policies[7143]), "--out", str(out)) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: permissible set has 4^7143 databases")
 
 
 def test_bound_compute_channel_over_cap_exits_three(tmp_path):
@@ -1109,6 +1133,30 @@ def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, capsys, n
         code, (error,) = outcome
         assert code == 2 and error.startswith("error: "), name
         assert leaked == {(0, ()) if name.startswith("row-too") else outcome}, name
+
+
+def test_generate_from_disconnected_and_one_vertex_graphs_on_both_paths(tmp_path):
+    """channel generate --graph writes the same file in Python floats (the
+    graph as its own one-record product) as with numpy, shuffled and not,
+    on a graph of three components and on a one-vertex graph."""
+    graphs = {
+        "disconnected": {"vertices": [[str(v)] for v in range(6)],
+                         "edges": [[0, 1], [1, 2], [3, 4]]},
+        "one-vertex": {"vertices": [["a"]], "edges": []},
+    }
+    for name, doc in graphs.items():
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(json.dumps(doc))
+        for shuffle in ((), ("--shuffle-outputs", "--seed", "3")):
+            written = set()
+            for cells in (math.inf, 0):
+                out = tmp_path / f"{name}-{cells}.csv"
+                with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
+                    assert run("channel", "generate", "--graph", str(graph), "--epsilon",
+                               "0.5", *shuffle, "--out", str(out)) == 0
+                written.add(out.read_bytes())
+            (text,) = written
+            assert len(text.splitlines()) == len(doc["vertices"]), (name, shuffle)
 
 
 def test_symmetrise_on_a_small_channel_imports_no_numpy(tmp_path):

@@ -97,6 +97,28 @@ def test_enumerate_cap_error_names_size():
         enumerate_permissible(pol, cap=10**6)
 
 
+@pytest.mark.parametrize(
+    "m, n, digits",
+    [(4, 7142, 4300), (4, 7143, None), (10, 4299, 4300), (10, 4300, None),
+     (4, 10**8, None), (1, 10**400, 1)],
+)
+def test_permissible_size_refuses_a_count_past_the_digit_limit(m, n, digits, digit_limit):
+    """A count of more decimal digits than Python writes out (4,300 by
+    default) is refused, named ``m^n``, before the power is taken: 4^7142
+    and 10^4299 have 4,300 digits, 4^7143 and 10^4300 have 4,301."""
+    pol = distance_threshold_policy(range(m), 0, n=n)
+    if digits is None:
+        with pytest.raises(CapExceededError) as raised:
+            permissible_size(pol)
+        assert str(raised.value) == (
+            f"permissible set has {m}^{n} databases, a count of more than 4300 digits"
+        )
+        with pytest.raises(CapExceededError, match=rf"{m}\^{n} databases"):
+            enumerate_permissible(pol, cap=10**6)
+    else:
+        assert len(str(permissible_size(pol))) == digits
+
+
 def test_roundtrip_identity():
     pol = distance_threshold_policy([1, 2, 3, 4], 1, n=2)
     text = policy_to_json(pol)

@@ -194,6 +194,29 @@ def test_sweep_builds_no_dense_channel():
     assert peak < 2**20
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**4), st.floats(1e-300, 1e300))
+def test_maxima_summed_by_multiplicity_equal_their_fsum(n, delta):
+    """The dense column maxima summed once each by ``fsum``, as a list of
+    2n + 2, give the measured leakage to the bit."""
+    maxima = [max(column) for column in zip(*tightness._kernel_rows(delta))]
+    listed = tightness.uniform_leakage(maxima[:4] + maxima[4:] * (n - 1), 2 * n + 2)
+    assert build_sharpness_instance(n, delta).measured_leakage_bits == listed.leakage_bits
+
+
+def test_an_instance_holds_no_list_of_its_maxima():
+    """n = 10^7 stands for 2 * 10^7 column maxima; the instance is measured
+    within 1 MiB."""
+    tracemalloc.start()
+    try:
+        inst = build_sharpness_instance(10**7, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.closed_form_gap <= 1e-12
+    assert peak < 2**20
+
+
 def test_an_invalid_kernel_is_refused_as_the_channel_refuses_it(monkeypatch):
     """The kernel rows get the exact scan ChannelMatrix gives, and the same
     error text."""
