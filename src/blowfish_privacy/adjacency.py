@@ -18,7 +18,7 @@ import warnings
 from typing import Iterator, NamedTuple
 
 from .errors import SchemaError
-from .graphcore import Graph
+from .graphcore import Graph, record_places
 from .policy import (
     BlowfishPolicy,
     DEFAULT_DATABASE_CAP,
@@ -122,23 +122,18 @@ class AdjacencyGraph(NamedTuple):
         return Graph(len(self.vertices), self.edges)
 
 
-def _induce_fast(policy: BlowfishPolicy, vertices: tuple[Database, ...]) -> frozenset:
-    # Unconstrained sets only: adjacency is exactly one differing position
-    # whose value pair is a secret edge.
-    universe = policy.universe
-    labels = universe.labels
-    neighbors = policy.secret_graph.index_graph.neighbors
-    index_of = {db: k for k, db in enumerate(vertices)}
-    edges = set()
-    for idx, db in enumerate(vertices):
-        for pos, lab in enumerate(db):
-            base_rank = universe.index(lab)
-            for other_rank in neighbors[base_rank]:
-                if other_rank <= base_rank:
-                    continue
-                other = db[:pos] + (labels[other_rank],) + db[pos + 1 :]
-                edges.add((idx, index_of[other]))
-    return frozenset(edges)
+def _induce_fast(policy: BlowfishPolicy) -> frozenset:
+    # Unconstrained sets only: adjacent databases differ in one record p, on
+    # a secret edge d < w. The codes with digit d at p come in runs of
+    # `place` codes, one run every m * place, and each joins c + (w - d) * place.
+    m, n = len(policy.universe), policy.n
+    return frozenset(
+        (c, c + (w - d) * place)
+        for place in record_places(m, n)
+        for d, w in policy.secret_graph.index_graph.edges
+        for start in range(d * place, m**n, m * place)
+        for c in range(start, start + place)
+    )
 
 
 def _induce_definition(
@@ -158,22 +153,25 @@ def induce_adjacency_graph(
 ) -> AdjacencyGraph:
     """Induce the database adjacency graph for ``policy``.
 
-    An unconstrained policy takes the single-position characterisation
-    (adjacent databases differ in one record, on a secret pair). An explicit
-    permissible set follows the definition, one pass from each database as
-    base, over Python-int bitsets of databases: ``sets[p][v]`` holds the
-    databases with value ``v`` at record ``p``, built once. Each pass refines
-    the databases secretly different from the base by their secret
-    difference, one record at a time and depth first, keeps the groups with
-    no smaller non-empty secret difference inside them, and within those
-    the databases whose total difference is minimal (see
+    An unconstrained policy's graph is the secret graph's n-fold Cartesian
+    product (Imrich & Klavžar, *Product Graphs*, 2000): in the mixed-radix
+    canonical order (:func:`~blowfish_privacy.graphcore.record_places`),
+    database ``c`` with digit ``d`` at record ``p`` joins ``c + (w - d) *
+    m^(n-1-p)`` for each secret edge ``d < w``, with no database read. An
+    explicit permissible set follows the definition, one pass from each
+    database as base, over Python-int bitsets of databases: ``sets[p][v]``
+    holds the databases with value ``v`` at record ``p``, built once. Each
+    pass refines the databases secretly different from the base by their
+    secret difference, one record at a time and depth first, keeps the
+    groups with no smaller non-empty secret difference inside them, and
+    within those the databases whose total difference is minimal (see
     :func:`_adjacent_from`). No array is built and numpy is not imported.
-    An edge is kept when either direction
-    holds; pairs where the directions disagree are recorded and warned about.
+    An edge is kept when either direction holds; pairs where the
+    directions disagree are recorded and warned about.
     """
     vertices = enumerate_permissible(policy, cap)
     if policy.unconstrained:
-        return AdjacencyGraph(vertices, _induce_fast(policy, vertices))
+        return AdjacencyGraph(vertices, _induce_fast(policy))
     edges, asymmetric = _induce_definition(policy, vertices)
     if asymmetric:
         warnings.warn(

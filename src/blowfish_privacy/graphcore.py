@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence, TYPE_CHECKING
 
 from ._frozen import Frozen, Value
@@ -679,6 +679,13 @@ def pair_orbits(
 # Lifting secret-graph symmetry to the database adjacency graph
 
 
+def record_places(m: int, n: int) -> list[int]:
+    """Place values ``m ** (n - 1 - p)``: the canonical order numbers the
+    database of label indices ``d_p`` as ``c = sum(d_p * places[p])``, so
+    its digit at record ``p`` is ``c // places[p] % m``."""
+    return [m ** (n - 1 - p) for p in range(n)]
+
+
 def lift_policy_automorphisms(
     policy: "BlowfishPolicy",
     adjacency: "AdjacencyGraph",
@@ -693,7 +700,12 @@ def lift_policy_automorphisms(
     automorphism group is lifted per record; lifting at a fixed record is a
     homomorphism, so the generated subgroup is unchanged. ``adjacency`` must
     list each of the policy's databases exactly once, in any order, or
-    :class:`InputError` is raised. Every returned permutation is verified to
+    :class:`InputError` is raised. Each database is coded once by its
+    mixed-radix number ``c`` (:func:`record_places`); a generator is a digit
+    map on codes read back through the inverse of the code list: ``phi`` at
+    record ``r`` adds ``(phi(d_r) - d_r) * m^(n-1-r)`` to ``c``, and the
+    swap of records ``r`` and ``r + 1`` adds ``(d_(r+1) - d_r) *
+    (m^(n-1-r) - m^(n-2-r))``. Every returned permutation is verified to
     preserve adjacency on ``adjacency``. The secret graph's automorphisms
     are searched by :func:`automorphism_group` under ``vertex_cap``.
     """
@@ -702,46 +714,33 @@ def lift_policy_automorphisms(
             "lifting needs an unconstrained permissible set; "
             "use a full automorphism search instead"
         )
-    universe = policy.secret_graph.universe
-    labels = universe.labels
+    universe = policy.universe
     secret_aut = automorphism_group(policy.secret_graph.index_graph, vertex_cap=vertex_cap)
 
     vertices = adjacency.vertices
-    n = policy.n
-    index_of = {db: k for k, db in enumerate(vertices)}
-    # Distinct n-record databases over the labels, as many as there are such
-    # databases, are exactly the database set. The per-vertex test runs
-    # first, so the power is only taken for an n no longer than a vertex.
-    label_set = set(labels)
-    if (
-        len(index_of) != len(vertices)
-        or any(len(db) != n or not label_set.issuperset(db) for db in vertices)
-        or len(vertices) != len(labels) ** n
-    ):
+    m, n = len(universe), policy.n
+    # Distinct codes of n known labels, m^n of them, are the database set.
+    # The per-vertex test runs first, so only known labels are coded and the
+    # powers are only taken for an n no longer than a vertex.
+    label_set = set(universe.labels)
+    codes = None
+    if all(len(db) == n and label_set.issuperset(db) for db in vertices):
+        places = record_places(m, n)
+        codes = [sum(map(mul, map(universe.index, db), places)) for db in vertices]
+    if codes is None or len(set(codes)) != len(codes) or len(codes) != m**n:
         raise InputError(
             "adjacency graph does not cover the policy's full database set"
         )
+    position = sorted(range(len(codes)), key=codes.__getitem__)  # the vertex of each code
+    digits = [[code // place % m for code in codes] for place in places]
 
     gens: list[Permutation] = []
-    for record in range(n):
+    for place, at in zip(places, digits):
         for phi in secret_aut.generators:
-            mapped = []
-            for db in vertices:
-                image_db = (
-                    db[:record]
-                    + (labels[phi[universe.index(db[record])]],)
-                    + db[record + 1 :]
-                )
-                mapped.append(index_of[image_db])
-            gens.append(tuple(mapped))
-    for record in range(n - 1):
-        mapped = []
-        for db in vertices:
-            image_db = (
-                db[:record] + (db[record + 1], db[record]) + db[record + 2 :]
-            )
-            mapped.append(index_of[image_db])
-        gens.append(tuple(mapped))
+            gens.append(tuple(position[c + (phi[d] - d) * place] for c, d in zip(codes, at)))
+    for r in range(n - 1):  # records r and r + 1 trade digits
+        shift, pairs = places[r] - places[r + 1], zip(codes, digits[r], digits[r + 1])
+        gens.append(tuple(position[c + (e - d) * shift] for c, d, e in pairs))
 
     graph = adjacency.to_graph()
     unique = tuple(dict.fromkeys(g for g in gens if g != identity_permutation(len(vertices))))

@@ -52,11 +52,6 @@ class TupleUniverse(Value):
         except KeyError:
             raise InputError(f"unknown label {label!r}") from None
 
-    def value(self, label: str) -> float:
-        if self.values is None:
-            raise InputError("universe has no numeric values")
-        return self.values[self.index(label)]
-
     def __contains__(self, label) -> bool:
         return label in self._index
 
@@ -180,11 +175,13 @@ def permissible_size(policy: BlowfishPolicy) -> int:
 
 
 def capped_permissible_size(policy: BlowfishPolicy, cap: int) -> int:
-    """:func:`permissible_size`, raising :class:`CapExceededError` above ``cap``."""
+    """:func:`permissible_size`, raising :class:`CapExceededError` above
+    ``cap``; the error names a count past ``sys.maxsize`` as ``m^n``."""
     total = permissible_size(policy)
     if total > cap:
+        count = total if total <= sys.maxsize else f"{len(policy.universe)}^{policy.n}"
         raise CapExceededError(
-            f"permissible set has {total} databases, exceeding the cap of {cap}"
+            f"permissible set has {count} databases, exceeding the cap of {cap}"
         )
     return total
 

@@ -196,6 +196,23 @@ EPSILONS = st.sampled_from([1e-300, 0.5, math.inf])
 
 
 @settings(max_examples=40, deadline=None)
+@given(unconstrained_policies().filter(lambda pol: len(pol.universe) ** pol.n <= 81))
+@example(custom_policy(["a", "b", "c"], [], n=4))
+@example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3))
+@example(custom_policy(["a", "b", "c", "d", "e"], [("b", "e")], n=2))
+@example(custom_policy(["a"], [], n=4))
+def test_mixed_radix_edges_equal_the_oracle(pol):
+    """The unconstrained graph's edges, written from record place values
+    alone, are the definition's on every secret graph (the oracle is cubic
+    in the database count, so at most 81 databases are drawn)."""
+    adjacency = induce_adjacency_graph(pol)
+    assert adjacency.vertices == enumerate_permissible(pol)
+    assert set(adjacency.edges) == oracle_adjacency_edges(
+        pol.secret_graph.edges, list(adjacency.vertices)
+    )
+
+
+@settings(max_examples=40, deadline=None)
 @given(unconstrained_policies(), EPSILONS, st.none() | st.integers(0, 2**32))
 @example(custom_policy(["a", "b", "c"], [], n=3), 0.5, None)
 @example(custom_policy(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], n=3), 0.5, None)

@@ -141,6 +141,27 @@ def test_adjacency_cap_exceeded_exits_three(tmp_path):
     assert not (tmp_path / "never.json").exists()
 
 
+@pytest.mark.parametrize("n, count", [
+    (20, str(4**20)), (31, str(4**31)), (32, "4^32"), (7142, "4^7142"),
+])
+def test_a_cap_error_names_a_count_past_maxsize_as_a_power(
+    tmp_path, capsys, digit_limit, n, count
+):
+    """Counts up to ``sys.maxsize`` (2^63 - 1 on a 64-bit build, above
+    4^31) are written out, larger ones as ``m^n``: at n = 7,142 the error
+    is one short line, not 4,300 digits."""
+    policy = build_path_policy(tmp_path, n=n)
+    capsys.readouterr()
+    out = tmp_path / "never.json"
+    code = run("adjacency", "induce", str(policy), "--max-databases", "1000000",
+               "--out", str(out))
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"error: permissible set has {count} databases, exceeding the cap of 1000000\n"
+    )
+
+
 def test_explicit_permissible_set_is_capped(tmp_path):
     permissible = tmp_path / "permissible.json"
     permissible.write_text(json.dumps([[a, b] for a in "1234" for b in "1234"]))

@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import subprocess
 import sys
 import time
@@ -22,6 +24,7 @@ from blowfish_privacy import (
     compose,
     distance_threshold_policy,
     distances,
+    enumerate_permissible,
     generate_group,
     induce_adjacency_graph,
     lift_policy_automorphisms,
@@ -30,6 +33,7 @@ from blowfish_privacy import (
     transporter,
 )
 from blowfish_privacy import graphcore
+from blowfish_privacy.adjacency import AdjacencyGraph
 from blowfish_privacy.graphcore import (
     UNREACHABLE,
     identity_permutation,
@@ -507,6 +511,55 @@ def test_lift_generator_count():
     pol = complete_policy(3, n=4)
     # two generators of S3 per record, plus three adjacent record swaps
     assert len(lift_policy_automorphisms(pol, induce_adjacency_graph(pol))) == 11
+
+
+# SHA-256 of repr() of the 11 generators lifted from complete m = 3, n = 4 in
+# canonical order: per record, S3's two generators; then the three swaps.
+COMPLETE_3_4_GENERATORS = "2ed81c9d8343a55e7603027a2ef3534e15599c74cb81367559ee354b8c4b2f64"
+
+
+def shuffled(adjacency, seed):
+    """``adjacency`` with its vertices listed in a seeded random order, and
+    that order: new vertex ``k`` is old vertex ``order[k]``."""
+    order = list(range(len(adjacency.vertices)))
+    random.Random(seed).shuffle(order)
+    new = invert(order)
+    edges = [(new[a], new[b]) for a, b in adjacency.edges]
+    graph = Graph.from_edges(len(order), edges)
+    return AdjacencyGraph(tuple(adjacency.vertices[k] for k in order), graph.edges), order
+
+
+def test_lifted_generators_are_pinned_and_follow_any_vertex_order():
+    pol = complete_policy(3, n=4)
+    canonical = induce_adjacency_graph(pol)
+    gens = lift_policy_automorphisms(pol, canonical)
+    assert len(gens) == 11
+    assert hashlib.sha256(repr(gens).encode()).hexdigest() == COMPLETE_3_4_GENERATORS
+    assert generate_group(gens, degree=81).order == 31_104  # (3!)^4 * 4!
+    for seed in range(3):
+        listed, order = shuffled(canonical, seed)
+        new = invert(order)
+        conjugated = tuple(tuple(new[g[k]] for k in order) for g in gens)
+        assert lift_policy_automorphisms(pol, listed) == conjugated
+
+
+COVER_CASES = {  # a change to the last of the 81 canonical databases
+    "duplicated": lambda dbs: dbs[:-1] + dbs[:1],
+    "missing": lambda dbs: dbs[:-1],
+    "foreign_label": lambda dbs: dbs[:-1] + (("3", "3", "3", "4"),),
+    "short": lambda dbs: dbs[:-1] + (("3", "3", "3"),),
+    "extra": lambda dbs: dbs + (("3", "3", "3", "4"),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVER_CASES))
+def test_lift_refuses_a_vertex_list_that_is_not_the_database_set(case):
+    pol = complete_policy(3, n=4)
+    vertices = COVER_CASES[case](enumerate_permissible(pol))
+    with pytest.raises(
+        InputError, match="^adjacency graph does not cover the policy's full database set$"
+    ):
+        lift_policy_automorphisms(pol, AdjacencyGraph(vertices, frozenset()))
 
 
 def test_lift_rejects_constrained():

@@ -241,7 +241,7 @@ def test_secret_graph_invariants(values, theta):
     for a, b in pol.secret_graph.edges:
         assert a != b
         assert a in pol.universe and b in pol.universe
-    assert abs(pol.universe.value(pol.universe.labels[0]) - values[0]) == 0
+    assert pol.universe.values[0] == values[0]
 
 
 @given(n=st.integers(1, 3))
