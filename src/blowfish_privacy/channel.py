@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 from bisect import bisect_left
 from operator import itemgetter, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -27,12 +28,12 @@ RANGE_TOLERANCE = 1e-12
 # Channel cells that randomized response weighs, checks and formats at once.
 BLOCK_CELLS = 2**16
 # Cells a channel command computes on, at most, to work in Python floats
-# rather than import numpy (:func:`small_channel`); such a channel is
-# generated by product_lines as its graph's one-record product, and an
-# unconstrained policy's by product_lines at every size. On threshold channels
-# of 2**16, 2**20 and 2**24 cells (2-vCPU host, whole commands) `channel
-# leakage` took 0.15, 0.58, 6.1 s in Python floats and 0.26, 0.46, 2.8 s on
-# numpy; `channel verify` 0.22, 0.94, 15.1 s and 0.33, 0.44, 3.3 s.
+# rather than import numpy (:func:`small_channel`), as product_lines makes a
+# graph's channel (and an unconstrained one of n >= 2 at every size). On
+# threshold channels of 2**16, 2**20 and 2**24 cells (2-vCPU host, whole
+# commands) `channel leakage` took 0.15, 0.58, 6.1 s in Python floats and
+# 0.26, 0.46, 2.8 s on numpy; `channel verify` 0.22, 0.94, 15.1 s and 0.33,
+# 0.44, 3.3 s.
 PYTHON_CELLS = 2**19
 # Entries of row pairs that minimal_epsilon compares at once.
 EPSILON_CHUNK_CELLS = 2**13
@@ -520,10 +521,17 @@ def _measure_rows(
     return _channel_measures((r + 1, cols), graph, (hi, lo), maxima, prior, leak)
 
 
-def _weights(epsilon: float, longest: int) -> list[float]:
+def _weights(epsilon: float, longest: int, width: int) -> list[float]:
     """exp(-epsilon/2 * d) for each distance d from 0 to ``longest``, then the
     0 that ``UNREACHABLE`` (-1) indexes. Distance 0 weighs 1 also at epsilon =
-    inf, where exp(-inf * 0) is NaN, so that limit is the identity channel."""
+    inf, where exp(-inf * 0) is NaN, so that limit is the identity channel.
+    A row of ``width`` weights of at most 1 sums to at most ``width``, so a
+    finite epsilon at which exp(-epsilon/2 * longest) / width could fall
+    below float64's smallest normal number is an :class:`InputError`."""
+    limit = -2.0 * math.log(sys.float_info.min * width) / longest if longest else math.inf
+    if math.inf > epsilon > limit:
+        what = f"epsilon {epsilon} would underflow channel entries at distance {longest}"
+        raise InputError(f"{what}: this graph admits epsilon up to {limit}")
     return [1.0, *(math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)), 0.0]
 
 
@@ -555,7 +563,7 @@ def _response_rows(
     dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None
 ) -> Iterator[np.ndarray]:
     # The table grows with the longest distance seen so far.
-    table = np.array(_weights(epsilon, 0))
+    table = np.array(_weights(epsilon, 0, 1))
     order = None if columns is None else np.asarray(columns, dtype=np.intp)
     first_row = 0
     for dist in dist_blocks:
@@ -566,7 +574,11 @@ def _response_rows(
                 block = np.take(block, order, axis=1)
             longest = int(block.max())
             if longest > len(table) - 2:
-                table = np.array(_weights(epsilon, longest))
+                try:
+                    table = np.array(_weights(epsilon, longest, dist.shape[1]))
+                except InputError:  # refused again, named at the graph's longest distance
+                    rest = itertools.chain([dist[lo:]], dist_blocks)
+                    _weights(epsilon, max(int(d.max()) for d in rest), dist.shape[1])
             rows = table[block]
             for row in rows:
                 row /= math.fsum(memoryview(row))
@@ -581,9 +593,11 @@ def product_lines(
 ) -> Iterator[str]:
     """The CSV lines that :func:`rows_to_csv` writes of :func:`response_blocks`
     over the adjacency graph of the unconstrained policy on the secret graph
-    ``secret`` with ``n`` records, byte for byte, made in Python floats with
-    no graph induced and no numpy. A graph is its own one-record product, so
-    ``n = 1`` gives the channel of ``secret`` itself.
+    ``secret`` with ``n`` records, byte for byte, with no graph induced. A
+    graph is its own one-record product, so ``n = 1`` gives the channel of
+    ``secret`` itself, written from :func:`graphcore.distance_blocks` on
+    numpy where :func:`small_channel` refuses it (no two of its rows share
+    a normaliser). Any other product is made in Python floats, no numpy.
 
     Each row is weighed from the ``math.exp`` table, divided by its
     ``math.fsum``, its columns taken in the order ``columns``, validated by
@@ -597,10 +611,12 @@ def product_lines(
     the same values in another order are permutations of one another, with
     the same ``fsum`` normaliser to the bit: it is summed and the row
     validated once per multiset of values. ``epsilon`` is checked when this
-    is called.
+    is called, and against the limit of :func:`_weights` at the first line.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
+    if n == 1 and not small_channel(secret.vertex_count, secret.vertex_count):
+        return rows_to_csv(_response_rows(distance_blocks(secret), epsilon, columns))
     return _product_lines(secret, n, epsilon, columns)
 
 
@@ -616,11 +632,11 @@ def _product_lines(
     secret: Graph, n: int, epsilon: float, columns: Sequence[int] | None
 ) -> Iterator[str]:
     per = distance_lists(secret)
-    m, beyond = len(per), n * (len(per) - 1) + 1
+    m, beyond = len(per), n * max(map(max, per), default=0) + 1
     for per_row in per:
         if UNREACHABLE in per_row:
             per_row[:] = [beyond if d == UNREACHABLE else d for d in per_row]
-    weights = _weights(epsilon, beyond - 1) + [0.0] * ((n - 1) * beyond)  # to n * beyond
+    weights = _weights(epsilon, beyond - 1, m**n) + [0.0] * ((n - 1) * beyond)  # to n * beyond
     head, tail = _kronecker_sum(per, n - (n + 1) // 2), _kronecker_sum(per, (n + 1) // 2)
     width = len(tail)
     if columns is not None and len(columns) > 1:  # one column stays put (and gives no tuple)

@@ -317,29 +317,21 @@ def _cmd_channel_leakage(args) -> int:
 
 
 def _cmd_channel_generate(args) -> int:
-    cap, cell_cap = _max_databases(args), _max_cells(args)
+    cap = _max_databases(args)
     source = _resolve_source(args, cap)
     by_policy = isinstance(source, policy_mod.BlowfishPolicy)
     size = policy_mod.capped_permissible_size(source, cap) if by_policy else len(source.vertices)
-    channel_mod.check_cells(size, size, cell_cap)
+    channel_mod.check_cells(size, size, _max_cells(args))
     columns = None
     if args.shuffle_outputs:
         columns = list(range(size))
         random.Random(args.seed).shuffle(columns)
     if by_policy and source.unconstrained:
-        # The adjacency graph is the secret graph's n-fold Cartesian product:
-        # its distances are sums over records, with no graph induced.
-        secret = source.secret_graph.index_graph
-        lines = channel_mod.product_lines(secret, source.n, args.epsilon, columns)
-    else:
-        graph = _induced(source, cap).to_graph()  # inducing a policy loads no numpy
-        if channel_mod.small_channel(size, size):  # a graph is its own one-record product
-            lines = channel_mod.product_lines(graph, 1, args.epsilon, columns)
-        else:
-            dist = graphcore.distance_blocks(graph)
-            blocks = channel_mod.response_blocks(dist, args.epsilon, columns)
-            lines = channel_mod.rows_to_csv(blocks)
-    _write_output(args.out, lines)
+        # The adjacency graph is the secret graph's n-fold Cartesian product: none is induced.
+        graph, n = source.secret_graph.index_graph, source.n
+    else:  # a graph is its own one-record product
+        graph, n = _induced(source, cap).to_graph(), 1
+    _write_output(args.out, channel_mod.product_lines(graph, n, args.epsilon, columns))
     return 0
 
 
@@ -442,13 +434,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blowfish",
         description="Blowfish privacy policies, adjacency graphs, and leakage bounds",
+        allow_abbrev=False,
     )
     top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    policy_parser = top.add_parser("policy", help="build or validate policy documents")
-    policy_sub = policy_parser.add_subparsers(dest="subcommand", required=True)
+    def command(name, handler, parents=(), about=None, **kwargs) -> argparse.ArgumentParser:
+        """The parser of ``name`` ("group command"), run by ``handler``, taking no abbreviated
+        flag; the group's parser, whose help is ``about``, comes with its first command."""
+        group, sub = name.split()
+        if group not in groups:
+            made = top.add_parser(group, help=about, allow_abbrev=False)
+            groups[group] = made.add_subparsers(dest="subcommand", required=True)
+        made = groups[group].add_parser(sub, parents=parents, allow_abbrev=False, **kwargs)
+        made.set_defaults(handler=handler)
+        return made
 
-    build = policy_sub.add_parser("build", parents=[out], help="construct a policy")
+    build = command("policy build", _cmd_policy_build, [out],
+                    "build or validate policy documents", help="construct a policy")
     build.add_argument(
         "--kind",
         required=True,
@@ -465,40 +468,30 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all' or a path to a JSON list of databases",
     )
-    build.set_defaults(handler=_cmd_policy_build)
 
-    validate = policy_sub.add_parser("validate", help="validate a policy document")
+    validate = command("policy validate", _cmd_policy_validate, help="validate a policy document")
     validate.add_argument("document", help="policy JSON path")
-    validate.set_defaults(handler=_cmd_policy_validate)
 
-    adjacency_parser = top.add_parser("adjacency", help="induce adjacency graphs")
-    adjacency_sub = adjacency_parser.add_subparsers(dest="subcommand", required=True)
-    induce = adjacency_sub.add_parser("induce", parents=[capped, out])
+    induce = command("adjacency induce", _cmd_adjacency_induce, [capped, out],
+                     "induce adjacency graphs")
     induce.add_argument("policy", help="policy JSON path")
-    induce.set_defaults(handler=_cmd_adjacency_induce)
 
-    bound_parser = top.add_parser("bound", help="evaluate leakage and min-entropy bounds")
-    bound_sub = bound_parser.add_subparsers(dest="subcommand", required=True)
-    compute = bound_sub.add_parser("compute", parents=[capped, out])
+    compute = command("bound compute", _cmd_bound_compute, [capped, out],
+                      "evaluate leakage and min-entropy bounds")
     compute.add_argument("policy", help="policy JSON path")
     compute.add_argument("--epsilon", type=_float_arg, required=True)
     compute.add_argument("--channel", help="channel CSV to audit against the bounds")
-    compute.set_defaults(handler=_cmd_bound_compute)
 
-    channel_parser = top.add_parser("channel", help="verify, measure, or generate channels")
-    channel_sub = channel_parser.add_subparsers(dest="subcommand", required=True)
-
-    verify = channel_sub.add_parser("verify", parents=[capped, source, out])
+    verify = command("channel verify", _cmd_channel_verify, [capped, source, out],
+                     "verify, measure, or generate channels")
     verify.add_argument("channel", help="channel CSV path")
     verify.add_argument("--epsilon", type=_float_arg, help="target privacy level")
-    verify.set_defaults(handler=_cmd_channel_verify)
 
-    leak = channel_sub.add_parser("leakage", parents=[out])
+    leak = command("channel leakage", _cmd_channel_leakage, [out])
     leak.add_argument("channel", help="channel CSV path")
     leak.add_argument("--prior", help="JSON list of prior probabilities")
-    leak.set_defaults(handler=_cmd_channel_leakage)
 
-    generate = channel_sub.add_parser("generate", parents=[capped, cells, source, out])
+    generate = command("channel generate", _cmd_channel_generate, [capped, cells, source, out])
     generate.add_argument("--epsilon", type=_float_arg, required=True)
     generate.add_argument(
         "--shuffle-outputs",
@@ -508,11 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument(
         "--seed", type=_non_negative_int, default=0, help="non-negative seed for --shuffle-outputs"
     )
-    generate.set_defaults(handler=_cmd_channel_generate)
 
-    symmetrise_parser = top.add_parser("symmetrise", help="run the channel symmetrisation pipeline")
-    symmetrise_sub = symmetrise_parser.add_subparsers(dest="subcommand", required=True)
-    run = symmetrise_sub.add_parser("run", parents=[capped, cells, source, out])
+    run = command("symmetrise run", _cmd_symmetrise_run, [capped, cells, source, out],
+                  "run the channel symmetrisation pipeline")
     run.add_argument("channel", help="channel CSV path")
     run.add_argument("--group", default="full", choices=["full", "lifted", "trivial"])
     run.add_argument("--vertex-cap", type=_non_negative_int, default=graphcore.DEFAULT_VERTEX_CAP)
@@ -529,23 +520,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cross-check", action="store_true")
     run.add_argument("--out-grouped", help="CSV path for the column-grouped channel")
     run.add_argument("--out-averaged", help="CSV path for the group-averaged channel")
-    run.set_defaults(handler=_cmd_symmetrise_run)
 
-    tightness_parser = top.add_parser("tightness", help="sharpness-family sweeps")
-    tightness_sub = tightness_parser.add_subparsers(dest="subcommand", required=True)
-    sweep = tightness_sub.add_parser("sweep", parents=[out])
+    sweep = command("tightness sweep", _cmd_tightness_sweep, [out], "sharpness-family sweeps")
     sweep.add_argument("--n", required=True, help="comma-separated component counts (each >= 2)")
     sweep.add_argument("--delta", required=True, help="comma-separated positive deltas")
-    sweep.set_defaults(handler=_cmd_tightness_sweep)
 
-    figure_parser = top.add_parser("figure", help="figure-reproduction CSVs")
-    figure_sub = figure_parser.add_subparsers(dest="subcommand", required=True)
-    bound_sweep = figure_sub.add_parser("bound-sweep", parents=[out])
+    bound_sweep = command("figure bound-sweep", _cmd_figure_bound_sweep, [out],
+                          "figure-reproduction CSVs")
     bound_sweep.add_argument("--values", default="1,2,3,4")
     bound_sweep.add_argument("--thetas", default="1,2,3")
     bound_sweep.add_argument("--n-max", type=int, default=8)
     bound_sweep.add_argument("--epsilon", type=_float_arg, default=0.1)
-    bound_sweep.set_defaults(handler=_cmd_figure_bound_sweep)
 
     return parser
 

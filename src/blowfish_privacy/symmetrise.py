@@ -134,12 +134,15 @@ def group_average(
         out[order] = np.repeat(means, np.diff(cuts))
         results["orbit"] = out.reshape(channel.rows, channel.rows)
     if cross_check:
-        gap = float(np.max(np.abs(results["full"] - results["orbit"])))
-        if gap > EQUALITY_TOLERANCE:
-            raise BlowfishError(
-                f"group-average strategies disagree by {gap} (> {EQUALITY_TOLERANCE})"
-            )
+        _check_agreement(float(np.max(np.abs(results["full"] - results["orbit"]))))
     return ChannelMatrix(results[strategy])
+
+
+def _check_agreement(gap: float) -> None:
+    """Raise :class:`BlowfishError` when the two strategies' averages,
+    cross-checked, differ by ``gap``, more than ``EQUALITY_TOLERANCE``."""
+    if gap > EQUALITY_TOLERANCE:
+        raise BlowfishError(f"group-average strategies disagree by {gap} (> {EQUALITY_TOLERANCE})")
 
 
 class PropertyCheck(NamedTuple):
@@ -297,13 +300,7 @@ def run(
     if strategy == "orbit" or cross_check:
         results["orbit"] = _orbit_average(grouped, group)
     if cross_check:
-        gap = max(
-            abs(a - b) for x, y in zip(results["full"], results["orbit"]) for a, b in zip(x, y)
-        )
-        if gap > EQUALITY_TOLERANCE:
-            raise BlowfishError(
-                f"group-average strategies disagree by {gap} (> {EQUALITY_TOLERANCE})"
-            )
+        _check_agreement(max(abs(a - b) for x, y in zip(*results.values()) for a, b in zip(x, y)))
     averaged = results[strategy]
     edges = sorted(graph.edges, key=itemgetter(1))
     epsilons = [

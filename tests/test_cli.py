@@ -23,6 +23,7 @@ from blowfish_privacy import channel as channel_mod
 from blowfish_privacy import symmetrise as symmetrise_mod
 from blowfish_privacy import (
     custom_policy,
+    cycle_policy,
     distance_threshold_policy,
     graphcore,
     induce_adjacency_graph,
@@ -650,6 +651,126 @@ def test_flags_are_refused_where_not_read(tmp_path, monkeypatch, argv):
     assert exit_code(*argv) == 2
 
 
+ABBREVIATED_FLAGS = {
+    "policy_build": (("policy", "build", "--kind", "cycle", "--m", "4", "--n", "2",
+                      "{flag}", "all", "--out", "{out}"), "--permiss", "--permissible"),
+    "policy_validate": (("policy", "validate", "{policy}", "{flag}"), "--hel", "--help"),
+    "adjacency_induce": (("adjacency", "induce", "{policy}", "{flag}", "100", "--out", "{out}"),
+                         "--max-d", "--max-databases"),
+    "bound_compute": (("bound", "compute", "{policy}", "{flag}", "0.5", "--out", "{out}"),
+                      "--eps", "--epsilon"),
+    "channel_verify": (("channel", "verify", "{k}", "--graph", "{graph}", "{flag}", "0.5",
+                        "--out", "{out}"), "--eps", "--epsilon"),
+    "channel_leakage": (("channel", "leakage", "{k}", "{flag}", "{prior}", "--out", "{out}"),
+                        "--pri", "--prior"),
+    "channel_generate": (("channel", "generate", "--policy", "{policy}", "--epsilon", "0.5",
+                          "{flag}", "--out", "{out}"), "--shuffle", "--shuffle-outputs"),
+    "symmetrise_run": (("symmetrise", "run", "{k}", "--graph", "{graph}", "--group", "trivial",
+                        "{flag}", "{out}"), "--out-g", "--out-grouped"),
+    "tightness_sweep": (("tightness", "sweep", "--n", "2", "{flag}", "0.5", "--out", "{out}"),
+                        "--del", "--delta"),
+    "figure_bound_sweep": (("figure", "bound-sweep", "--n-max", "2", "{flag}", "0.5",
+                            "--out", "{out}"), "--eps", "--epsilon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ABBREVIATED_FLAGS))
+def test_abbreviated_flags_exit_two_without_output(tmp_path, capsys, case):
+    """Every subcommand refuses an unambiguous prefix of one of its long
+    flags with a usage line and writes nothing; the same call with the flag
+    spelled in full succeeds."""
+    policy = build_path_policy(tmp_path)
+    graph, k, prior = tmp_path / "g.json", tmp_path / "k.csv", tmp_path / "prior.json"
+    assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
+    assert run("channel", "generate", "--graph", str(graph), "--epsilon", "0.5",
+               "--out", str(k)) == 0
+    prior.write_text(json.dumps([1 / 16] * 16))
+    template, prefix, flag = ABBREVIATED_FLAGS[case]
+    out = tmp_path / "out.txt"
+    paths = {"policy": policy, "graph": graph, "k": k, "prior": prior, "out": out}
+    capsys.readouterr()
+    for spelled, code in ((prefix, 2), (flag, 0)):
+        argv = [part.format(flag=spelled, **paths) for part in template]
+        assert exit_code(*argv) == code, spelled
+        seen = capsys.readouterr()
+        if code == 2:
+            assert seen.err.startswith("usage: blowfish ") and "blowfish" in seen.err
+            assert seen.out == "" and not out.exists()
+    assert out.exists() or case == "policy_validate"
+
+
+def underflow_limit(tmp_path, argv):
+    """The largest epsilon that ``channel generate`` admits, read from its
+    refusal of epsilon = 1000, which leaves no file."""
+    out = tmp_path / "refused.csv"
+    stderr = io.StringIO()
+    with mock.patch.object(sys, "stderr", stderr):
+        assert run("channel", "generate", *argv, "--epsilon", "1000", "--out", str(out)) == 2
+    assert not out.exists()
+    (line,) = stderr.getvalue().splitlines()
+    assert line.startswith("error: epsilon 1000.0 would underflow channel entries at distance ")
+    return line, float(line.rpartition(" ")[2])
+
+
+@pytest.mark.parametrize(
+    "route, cells, longest, width",
+    [("product", math.inf, 9, 64), ("python", math.inf, 6, 16), ("numpy", 0, 6, 16)],
+)
+def test_generate_refuses_an_epsilon_that_underflows_an_entry(tmp_path, route, cells, longest,
+                                                              width):
+    """A finite epsilon at which exp(-epsilon/2 * d) / width could leave
+    float64's normal range at the longest finite distance d exits 2 with no
+    file and names the largest epsilon admitted, on the n = 3 product and on
+    the 16-vertex n = 2 graph by both one-record routes. That limit writes a
+    channel whose entries are all normal and which verifies at it; the next
+    float up is refused; epsilon = inf still writes the identity channel."""
+    source = ("--policy", str(build_path_policy(tmp_path, n=3)))
+    if route != "product":
+        graph = tmp_path / "g.json"
+        assert run("adjacency", "induce", str(build_path_policy(tmp_path, n=2)),
+                   "--out", str(graph)) == 0
+        source = ("--graph", str(graph))
+    out = tmp_path / "k.csv"
+    with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
+        line, limit = underflow_limit(tmp_path, source)
+        assert line.startswith(f"error: epsilon 1000.0 would underflow channel entries at "
+                               f"distance {longest}: this graph admits epsilon up to ")
+        tiny = sys.float_info.min
+        assert math.isclose(limit, 2 * (-math.log(tiny) - math.log(width)) / longest)
+        over = math.nextafter(limit, math.inf)
+        assert run("channel", "generate", *source, "--epsilon", repr(over),
+                   "--out", str(out)) == 2
+        assert not out.exists()
+        for epsilon in (limit, math.inf):
+            assert run("channel", "generate", *source, "--epsilon", repr(epsilon),
+                       "--out", str(out)) == 0
+            entries = [float(x) for row in csv_rows(out) for x in row]
+            if epsilon == math.inf:
+                assert sorted(set(entries)) == [0.0, 1.0]
+                continue
+            assert min(entries) >= tiny
+            assert run("channel", "verify", str(out), *source, "--epsilon", repr(limit),
+                       "--out", str(tmp_path / "verify.txt")) == 0
+
+
+def test_generate_names_one_limit_on_both_one_record_routes(tmp_path):
+    """The Python and the numpy route refuse an underflowing epsilon on a
+    graph with the same line, which names the graph's longest distance
+    even when the numpy route meets it in a later block of rows: on a path
+    of 40 vertices with vertex 0 in its middle, one row per block, row 0
+    reaches 20 hops and the path is 39 long."""
+    graph = tmp_path / "path.json"
+    edges = [[v, v + 1] for v in range(19)] + [[0, 20]] + [[v, v + 1] for v in range(20, 39)]
+    graph.write_text(json.dumps({"vertices": [[str(v)] for v in range(40)], "edges": edges}))
+    lines = set()
+    for cells in (math.inf, 0):
+        with mock.patch.object(channel_mod, "PYTHON_CELLS", cells), \
+                mock.patch.object(channel_mod, "BLOCK_CELLS", 40):
+            lines.add(underflow_limit(tmp_path, ("--graph", str(graph)))[0])
+    (line,) = lines
+    assert " at distance 39: " in line
+
+
 def test_infinite_epsilon_is_unbounded(tmp_path, capsys):
     policy = build_path_policy(tmp_path, n=1)
     assert run("bound", "compute", str(policy), "--epsilon", "inf") == 0
@@ -989,8 +1110,8 @@ def test_numpy_is_imported_only_by_commands_that_build_arrays(tmp_path):
     a channel small enough for their Python path: leakage, generate by
     policy and by graph, verify and bound compute --channel, on an
     unconstrained and on a constrained policy. An unconstrained generate
-    works in Python floats at every size, so n = 5's 1,024 databases, past
-    ``PYTHON_CELLS``, load no numpy either. A channel read just past
+    of two or more records works in Python floats at every size, so n = 5's
+    1,024 databases, past ``PYTHON_CELLS``, load no numpy either. A channel read just past
     ``PYTHON_CELLS`` (one 725-wide row: 725 x 725 cells) does load numpy.
     No command imports numpy.random (not even a shuffled generate) or
     dataclasses, and only the sweep imports fractions. The commands run in
@@ -1157,27 +1278,34 @@ def test_channel_commands_write_the_same_bytes_on_both_paths(tmp_path, capsys, n
 
 
 def test_generate_from_disconnected_and_one_vertex_graphs_on_both_paths(tmp_path):
-    """channel generate --graph writes the same file in Python floats (the
-    graph as its own one-record product) as with numpy, shuffled and not,
-    on a graph of three components and on a one-vertex graph."""
-    graphs = {
-        "disconnected": {"vertices": [[str(v)] for v in range(6)],
-                         "edges": [[0, 1], [1, 2], [3, 4]]},
-        "one-vertex": {"vertices": [["a"]], "edges": []},
+    """channel generate writes the same file in Python floats (the graph as
+    its own one-record product) as with numpy, shuffled and not, on a graph
+    of three components, on a one-vertex graph and on an unconstrained
+    one-record policy (cycle m = 8): ``product_lines`` takes the numpy
+    route (``distance_blocks``) only when ``PYTHON_CELLS`` refuses the
+    channel."""
+    sources = {
+        "disconnected": ("--graph", 6, json.dumps({"vertices": [[str(v)] for v in range(6)],
+                                                   "edges": [[0, 1], [1, 2], [3, 4]]})),
+        "one-vertex": ("--graph", 1, json.dumps({"vertices": [["a"]], "edges": []})),
+        "cycle-policy": ("--policy", 8, policy_to_json(cycle_policy(8, 1))),
     }
-    for name, doc in graphs.items():
-        graph = tmp_path / f"{name}.json"
-        graph.write_text(json.dumps(doc))
+    for name, (flag, rows, doc) in sources.items():
+        source = tmp_path / f"{name}.json"
+        source.write_text(doc)
         for shuffle in ((), ("--shuffle-outputs", "--seed", "3")):
             written = set()
             for cells in (math.inf, 0):
                 out = tmp_path / f"{name}-{cells}.csv"
-                with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
-                    assert run("channel", "generate", "--graph", str(graph), "--epsilon",
+                with mock.patch.object(channel_mod, "PYTHON_CELLS", cells), mock.patch.object(
+                    channel_mod, "distance_blocks", wraps=graphcore.distance_blocks
+                ) as numpy_route:
+                    assert run("channel", "generate", flag, str(source), "--epsilon",
                                "0.5", *shuffle, "--out", str(out)) == 0
+                assert numpy_route.called == (cells == 0), (name, cells)
                 written.add(out.read_bytes())
             (text,) = written
-            assert len(text.splitlines()) == len(doc["vertices"]), (name, shuffle)
+            assert len(text.splitlines()) == rows, (name, shuffle)
 
 
 def test_symmetrise_on_a_small_channel_imports_no_numpy(tmp_path):
