@@ -21,7 +21,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 from ._frozen import Frozen
 from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
-from .graphcore import UNREACHABLE, Graph, distance_blocks, distance_lists, record_places
+from .graphcore import (
+    UNREACHABLE, Graph, components_and_diameters, distance_blocks, distance_lists, record_places,
+)
 
 ROW_SUM_TOLERANCE = 1e-9
 RANGE_TOLERANCE = 1e-12
@@ -611,11 +613,15 @@ def product_lines(
     the same values in another order are permutations of one another, with
     the same ``fsum`` normaliser to the bit: it is summed and the row
     validated once per multiset of values. ``epsilon`` is checked when this
-    is called, and against the limit of :func:`_weights` at the first line.
+    is called, and against the limit of :func:`_weights` before the first line.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     if n == 1 and not small_channel(secret.vertex_count, secret.vertex_count):
+        try:  # no finite distance exceeds V - 1
+            _weights(epsilon, secret.vertex_count - 1, secret.vertex_count)
+        except InputError:  # refused before the first row, at the graph's longest distance
+            _weights(epsilon, max(components_and_diameters(secret).diameters), secret.vertex_count)
         return rows_to_csv(_response_rows(distance_blocks(secret), epsilon, columns))
     return _product_lines(secret, n, epsilon, columns)
 

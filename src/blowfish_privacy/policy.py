@@ -2,9 +2,10 @@
 
 A policy pairs a secret graph over tuple values with a record count and a
 permissible-database set, which is either unconstrained (every length-n
-tuple sequence) or an explicit finite list. Databases are tuples of labels;
-the canonical database order is lexicographic over universe indices, and
-every downstream matrix row or vertex index uses that order.
+tuple sequence) or an explicit finite list; :func:`custom_policy` makes
+every policy. Databases are tuples of labels; the canonical database order
+is lexicographic over universe indices, and every downstream matrix row or
+vertex index uses that order.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .errors import CapExceededError, InputError, SchemaError
 from .graphcore import Graph
 
 Database = tuple[str, ...]
+# Every length-n database (None or "all"), or an iterable of label sequences.
+Permissible = Iterable[Sequence[str]] | str | None
 
 DEFAULT_DATABASE_CAP = 100_000
 
@@ -28,7 +31,7 @@ _DOCUMENT_KEYS = {"tuples", "values", "secret_edges", "n", "permissible"}
 
 
 class TupleUniverse(Value):
-    """Ordered universe of distinct tuple labels, with optional numeric values."""
+    """Ordered universe of distinct tuple labels, with optional finite numeric values."""
 
     labels: tuple[str, ...]
     values: tuple[float, ...] | None
@@ -40,6 +43,9 @@ class TupleUniverse(Value):
             raise InputError("duplicate labels in tuple universe")
         if values is not None and len(values) != len(labels):
             raise InputError("values must align one-to-one with labels")
+        for v in values or ():
+            if not math.isfinite(v):
+                raise InputError(f"tuple values must be finite, got {v!r}")
         self._set(labels=labels, values=values)
 
     @cached_property
@@ -60,31 +66,20 @@ class TupleUniverse(Value):
 
 
 class SecretGraph(Value):
-    """Simple graph on universe labels; edges mark value pairs kept secret."""
+    """Simple graph on universe labels; edges mark value pairs kept secret.
+    ``pairs`` may list an edge in either order and more than once; each is
+    stored once, its labels in universe order."""
 
     universe: TupleUniverse
     edges: frozenset[tuple[str, str]]
 
-    def __init__(self, universe: TupleUniverse, edges: frozenset[tuple[str, str]]):
-        for a, b in edges:
-            if a == b:
-                raise InputError(f"self-loop on label {a!r} is not a valid secret edge")
-            ia, ib = universe.index(a), universe.index(b)
-            if ia > ib:
-                raise InputError("secret edges must be stored in universe order")
-        self._set(universe=universe, edges=edges)
-
-    @classmethod
-    def from_pairs(
-        cls, universe: TupleUniverse, pairs: Iterable[Sequence[str]]
-    ) -> "SecretGraph":
+    def __init__(self, universe: TupleUniverse, pairs: Iterable[Sequence[str]]):
         edges = set()
         for a, b in pairs:
             if a == b:
                 raise InputError(f"self-loop on label {a!r} is not a valid secret edge")
-            ia, ib = universe.index(a), universe.index(b)
-            edges.add((a, b) if ia < ib else (b, a))
-        return cls(universe, frozenset(edges))
+            edges.add((a, b) if universe.index(a) < universe.index(b) else (b, a))
+        self._set(universe=universe, edges=frozenset(edges))
 
     @cached_property
     def index_graph(self) -> Graph:
@@ -98,51 +93,39 @@ class SecretGraph(Value):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[tuple[str, str]]:
-        key = self.universe.index
-        return sorted(self.edges, key=lambda e: (key(e[0]), key(e[1])))
-
-
-def database_sort_key(universe: TupleUniverse):
-    """Sort key realising the canonical lexicographic-over-indices order."""
-
-    def key(db: Database) -> tuple[int, ...]:
-        return tuple(universe.index(lab) for lab in db)
-
-    return key
-
 
 class BlowfishPolicy(Value):
-    """Secret graph + record count + permissible databases (None = all)."""
+    """Secret graph + record count + permissible databases: ``None`` or
+    ``"all"`` (no other string) for every length-``n`` database, stored as
+    ``None``, or any iterable of label sequences, stored in canonical order."""
 
     secret_graph: SecretGraph
     n: int
     permissible: tuple[Database, ...] | None
 
-    def __init__(
-        self,
-        secret_graph: SecretGraph,
-        n: int,
-        permissible: Iterable[Database] | None = None,
-    ):
+    def __init__(self, secret_graph: SecretGraph, n: int, permissible: Permissible = None):
         if n < 1:
             raise InputError("record count n must be at least 1")
+        if permissible == "all":
+            permissible = None
+        elif isinstance(permissible, str):
+            raise InputError(f"permissible must be \"all\" or databases, got {permissible!r}")
         if permissible is not None:
-            universe = secret_graph.universe
+            index = secret_graph.universe.index
             seen = set()
-            for db in permissible:
+            for db in map(tuple, permissible):
                 if len(db) != n:
                     raise InputError(
                         f"database {db!r} has {len(db)} records, expected n={n}"
                     )
                 for lab in db:
-                    universe.index(lab)
+                    index(lab)
                 if db in seen:
                     raise InputError(f"duplicate permissible database {db!r}")
                 seen.add(db)
             if not seen:
                 raise InputError("explicit permissible set must be non-empty")
-            permissible = tuple(sorted(seen, key=database_sort_key(universe)))
+            permissible = tuple(sorted(seen, key=lambda db: tuple(map(index, db))))
         self._set(secret_graph=secret_graph, n=n, permissible=permissible)
 
     @property
@@ -200,83 +183,61 @@ def enumerate_permissible(
     return policy.permissible
 
 
-def _normalise_permissible(
-    permissible: Iterable[Sequence[str]] | None | str,
-) -> tuple[Database, ...] | None:
-    if permissible is None or permissible == "all":
-        return None
-    return tuple(tuple(db) for db in permissible)
-
-
 def _label_for(value: float) -> str:
     v = float(value)
     return str(int(v)) if v.is_integer() else repr(v)
 
 
 def distance_threshold_policy(
-    values: Sequence[float],
-    theta: float,
-    n: int,
-    permissible: Iterable[Sequence[str]] | None | str = None,
+    values: Sequence[float], theta: float, n: int, permissible: Permissible = None
 ) -> BlowfishPolicy:
     """Secrets connect labels whose numeric values differ by at most ``theta``."""
     if not theta >= 0:
         raise InputError(f"distance threshold must be non-negative, got {theta}")
     vals = tuple(float(v) for v in values)
-    universe = TupleUniverse(tuple(_label_for(v) for v in vals), vals)
-    pairs = []
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) <= theta:
-                pairs.append((universe.labels[i], universe.labels[j]))
-    graph = SecretGraph.from_pairs(universe, pairs)
-    return BlowfishPolicy(graph, n, _normalise_permissible(permissible))
+    labels = [_label_for(v) for v in vals]
+    pairs = [
+        (labels[i], labels[j])
+        for i in range(len(vals))
+        for j in range(i + 1, len(vals))
+        if abs(vals[i] - vals[j]) <= theta
+    ]
+    return custom_policy(labels, pairs, n, permissible, vals)
 
 
-def cycle_policy(
-    m: int,
-    n: int,
-    permissible: Iterable[Sequence[str]] | None | str = None,
-) -> BlowfishPolicy:
+def cycle_policy(m: int, n: int, permissible: Permissible = None) -> BlowfishPolicy:
     """Secrets form a cycle over labels ``1 .. m``."""
     if m < 3:
         raise InputError(f"a cycle needs at least 3 tuples, got {m}")
-    universe = TupleUniverse(tuple(str(i) for i in range(1, m + 1)))
+    labels = [str(i) for i in range(1, m + 1)]
     pairs = [(str(i), str(i % m + 1)) for i in range(1, m + 1)]
-    graph = SecretGraph.from_pairs(universe, pairs)
-    return BlowfishPolicy(graph, n, _normalise_permissible(permissible))
+    return custom_policy(labels, pairs, n, permissible)
 
 
-def complete_policy(
-    m: int,
-    n: int,
-    permissible: Iterable[Sequence[str]] | None | str = None,
-) -> BlowfishPolicy:
+def complete_policy(m: int, n: int, permissible: Permissible = None) -> BlowfishPolicy:
     """All distinct label pairs over ``1 .. m`` are secret (differential privacy)."""
     if m < 1:
         raise InputError(f"universe size must be positive, got {m}")
-    universe = TupleUniverse(tuple(str(i) for i in range(1, m + 1)))
-    pairs = [
-        (universe.labels[i], universe.labels[j])
-        for i in range(m)
-        for j in range(i + 1, m)
-    ]
-    graph = SecretGraph.from_pairs(universe, pairs)
-    return BlowfishPolicy(graph, n, _normalise_permissible(permissible))
+    labels = [str(i) for i in range(1, m + 1)]
+    pairs = [(labels[i], labels[j]) for i in range(m) for j in range(i + 1, m)]
+    return custom_policy(labels, pairs, n, permissible)
 
 
 def custom_policy(
     labels: Sequence[str],
     edges: Iterable[Sequence[str]],
     n: int,
-    permissible: Iterable[Sequence[str]] | None | str = None,
+    permissible: Permissible = None,
     values: Sequence[float] | None = None,
 ) -> BlowfishPolicy:
+    """The policy constructor, behind every named kind and the JSON reader:
+    secret ``edges`` (label pairs in either order, repeats allowed) over
+    ``labels`` with optional finite numeric ``values``, ``n`` records, and
+    ``permissible`` as :class:`BlowfishPolicy` takes it."""
     universe = TupleUniverse(
         tuple(labels), tuple(float(v) for v in values) if values is not None else None
     )
-    graph = SecretGraph.from_pairs(universe, edges)
-    return BlowfishPolicy(graph, n, _normalise_permissible(permissible))
+    return BlowfishPolicy(SecretGraph(universe, edges), n, permissible)
 
 
 def build_policy(kind: str, n: int, permissible=None, **params) -> BlowfishPolicy:
@@ -311,7 +272,9 @@ def policy_to_document(policy: BlowfishPolicy) -> dict:
         doc["values"] = [
             int(v) if float(v).is_integer() else float(v) for v in universe.values
         ]
-    doc["secret_edges"] = [list(edge) for edge in policy.secret_graph.sorted_edges()]
+    index = universe.index
+    edges = sorted(policy.secret_graph.edges, key=lambda e: (index(e[0]), index(e[1])))
+    doc["secret_edges"] = [list(edge) for edge in edges]
     doc["n"] = policy.n
     doc["permissible"] = (
         "all" if policy.unconstrained else [list(db) for db in policy.permissible]
@@ -384,9 +347,7 @@ def policy_from_document(doc) -> BlowfishPolicy:
             permissible, "'permissible' must be \"all\" or a list of label lists"
         )
 
-    universe = TupleUniverse(tuple(tuples), values)
-    graph = SecretGraph.from_pairs(universe, edges)
-    return BlowfishPolicy(graph, n, _normalise_permissible(permissible))
+    return custom_policy(tuples, edges, n, permissible, values)
 
 
 def policy_from_json(text: str) -> BlowfishPolicy:

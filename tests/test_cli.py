@@ -102,6 +102,18 @@ def test_policy_validate_semantic_failure_exits_one(tmp_path):
     assert run("policy", "validate", str(path)) == 1
 
 
+def test_policy_validate_refuses_non_finite_values(tmp_path, capsys):
+    """A document whose values overflow to inf or hold NaN is not valid:
+    policy_to_json would write them as Infinity and NaN, which are not JSON."""
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"tuples":["a","b"],"values":[1e400,NaN],"secret_edges":[["a","b"]],'
+        '"n":1,"permissible":"all"}'
+    )
+    assert run("policy", "validate", str(path)) == 1
+    assert capsys.readouterr().out == "invalid: tuple values must be finite, got inf\n"
+
+
 def test_policy_validate_malformed_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -769,6 +781,24 @@ def test_generate_names_one_limit_on_both_one_record_routes(tmp_path):
             lines.add(underflow_limit(tmp_path, ("--graph", str(graph)))[0])
     (line,) = lines
     assert " at distance 39: " in line
+
+
+def test_numpy_route_refuses_before_its_first_row(tmp_path, capsys):
+    """Written to stdout, the numpy route refuses an underflowing epsilon
+    before any row, although its first blocks of rows stay in range: on the
+    40-vertex path with vertex 0 in its middle, row 0 reaches 20 hops and
+    the path is 39 long."""
+    graph = tmp_path / "path.json"
+    edges = [[v, v + 1] for v in range(19)] + [[0, 20]] + [[v, v + 1] for v in range(20, 39)]
+    graph.write_text(json.dumps({"vertices": [[str(v)] for v in range(40)], "edges": edges}))
+    with mock.patch.object(channel_mod, "PYTHON_CELLS", 0), \
+            mock.patch.object(channel_mod, "BLOCK_CELLS", 40):
+        assert run("channel", "generate", "--graph", str(graph), "--epsilon", "50") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: epsilon 50.0 would underflow channel entries at distance 39: "
+    )
 
 
 def test_infinite_epsilon_is_unbounded(tmp_path, capsys):

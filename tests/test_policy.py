@@ -1,12 +1,17 @@
 import json
+import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from blowfish_privacy import (
+    BlowfishPolicy,
     CapExceededError,
     InputError,
     SchemaError,
+    SecretGraph,
+    TupleUniverse,
     build_policy,
     complete_policy,
     custom_policy,
@@ -250,3 +255,107 @@ def test_enumerate_strictly_increasing(n):
     dbs = enumerate_permissible(pol)
     keys = [tuple(pol.universe.index(x) for x in db) for db in dbs]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_secret_graph_stores_each_edge_once_in_universe_order():
+    universe = TupleUniverse(("a", "b", "c"))
+    assert SecretGraph(universe, [("b", "a")]) == SecretGraph(universe, [("a", "b")])
+    assert SecretGraph(universe, [("c", "a"), ("a", "c"), ("c", "a")]).edges == {("a", "c")}
+    with pytest.raises(InputError, match="self-loop on label 'b'"):
+        SecretGraph(universe, [("a", "b"), ("b", "b")])
+
+
+def test_all_means_every_database():
+    graph = SecretGraph(TupleUniverse(("a", "b")), [("a", "b")])
+    assert BlowfishPolicy(graph, 2, "all") == BlowfishPolicy(graph, 2)
+    assert BlowfishPolicy(graph, 2, "all").permissible is None
+
+
+@pytest.mark.parametrize("text", ["All", "ab", ""])
+def test_any_other_string_is_refused_not_read_as_databases(text):
+    graph = SecretGraph(TupleUniverse(("a", "b")), [("a", "b")])
+    with pytest.raises(InputError, match=f"got {text!r}"):
+        BlowfishPolicy(graph, 1, text)
+    with pytest.raises(InputError, match=f"got {text!r}"):
+        custom_policy(["a", "b"], [("a", "b")], 1, text)
+
+
+@st.composite
+def policies_of_every_kind(draw):
+    """A policy of each named kind, or a custom one over random labels with
+    edges drawn in either order and repeated, for every length-n database
+    (None or "all") or an explicit list drawn in any order."""
+    n = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["distance_threshold", "cycle", "complete", "custom"]))
+    if kind == "distance_threshold":
+        values = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
+        params = {"values": values, "theta": draw(st.integers(0, 6))}
+        labels = [str(v) for v in values]
+    elif kind == "custom":
+        labels = draw(
+            st.lists(st.text("abc", min_size=1, max_size=2), min_size=2, max_size=4, unique=True)
+        )
+        pairs = [(a, b) for a in labels for b in labels if a != b]
+        values = st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=len(labels), max_size=len(labels),
+        )
+        params = {
+            "labels": labels,
+            "edges": draw(st.lists(st.sampled_from(pairs), max_size=8)),
+            "values": draw(st.none() | values),
+        }
+    else:
+        m = draw(st.integers(3 if kind == "cycle" else 1, 4))
+        params, labels = {"m": m}, [str(i) for i in range(1, m + 1)]
+    permissible = draw(st.sampled_from([None, "all", "list"]))
+    if permissible == "list":
+        databases = st.sampled_from(list(product(labels, repeat=n)))
+        permissible = draw(st.lists(databases, min_size=1, max_size=6, unique=True))
+    return build_policy(kind, n, permissible, **params)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(policies_of_every_kind(), st.randoms(use_true_random=False))
+def test_a_policy_is_its_edges_and_databases_in_any_order(pol, rng):
+    """Every kind stores each secret edge once, in universe order, and the
+    policy is the same whatever order and repetition its edges and
+    databases come in; its JSON is strict and reads back as the policy."""
+    index = pol.universe.index
+    assert all(index(a) < index(b) for a, b in pol.secret_graph.edges)
+    edges = [
+        edge[::-1] if rng.random() < 0.5 else edge
+        for edge in sorted(pol.secret_graph.edges)
+        for _ in range(rng.randint(1, 2))
+    ]
+    rng.shuffle(edges)
+    databases = pol.permissible
+    if databases is not None:
+        databases = rng.sample(databases, len(databases))
+    again = custom_policy(pol.universe.labels, edges, pol.n, databases, pol.universe.values)
+    assert again == pol
+    text = policy_to_json(pol)
+    assert policy_to_json(again) == text
+    json.loads(text, parse_constant=refuse_constant)
+    assert policy_from_json(text) == pol
+
+
+@pytest.mark.parametrize("text, named", [("1e400", "inf"), ("NaN", "nan"), ("-Infinity", "-inf")])
+def test_policy_document_with_a_non_finite_value_is_refused(text, named):
+    document = (
+        '{"tuples": ["a", "b"], "values": [1, %s], "secret_edges": [["a", "b"]],'
+        ' "n": 1, "permissible": "all"}' % text
+    )
+    with pytest.raises(InputError, match=f"^tuple values must be finite, got {named}$"):
+        policy_from_json(document)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_constructors_refuse_a_non_finite_value(value):
+    with pytest.raises(InputError, match="tuple values must be finite"):
+        distance_threshold_policy([1, value], 1, n=1)
+    with pytest.raises(InputError, match="tuple values must be finite"):
+        custom_policy(["a", "b"], [], n=1, values=[value, 1])
