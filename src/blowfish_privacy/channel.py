@@ -22,7 +22,8 @@ from ._frozen import Frozen
 from ._numpy import np
 from .errors import CapExceededError, InputError, SchemaError
 from .graphcore import (
-    UNREACHABLE, Graph, components_and_diameters, distance_blocks, distance_lists, record_places,
+    UNREACHABLE, Graph, components_and_diameters, distance_blocks, distance_lists, hop_bound,
+    record_places,
 )
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -538,34 +539,39 @@ def _weights(epsilon: float, longest: int, width: int) -> list[float]:
 
 
 def response_blocks(
-    dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None = None
+    graph: Graph, epsilon: float, columns: Sequence[int] | None = None
 ) -> Iterator[np.ndarray]:
-    """Randomized response over distance rows, one block of rows at a time.
+    """Randomized response over ``graph``: blocks of at most ``BLOCK_CELLS``
+    cells of channel rows (one row when a row is longer), each a new
+    float64 array, from :func:`graphcore.distance_blocks`, so no V x V
+    array is built. An entry at hop count d weighs exp(-epsilon/2 * d),
+    zero across components, and each row is divided by its ``math.fsum``,
+    so adjacent rows, which shift every distance and the normaliser by at
+    most one, are epsilon-private. Columns come in the order ``columns``
+    (all of them by default), which changes no row's sum.
 
-    ``dist_blocks`` holds the rows of a distance matrix in order, in blocks
-    of any height: hop counts between inputs, ``UNREACHABLE`` (-1) across
-    components. Each is cut into blocks of at most ``BLOCK_CELLS`` cells
-    (one row when a row is longer), and each block is yielded as a new
-    float64 array: its columns taken in the order ``columns`` (all of them
-    by default), every entry weighed exp(-epsilon/2 * distance), unreachable
-    ones zero, each row divided by its correctly rounded sum
-    (``math.fsum``), and the block validated as channel rows, numbered from
-    the channel's first row. No column order changes a row's sum, so a
-    block's rows are the unshuffled ones with their entries permuted. The
-    rows are private at level ``epsilon`` for the graph the distances come
-    from (adjacent rows shift every distance by at most one, and so does
-    the normaliser). ``epsilon`` is checked when this is called.
+    ``epsilon`` is checked on the call, before any distance: it must be
+    positive, and :func:`_weights` builds the one table up to
+    :func:`graphcore.hop_bound`; only if that is refused is the longest
+    distance found, and the table built up to it or refused, naming it.
     """
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
-    return _response_rows(dist_blocks, epsilon, columns)
+    width = graph.vertex_count
+    try:
+        table = _weights(epsilon, hop_bound(graph), width)
+    except InputError:  # decided, and named, at the graph's longest distance
+        table = _weights(epsilon, max(components_and_diameters(graph).diameters), width)
+    return _response_rows(distance_blocks(graph), np.array(table), columns)
 
 
 def _response_rows(
-    dist_blocks: Iterable[np.ndarray], epsilon: float, columns: Sequence[int] | None
+    dist_blocks: Iterable[np.ndarray], table: np.ndarray, columns: Sequence[int] | None
 ) -> Iterator[np.ndarray]:
-    # The table grows with the longest distance seen so far.
-    table = np.array(_weights(epsilon, 0, 1))
+    """The blocks of :func:`response_blocks` over ``dist_blocks``, the rows
+    of a distance matrix in blocks of any height, entry ``d`` weighed
+    ``table[d]`` (so ``UNREACHABLE``, -1, by its last, 0), each validated
+    as channel rows numbered from the channel's first."""
     order = None if columns is None else np.asarray(columns, dtype=np.intp)
     first_row = 0
     for dist in dist_blocks:
@@ -574,13 +580,6 @@ def _response_rows(
             block = dist[lo : lo + step]
             if order is not None:
                 block = np.take(block, order, axis=1)
-            longest = int(block.max())
-            if longest > len(table) - 2:
-                try:
-                    table = np.array(_weights(epsilon, longest, dist.shape[1]))
-                except InputError:  # refused again, named at the graph's longest distance
-                    rest = itertools.chain([dist[lo:]], dist_blocks)
-                    _weights(epsilon, max(int(d.max()) for d in rest), dist.shape[1])
             rows = table[block]
             for row in rows:
                 row /= math.fsum(memoryview(row))
@@ -597,9 +596,9 @@ def product_lines(
     over the adjacency graph of the unconstrained policy on the secret graph
     ``secret`` with ``n`` records, byte for byte, with no graph induced. A
     graph is its own one-record product, so ``n = 1`` gives the channel of
-    ``secret`` itself, written from :func:`graphcore.distance_blocks` on
-    numpy where :func:`small_channel` refuses it (no two of its rows share
-    a normaliser). Any other product is made in Python floats, no numpy.
+    ``secret`` itself, written by :func:`response_blocks` on numpy where
+    :func:`small_channel` refuses it (no two of its rows share a
+    normaliser). Any other product is made in Python floats, no numpy.
 
     Each row is weighed from the ``math.exp`` table, divided by its
     ``math.fsum``, its columns taken in the order ``columns``, validated by
@@ -618,11 +617,7 @@ def product_lines(
     if not epsilon > 0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     if n == 1 and not small_channel(secret.vertex_count, secret.vertex_count):
-        try:  # no finite distance exceeds V - 1
-            _weights(epsilon, secret.vertex_count - 1, secret.vertex_count)
-        except InputError:  # refused before the first row, at the graph's longest distance
-            _weights(epsilon, max(components_and_diameters(secret).diameters), secret.vertex_count)
-        return rows_to_csv(_response_rows(distance_blocks(secret), epsilon, columns))
+        return rows_to_csv(response_blocks(secret, epsilon, columns))
     return _product_lines(secret, n, epsilon, columns)
 
 
@@ -671,18 +666,17 @@ def _product_lines(
 
 
 def graph_randomized_response(graph: Graph, epsilon: float) -> ChannelMatrix:
-    """The channel of :func:`response_blocks` over the all-pairs hop counts
-    of ``graph``, from :func:`graphcore.distance_blocks` (one bitset BFS per
-    block of sources), so the only V x V array is the channel itself.
+    """The channel of :func:`response_blocks` over ``graph``, its blocks
+    stacked, so the only V x V array is the channel itself; an ``epsilon``
+    it refuses is refused here with the same error.
 
     Outputs coincide with inputs; entries across components are zero, so the
     matrix is block-diagonal over the components.
     """
-    n = graph.vertex_count
-    arr = np.empty((n, n))
+    arr = np.empty((graph.vertex_count, graph.vertex_count))
     start = 0
     # Each block is validated already, so the stacked matrix is not checked again.
-    for block in response_blocks(distance_blocks(graph), epsilon):
+    for block in response_blocks(graph, epsilon):
         arr[start : start + len(block)] = block
         start += len(block)
     return ChannelMatrix._of_checked(arr)

@@ -42,14 +42,7 @@ ENV_MAX_CELLS = "BLOWFISH_MAX_CELLS"
 DEFAULT_CELL_CAP = 2**25
 EPSILON_SLACK = 1e-12
 
-FIGURE_COLUMNS = (
-    "n",
-    "theta_or_kind",
-    "epsilon",
-    "q",
-    "max_diameter",
-    "bound_bits",
-)
+FIGURE_COLUMNS = ("n", "theta_or_kind", "epsilon", "q", "max_diameter", "bound_bits")
 
 
 def _write_output(path: str | None, content: str | Iterable[str]) -> None:
@@ -282,6 +275,8 @@ def _cmd_bound_compute(args) -> int:
 
 
 def _cmd_channel_verify(args) -> int:
+    if args.epsilon is not None and not args.epsilon >= 0:  # as bound compute refuses it
+        raise InputError(f"epsilon must be non-negative, got {args.epsilon}")
     cap = _max_databases(args)
     graph = _induced(_resolve_source(args, cap), cap).to_graph()
     with _opened(args.channel) as handle:

@@ -144,17 +144,36 @@ def _fill_from(graph: Graph, sources: range, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def hop_bound(graph: Graph) -> int:
+    """At least every finite hop count of ``graph`` and at most twice the
+    longest, with no numpy: over the components, the largest ``min(2 e,
+    size - 1)``, ``e`` the eccentricity of the component's smallest vertex
+    by one queue BFS (no two vertices are further apart than ``2 e``)."""
+    level = [-1] * graph.vertex_count
+    bound = 0
+    for root in range(graph.vertex_count):
+        if level[root] < 0:
+            level[root], queue = 0, [root]
+            for v in queue:  # grows while it is read: a FIFO queue
+                for w in graph.neighbors[v]:
+                    if level[w] < 0:
+                        level[w] = level[v] + 1
+                        queue.append(w)
+            bound = max(bound, min(2 * level[queue[-1]], len(queue) - 1))
+    return bound
+
+
 def distances(graph: Graph) -> np.ndarray:
     """All-pairs hop counts, ``UNREACHABLE`` across components, as a V x V
-    array of the smallest signed dtype that holds ``UNREACHABLE`` and every
-    hop count (at most V - 1).
+    array of the smallest signed dtype that holds ``UNREACHABLE`` and
+    :func:`hop_bound` (int8 while that is at most 127).
 
     Each block of ``_SOURCE_BLOCK`` sources fills its rows of the result
     by one traversal (:func:`_fill_from`); undirected hop counts are
     symmetric, so row ``s`` holds the counts from ``s``.
     """
     n = graph.vertex_count
-    out = np.full((n, n), UNREACHABLE, dtype=np.min_scalar_type(-n))
+    out = np.full((n, n), UNREACHABLE, dtype=np.min_scalar_type(-1 - hop_bound(graph)))
     for lo in range(0, n, _SOURCE_BLOCK):
         _fill_from(graph, range(lo, min(n, lo + _SOURCE_BLOCK)), out[lo : lo + _SOURCE_BLOCK])
     return out
@@ -184,12 +203,11 @@ def distance_blocks(graph: Graph) -> Iterator[np.ndarray]:
     at a time, each block a new array of at most ``_SOURCE_BLOCK`` x V
     cells of the same dtype, so that no V x V array is built."""
     n = graph.vertex_count
+    dtype = np.min_scalar_type(-1 - hop_bound(graph))
     for lo in range(0, n, _SOURCE_BLOCK):
         sources = range(lo, min(n, lo + _SOURCE_BLOCK))
         # Passed out unnamed: no name here keeps the block alive beside the next.
-        yield _fill_from(
-            graph, sources, np.full((len(sources), n), UNREACHABLE, dtype=np.min_scalar_type(-n))
-        )
+        yield _fill_from(graph, sources, np.full((len(sources), n), UNREACHABLE, dtype=dtype))
 
 
 class Components(NamedTuple):
@@ -499,18 +517,11 @@ def automorphism_group(
         )
     dist = distance_lists(graph)
     adj = graph.neighbors
-    profiles = []
-    for v in range(n):
-        profiles.append(
-            (
-                len(adj[v]),
-                tuple(sorted(dist[v])),
-                tuple(sorted(len(adj[w]) for w in adj[v])),
-            )
-        )
-    candidates = {
-        v: [w for w in range(n) if profiles[w] == profiles[v]] for v in range(n)
-    }
+    profiles = [
+        (len(adj[v]), tuple(sorted(dist[v])), tuple(sorted(len(adj[w]) for w in adj[v])))
+        for v in range(n)
+    ]
+    candidates = {v: [w for w in range(n) if profiles[w] == profiles[v]] for v in range(n)}
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     # ``image`` is the partial assignment: order[:k] fixed, order[k:] open.
     image = list(range(n))

@@ -32,7 +32,7 @@ from blowfish_privacy import (
     generate_group,
     induce_adjacency_graph,
 )
-from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE, response_blocks
+from blowfish_privacy.channel import RANGE_TOLERANCE, ROW_SUM_TOLERANCE
 from blowfish_privacy.errors import InputError, SchemaError
 
 
@@ -309,17 +309,22 @@ def oracle_violations(matrix):
     return violations
 
 
-def randomized_response(dist, epsilon):
-    """The channel of ``response_blocks`` over the whole distance matrix
-    ``dist`` (an array or a list of rows), its blocks stacked into one
-    read-only array that the channel takes with no copy."""
-    dist = np.asarray(dist)
-    probs = np.empty(dist.shape)
-    start = 0
-    for block in response_blocks([dist], epsilon):
-        probs[start : start + len(block)] = block
-        start += len(block)
-    probs.setflags(write=False)
+def randomized_response(dist, epsilon, columns=None):
+    """The randomized-response channel over the distance table ``dist`` (an
+    array or a list of rows, -1 unreachable), its columns in the order
+    ``columns`` (all of them by default), entry by entry in Python floats:
+    each weighed from a ``math.exp`` table, distance 0 by 1 also at epsilon
+    = inf and an unreachable one by 0, and divided by the row's ``fsum``."""
+    rows = np.asarray(dist).tolist()
+    if columns is not None:
+        rows = [[row[j] for j in columns] for row in rows]
+    longest = max(max(row) for row in rows)
+    weight = [1.0, *(math.exp(-0.5 * epsilon * d) for d in range(1, longest + 1)), 0.0]
+    probs = []
+    for row in rows:
+        weights = [weight[d] for d in row]
+        total = math.fsum(weights)
+        probs.append([w / total for w in weights])
     return ChannelMatrix(probs)
 
 

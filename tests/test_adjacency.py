@@ -6,7 +6,6 @@ import tracemalloc
 import warnings
 from itertools import product
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,7 +27,7 @@ from blowfish_privacy.adjacency import (
     adjacency_from_json,
     adjacency_to_json,
 )
-from blowfish_privacy.channel import product_lines, response_blocks, rows_to_csv
+from blowfish_privacy.channel import channel_to_csv, product_lines
 from blowfish_privacy.graphcore import components_and_diameters
 
 from helpers import (
@@ -39,6 +38,7 @@ from helpers import (
     oracle_asymmetric_pairs,
     oracle_distances,
     oracle_minimally_secretly_different,
+    randomized_response,
     secret_difference,
     small_policies,
     total_difference,
@@ -235,7 +235,7 @@ def test_product_distances_equal_bfs_on_the_induced_graph(pol, epsilon, seed):
     if seed is not None:
         columns = list(range(graph.vertex_count))
         random.Random(seed).shuffle(columns)
-    bfs = rows_to_csv(response_blocks([np.array(oracle_distances(graph))], epsilon, columns))
+    bfs = channel_to_csv(randomized_response(oracle_distances(graph), epsilon, columns))
     secret = pol.secret_graph.index_graph
     assert list(product_lines(secret, pol.n, epsilon, columns)) == list(bfs)
 

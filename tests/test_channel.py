@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -33,6 +34,7 @@ from helpers import (
     graphs,
     oracle_channel_csv,
     oracle_channel_from_csv,
+    oracle_distances,
     oracle_leakage,
     oracle_minimal_epsilon,
     oracle_violations,
@@ -245,20 +247,23 @@ def test_channel_keeps_a_handed_over_array():
 
 
 def test_randomized_response_holds_one_matrix_at_its_peak():
+    """n = 5 (1,024 vertices): the stacked 8 MiB channel, one traversal's
+    1 MiB block of int8 distances, its bitsets and a block of rows (about
+    512 KiB each) and small change, not two matrices."""
     from blowfish_privacy import distance_threshold_policy, induce_adjacency_graph
 
     policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
-    dist = graphcore.distances(induce_adjacency_graph(policy).to_graph())
+    graph = induce_adjacency_graph(policy).to_graph()
+    graph.neighbors  # cached on the graph, outside the measurement
     matrix_bytes = 1024 * 1024 * 8
     tracemalloc.start()
     try:
-        chan = randomized_response(dist, 0.1)
+        chan = graph_randomized_response(graph, 0.1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert chan.probs.shape == (1024, 1024)
-    # One float64 matrix plus the distances and small change, not two matrices.
-    assert peak < matrix_bytes + dist.nbytes + 2**20
+    assert peak < matrix_bytes + graphcore.distances(graph).nbytes + 2**21
 
 
 def test_response_blocks_name_a_violation_by_its_channel_row(monkeypatch):
@@ -268,7 +273,7 @@ def test_response_blocks_name_a_violation_by_its_channel_row(monkeypatch):
     monkeypatch.setattr(channel_mod, "BLOCK_CELLS", 6)
     dist = np.zeros((6, 3), dtype=np.int8)
     dist[4] = -1
-    blocks = channel_mod.response_blocks([dist], 1.0)
+    blocks = channel_mod._response_rows([dist], np.array([1.0, 0.0]), None)
     assert [len(block) for block in itertools.islice(blocks, 2)] == [2, 2]
     with np.errstate(invalid="ignore"), pytest.raises(InputError) as failure:
         next(blocks)
@@ -293,15 +298,30 @@ def test_response_blocks_drop_each_distance_block_before_the_next():
             alive.append(bool(refs) and refs[-1]() is not None)
             yield fresh()
 
-    assert len(list(channel_mod.response_blocks(dist_blocks(), 1.0))) == 3
+    assert len(list(channel_mod._response_rows(dist_blocks(), np.array([1.0, 0.0]), None))) == 3
     assert alive == [False, False, False]
 
 
 def test_response_blocks_check_epsilon_before_any_block():
-    """The check runs on the call, so a caller streaming to a file fails
-    before it opens the file."""
-    with pytest.raises(InputError, match="epsilon must be positive"):
-        channel_mod.response_blocks(iter(()), 0.0)
+    """The check runs on the call, before the distances are entered, so a
+    caller streaming to a file fails before it opens the file."""
+    with mock.patch.object(channel_mod, "distance_blocks") as traversal, \
+            pytest.raises(InputError, match="epsilon must be positive"):
+        channel_mod.response_blocks(path3(), 0.0)
+    assert not traversal.called
+
+
+def test_response_blocks_refuse_an_underflow_before_any_distance():
+    """On a cycle of 40 vertices the hop bound is 39 and the longest
+    distance 20: epsilon 80 is refused at the bound, then named and refused
+    at 20, all on the call, with no traversal of the distances."""
+    graph = Graph.from_edges(40, [(i, (i + 1) % 40) for i in range(40)])
+    assert graphcore.hop_bound(graph) == 39
+    with mock.patch.object(channel_mod, "distance_blocks") as traversal, \
+            pytest.raises(InputError, match="^epsilon 80.0 would underflow channel entries at "
+                                            "distance 20: this graph admits epsilon up to "):
+        channel_mod.response_blocks(graph, 80.0)
+    assert not traversal.called
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +656,7 @@ def test_small_channel_counts_rows_and_edges_times_columns():
 
 
 def numpy_lines(graph, epsilon, columns=None):
-    blocks = channel_mod.response_blocks(graphcore.distance_blocks(graph), epsilon, columns)
-    return "".join(channel_mod.rows_to_csv(blocks))
+    return "".join(channel_mod.rows_to_csv(channel_mod.response_blocks(graph, epsilon, columns)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -662,6 +681,51 @@ def test_one_record_product_lines_are_the_numpy_bytes(graph, epsilon, seed):
 
     python = outcome(lambda: "".join(channel_mod.product_lines(graph, 1, epsilon, columns)))
     assert python == outcome(lambda: numpy_lines(graph, epsilon, columns))
+
+
+FIVE_CYCLE = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(graphs(max_vertices=8), sparse_graphs(max_vertices=60)),
+    st.sampled_from(["tiny", "below", "limit", "above", "inf"]),
+)
+@example(FIVE_CYCLE, "limit")
+@example(FIVE_CYCLE, "above")
+def test_every_route_refuses_at_one_limit(graph, where):
+    """graph_randomized_response and product_lines of one record, on numpy
+    and in Python floats, write the same bytes or refuse with the same
+    text. The limit of the longest distance d, -2 ln(2^-1022 V) / d, is
+    admitted and the float above it refused, also where the hop bound is
+    longer (the 5-cycle's is 4, its d 2), so the limit is the exact one."""
+    longest = max(map(max, oracle_distances(graph)))
+    limit = -2 * math.log(sys.float_info.min * graph.vertex_count) / longest if longest else math.inf
+    epsilon = {
+        "tiny": 1e-300, "below": math.nextafter(limit, 0), "limit": limit,
+        "above": math.nextafter(limit, math.inf), "inf": math.inf,
+    }[where]
+
+    def outcome(write):
+        try:
+            return write()
+        except InputError as exc:
+            return f"refused: {exc}"
+
+    def lines(cells):
+        with mock.patch.object(channel_mod, "PYTHON_CELLS", cells):
+            return "".join(channel_mod.product_lines(graph, 1, epsilon))
+
+    (found,) = {
+        outcome(lambda: "".join(channel_to_csv(graph_randomized_response(graph, epsilon)))),
+        outcome(lambda: lines(0)),
+        outcome(lambda: lines(math.inf)),
+    }
+    if math.inf > epsilon > limit:
+        assert found == (f"refused: epsilon {epsilon} would underflow channel entries at "
+                         f"distance {longest}: this graph admits epsilon up to {limit}")
+    else:
+        assert len(found.splitlines()) == graph.vertex_count
 
 
 def test_complete_graph_on_256_vertices_on_both_paths():

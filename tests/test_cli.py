@@ -801,6 +801,63 @@ def test_numpy_route_refuses_before_its_first_row(tmp_path, capsys):
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    small_policies(max_n=3),
+    st.sampled_from(["--policy", "--graph"]),
+    st.sampled_from([1e-3, 0.5, 1.0, "next", 2.0]),
+    st.booleans(),
+)
+@example(custom_policy(["1", "2", "3"], [("1", "2"), ("2", "3")], n=3), "--policy", "next", False)
+@example(custom_policy(["1", "2", "3"], [("1", "2"), ("2", "3")], n=1), "--graph", 1.0, True)
+def test_a_generated_channel_verifies_at_its_epsilon(policy, source, share, numpy_route):
+    """channel generate by --policy and by --graph, on numpy or in Python
+    floats, at a share of the epsilon the adjacency graph admits (the limit
+    of its longest distance d, -2 ln(2^-1022 V) / d), the limit itself or
+    the float past it: an admitted epsilon writes a channel that channel
+    verify finds private at that epsilon, and a refused one exits 2 with
+    no file."""
+    with warnings.catch_warnings():  # the CLI warns too, on its stderr
+        warnings.simplefilter("ignore", AdjacencyAsymmetryWarning)
+        graph = induce_adjacency_graph(policy)
+    vertices = len(graph.vertices)
+    longest = max(map(max, oracle_distances(graph.to_graph())))
+    limit = -2 * math.log(sys.float_info.min * vertices) / longest if longest else math.inf
+    epsilon = math.nextafter(limit, math.inf) if share == "next" else share * limit
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        channel_mod, "PYTHON_CELLS", 0 if numpy_route else math.inf
+    ), mock.patch.object(sys, "stderr", io.StringIO()):
+        directory = Path(tmp)
+        (directory / "policy.json").write_text(policy_to_json(policy))
+        (directory / "graph.json").write_text(adjacency_to_json(graph))
+        argv = [source, str(directory / f"{source[2:]}.json"), "--epsilon", repr(epsilon)]
+        out, report = directory / "k.csv", directory / "verify.txt"
+        code = run("channel", "generate", *argv, "--out", str(out))
+        if math.inf > epsilon > limit:
+            assert code == 2 and not out.exists()
+            return
+        assert code == 0 and len(out.read_text().splitlines()) == vertices
+        assert run("channel", "verify", str(out), *argv, "--out", str(report)) == 0
+        assert parse_report(report.read_text())["private_at_target"] == "true"
+
+
+def test_channel_verify_refuses_a_negative_epsilon(tmp_path, capsys):
+    """As bound compute does, before the channel is read (here it is not
+    even a file) and with no output; 0 and -0.0 are targets like any other."""
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": [["a"], ["b"]], "edges": [[0, 1]]}))
+    channel, out = tmp_path / "k.csv", tmp_path / "verify.txt"
+    argv = ["--graph", str(graph), "--out", str(out)]
+    capsys.readouterr()
+    assert run("channel", "verify", str(tmp_path / "missing.csv"), *argv, "--epsilon", "-1") == 2
+    assert capsys.readouterr() == ("", "error: epsilon must be non-negative, got -1.0\n")
+    assert not out.exists()
+    channel.write_text("0.5,0.5\n0.5,0.5\n")
+    for epsilon in ("0", "-0.0"):
+        assert run("channel", "verify", str(channel), *argv, "--epsilon", epsilon) == 0
+        assert parse_report(out.read_text())["private_at_target"] == "true"
+
+
 def test_infinite_epsilon_is_unbounded(tmp_path, capsys):
     policy = build_path_policy(tmp_path, n=1)
     assert run("bound", "compute", str(policy), "--epsilon", "inf") == 0
@@ -1524,7 +1581,8 @@ def test_streamed_generate_holds_a_block_not_the_channel(tmp_path, source, limit
     rows at a time; building the whole channel took about 9.25 MiB for
     --policy, and 11 MiB for --graph. --graph also holds the loaded graph
     and one traversal's distances, from up to 2,048 sources: here all
-    1,024, 2 MiB of int16."""
+    1,024, 1 MiB of int8 (the smallest signed dtype that holds the graph's
+    hop bound, 30)."""
     policy, graph = build_path_policy(tmp_path, n=5), tmp_path / "graph.json"
     assert run("adjacency", "induce", str(policy), "--out", str(graph)) == 0
     target = {"--policy": policy, "--graph": graph}[source]

@@ -119,7 +119,7 @@ def check_traversal(graph):
     against Floyd-Warshall where it is quick, else against the oracle's table."""
     dist = distances(graph)
     expected = oracle_distances(graph)
-    assert dist.dtype == np.min_scalar_type(-graph.vertex_count)
+    assert dist.dtype == np.min_scalar_type(-1 - graphcore.hop_bound(graph))
     assert dist.tolist() == expected
     comps = tuple(components_and_diameters(graph))
     assert comps == components_from_distances(expected)
@@ -135,6 +135,28 @@ def test_traversal_matches_oracles_property(graph):
     check_traversal(graph)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(graphs(max_vertices=9), sparse_graphs(max_vertices=70)))
+@example(path_graph(3))
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))
+def test_hop_bound_lies_between_the_diameter_and_its_double(graph):
+    """Each component, taken as a graph of its own with its vertices in
+    order, has a hop bound from its diameter d to min(2 d, size - 1); the
+    whole graph's is the largest of them. A path searched from an end is
+    bounded by its length, a star searched from its centre by twice its
+    radius."""
+    dist = oracle_distances(graph)
+    bounds = []
+    for members in {tuple(j for j, d in enumerate(row) if d >= 0) for row in dist}:
+        place = {v: i for i, v in enumerate(members)}
+        edges = [(place[a], place[b]) for a, b in graph.edges if a in place]
+        bound = graphcore.hop_bound(Graph.from_edges(len(members), edges))
+        diameter = max(dist[v][w] for v in members for w in members)
+        assert diameter <= bound <= min(2 * diameter, len(members) - 1)
+        bounds.append(bound)
+    assert graphcore.hop_bound(graph) == max(bounds)
+
+
 def pieces_graph(n):
     """A cycle on the first third, a path on the rest but the last vertex,
     and the last vertex isolated (as many pieces as ``n`` allows)."""
@@ -144,9 +166,10 @@ def pieces_graph(n):
     return Graph.from_edges(n, cycle + path)
 
 
-# Bitset byte and 30-bit digit edges, the int8/int16 switch at 129 vertices,
-# and at 300 vertices more than one block of rows per unpack.
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+# Bitset byte and 30-bit digit edges, the int8/int16 switch between the hop
+# bounds 127 and 128 of the 128- and 129-vertex paths, and at 300 vertices
+# more than one block of rows per unpack.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 300])
 @pytest.mark.parametrize("shape", [path_graph, pieces_graph])
 def test_traversal_matches_oracles_at_word_and_block_edges(n, shape):
     check_traversal(shape(n))
@@ -211,7 +234,8 @@ def test_components_and_diameters_import_no_numpy():
 
 def test_distances_peak_memory_is_the_result_and_a_block():
     """At n = 5 (1,024 vertices), the traversal's bitsets and one block of
-    unpacked rows stay below 1 MiB beside the 2 MiB int16 result."""
+    unpacked rows stay below 1 MiB beside the 1 MiB int8 result (the
+    longest distance is 15, and its hop bound 30)."""
     policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
     graph = induce_adjacency_graph(policy).to_graph()
     distances(path_graph(2))  # numpy's first use, which imports and binds it
@@ -221,7 +245,7 @@ def test_distances_peak_memory_is_the_result_and_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dist.shape == (1024, 1024) and dist.dtype == np.int16
+    assert dist.shape == (1024, 1024) and dist.dtype == np.int8
     assert peak < dist.nbytes + 2**20
 
 
@@ -232,9 +256,11 @@ def test_distance_lists_equal_the_oracle(graph):
 
 
 def test_distance_blocks_are_the_rows_of_distances_one_block_alive(monkeypatch):
-    """n = 5 (1,024 vertices) in blocks of 512 sources, 1 MiB of int16 each:
+    """n = 5 (1,024 vertices) in blocks of 512 sources, 512 KiB of int8 each:
     the stacked blocks are the distances, and the generator keeps no block
-    alive while it fills the next, so the peak stays below two blocks."""
+    alive while it fills the next, so the peak, one block beside the
+    traversal's bitsets and unpacking (about 460 KiB), stays below two
+    blocks."""
     policy = distance_threshold_policy([1, 2, 3, 4], 1, n=5)
     graph = induce_adjacency_graph(policy).to_graph()
     monkeypatch.setattr(graphcore, "_SOURCE_BLOCK", 512)
@@ -242,6 +268,7 @@ def test_distance_blocks_are_the_rows_of_distances_one_block_alive(monkeypatch):
     assert [block.shape for block in blocks] == [(512, 1024)] * 2
     assert np.array_equal(np.concatenate(blocks), distances(graph))
     block_bytes = blocks[0].nbytes
+    assert block_bytes == 2**19
     del blocks
     tracemalloc.start()
     try:
@@ -250,7 +277,7 @@ def test_distance_blocks_are_the_rows_of_distances_one_block_alive(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * block_bytes
+    assert peak < 2 * block_bytes
 
 
 # ---------------------------------------------------------------------------
